@@ -10,18 +10,10 @@ analytic and empirical radii, a small training harness, and a CLI.
 
 from .numerics import (
     DEFAULT_EPSILON,
-    FftPlan,
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    SpectralTensor,
-    circular_conv2,
-    dft1,
-    dft2,
-    embed_kernel,
-    idft1,
-    idft2,
-    spectral_divide,
+    guard_spectrum,
 )
 from .filters import (
     FilterZeros,
@@ -40,6 +32,7 @@ from .arma import (
     ArmaLayerParams,
     LayerCache,
     ar_backward,
+    ar_backward_input,
     ar_forward,
     ar_forward_dense,
     arma_backward,

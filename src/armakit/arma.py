@@ -25,7 +25,7 @@ test suite rather than by the algebra alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +42,9 @@ from .numerics import (
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    SpectralTensor,
+    _check_footprint,
     embed_taps,
-    spectral_divide,
+    guard_spectrum,
 )
 
 #: Largest grid (I1*I2) the dense oracle will assemble; beyond this the
@@ -93,7 +93,6 @@ class LayerCache:
 
     ar_spectrum: np.ndarray  # (I1, I2, T) complex, per-channel A_hat
     output_spectrum: np.ndarray  # (I1, I2, T) complex, Y_hat
-    pre_ar: FieldTensor  # intermediate T, spatial
 
 
 @dataclass(eq=False)
@@ -109,6 +108,27 @@ class ArGradients:
     beta_g: np.ndarray
 
 
+def _rolled_taps(
+    field: np.ndarray, w: MaKernel, sign: int = 1, skip_zero: bool = True
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield ``(k1, k2, rolled)`` for every tap of ``w``.
+
+    ``rolled`` is ``field`` circularly shifted by ``sign`` times the tap's
+    dilated offset ``(d*p1, d*p2)``; ``sign=-1`` gives the adjoint shift.
+    With ``skip_zero``, taps whose ``(T, S)`` block is all zero are skipped:
+    they add nothing to a convolution, though they still carry a kernel
+    gradient.
+    """
+    half1 = (w.tap_height - 1) // 2
+    half2 = (w.tap_width - 1) // 2
+    for k1 in range(w.tap_height):
+        for k2 in range(w.tap_width):
+            if skip_zero and not w.data[k1, k2].any():
+                continue
+            shift = (sign * w.dilation * (k1 - half1), sign * w.dilation * (k2 - half2))
+            yield k1, k2, np.roll(field, shift, axis=(0, 1))
+
+
 def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
     """Multi-channel circular convolution ``T[:,:,t] = sum_s W[:,:,t,s] * X[:,:,s]``.
 
@@ -118,18 +138,10 @@ def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
         raise ValueError(
             f"input has {x.channels} channels but kernel expects {w.in_channels}"
         )
-    _check_ma_footprint(w, x.height, x.width)
-    half1 = (w.tap_height - 1) // 2
-    half2 = (w.tap_width - 1) // 2
+    _check_footprint(w.tap_height, w.tap_width, x.height, x.width, w.dilation)
     out = np.zeros((x.height, x.width, w.out_channels))
-    for k1 in range(w.tap_height):
-        for k2 in range(w.tap_width):
-            taps = w.data[k1, k2]  # (T, S)
-            if not taps.any():
-                continue
-            shift = (w.dilation * (k1 - half1), w.dilation * (k2 - half2))
-            rolled = np.roll(x.data, shift, axis=(0, 1))
-            out += np.einsum("ijs,ts->ijt", rolled, taps)
+    for k1, k2, rolled in _rolled_taps(x.data, w):
+        out += np.einsum("ijs,ts->ijt", rolled, w.data[k1, k2])
     return FieldTensor(out)
 
 
@@ -143,17 +155,9 @@ def ma_backward_input(d_t: FieldTensor, w: MaKernel) -> FieldTensor:
         raise ValueError(
             f"gradient has {d_t.channels} channels but kernel produces {w.out_channels}"
         )
-    half1 = (w.tap_height - 1) // 2
-    half2 = (w.tap_width - 1) // 2
     out = np.zeros((d_t.height, d_t.width, w.in_channels))
-    for k1 in range(w.tap_height):
-        for k2 in range(w.tap_width):
-            taps = w.data[k1, k2]
-            if not taps.any():
-                continue
-            shift = (-w.dilation * (k1 - half1), -w.dilation * (k2 - half2))
-            rolled = np.roll(d_t.data, shift, axis=(0, 1))
-            out += np.einsum("ijt,ts->ijs", rolled, taps)
+    for k1, k2, rolled in _rolled_taps(d_t.data, w, sign=-1):
+        out += np.einsum("ijt,ts->ijs", rolled, w.data[k1, k2])
     return FieldTensor(out)
 
 
@@ -167,23 +171,27 @@ def ma_backward(
     ``(d*p1, d*p2)``.
     """
     d_x = ma_backward_input(d_t, w)
-    half1 = (w.tap_height - 1) // 2
-    half2 = (w.tap_width - 1) // 2
     d_w = np.zeros_like(w.data)
-    for k1 in range(w.tap_height):
-        for k2 in range(w.tap_width):
-            shift = (w.dilation * (k1 - half1), w.dilation * (k2 - half2))
-            rolled = np.roll(x.data, shift, axis=(0, 1))
-            d_w[k1, k2] = np.einsum("ijt,ijs->ts", d_t.data, rolled)
+    for k1, k2, rolled in _rolled_taps(x.data, w, skip_zero=False):
+        d_w[k1, k2] = np.einsum("ijt,ijs->ts", d_t.data, rolled)
     return d_x, d_w
 
 
-def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> np.ndarray:
-    """Per-channel spectra of the embedded autoregressive kernels, ``(I1, I2, T)``."""
+def ar_spectra(
+    ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
+) -> np.ndarray:
+    """Per-channel spectra of the embedded autoregressive kernels, ``(I1, I2, T)``.
+
+    The spectrum is guarded once, here: every entry magnitude is at least
+    ``epsilon``, so both the forward solve and its adjoint may divide by it
+    (or its conjugate) without checking again.  Raises
+    :class:`armakit.numerics.SingularSpectrumError` otherwise.
+    """
     out = np.empty((height, width, ar.channels), dtype=np.complex128)
     for t in range(ar.channels):
         grid = embed_taps(materialize_2d(ar, t), height, width)
         out[:, :, t] = np.fft.fft2(grid)
+    guard_spectrum(out, epsilon)
     return out
 
 
@@ -204,8 +212,9 @@ def ar_forward(
     The materialized kernel footprint (nonzero tap extent per axis, so
     identity factors cost nothing) must fit the grid.  Returns the output
     together with a :class:`LayerCache` for the backward pass.  Raises
-    :class:`armakit.numerics.SingularSpectrumError` for degenerate kernels;
-    kernels materialized from the re-parameterization cannot trigger it.
+    :class:`armakit.numerics.SingularSpectrumError` for degenerate kernels
+    (``epsilon`` is the guard :func:`ar_spectra` applies); kernels
+    materialized from the re-parameterization cannot trigger it.
     """
     if t.channels != ar.channels:
         raise ValueError(
@@ -219,11 +228,29 @@ def ar_forward(
                 f"autoregressive footprint ({2 * g_half + 1}, {2 * f_half + 1}) "
                 f"of channel {ch} does not fit a {t.height}x{t.width} field"
             )
-    a_hat = ar_spectra(ar, t.height, t.width)
-    t_hat = np.fft.fft2(t.data, axes=(0, 1))
-    y_hat = spectral_divide(SpectralTensor(t_hat), SpectralTensor(a_hat), epsilon)
-    y = FieldTensor(np.fft.ifft2(y_hat.data, axes=(0, 1)).real)
-    return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat.data, pre_ar=t)
+    a_hat = ar_spectra(ar, t.height, t.width, epsilon)
+    y_hat = np.fft.fft2(t.data, axes=(0, 1)) / a_hat
+    y = FieldTensor(np.fft.ifft2(y_hat, axes=(0, 1)).real)
+    return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat)
+
+
+def _adjoint_spectrum(d_y: FieldTensor, a_hat: np.ndarray) -> np.ndarray:
+    # dT_hat = dY_hat / conj(A_hat); a_hat was guarded when ar_spectra built it
+    if d_y.data.shape != a_hat.shape:
+        raise ValueError(
+            f"gradient shape {d_y.data.shape} does not match spectrum shape {a_hat.shape}"
+        )
+    return np.fft.fft2(d_y.data, axes=(0, 1)) / np.conj(a_hat)
+
+
+def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
+    """Input gradient of :func:`ar_forward`: solves ``a~ * dT = dY`` per channel.
+
+    ``a_hat`` is the per-channel spectrum from :func:`ar_spectra`; the solve
+    divides by its conjugate.  Mirrors :func:`ma_backward_input`: it needs
+    neither the forward output nor a :class:`LayerCache`.
+    """
+    return FieldTensor(np.fft.ifft2(_adjoint_spectrum(d_y, a_hat), axes=(0, 1)).real)
 
 
 def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, FieldTensor]:
@@ -236,16 +263,9 @@ def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, Field
         dT_hat = dY_hat / conj(A_hat)
         dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
     """
-    if d_y.data.shape != cache.output_spectrum.shape:
-        raise ValueError(
-            f"gradient shape {d_y.data.shape} does not match cached forward "
-            f"shape {cache.output_spectrum.shape}"
-        )
-    d_y_hat = np.fft.fft2(d_y.data, axes=(0, 1))
-    conj_a = np.conj(cache.ar_spectrum)
-    d_t_hat = spectral_divide(SpectralTensor(d_y_hat), SpectralTensor(conj_a))
-    d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat.data
-    d_t = FieldTensor(np.fft.ifft2(d_t_hat.data, axes=(0, 1)).real)
+    d_t_hat = _adjoint_spectrum(d_y, cache.ar_spectrum)
+    d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat
+    d_t = FieldTensor(np.fft.ifft2(d_t_hat, axes=(0, 1)).real)
     d_a_field = FieldTensor(np.fft.ifft2(d_a_hat, axes=(0, 1)).real)
     return d_t, d_a_field
 
@@ -414,13 +434,3 @@ def _factor_gradient(d_composition: np.ndarray, factors: Sequence[Length3Filter]
     rest_taps = compose_1d(rest)
     return np.correlate(d_composition, rest_taps, mode="valid")
 
-
-def _check_ma_footprint(w: MaKernel, height: int, width: int):
-    if (
-        w.dilation * (w.tap_height - 1) >= height
-        or w.dilation * (w.tap_width - 1) >= width
-    ):
-        raise ValueError(
-            f"dilated kernel footprint {w.dilation}*({w.tap_height - 1}, "
-            f"{w.tap_width - 1}) does not fit a {height}x{width} field"
-        )

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arma import LayerCache, ar_backward, ar_spectra, ma_backward_input
+from .arma import ar_backward_input, ar_spectra, ma_backward_input
 from .filters import Length3Filter, SeparableArKernel
 from .numerics import FieldTensor, MaKernel
 
@@ -157,7 +157,10 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
     ``H = ceil(ln(epsilon)/ln(a))`` so the dropped tail has mass at most
     ``epsilon`` (``H = 0``, i.e. a bare delta, when ``a == 0``); it is then
     convolved with the uniform dilated moving-average taps ``(1-a)/K``.
+    ``epsilon`` must lie in ``(0, 1)``.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"truncation epsilon must be in (0, 1), got {epsilon!r}")
     a = layer.ar_coeff
     if a == 0.0:
         inverse = np.array([1.0])
@@ -314,16 +317,20 @@ def empirical_erf_2d(
     Builds the linear network on a ``grid x grid`` field (moving-average
     kernels either the uniform idealization or Xavier-initialized random;
     autoregressive part the causal per-axis factor), back-propagates a unit
-    gradient from the center output pixel through the layers' backward
-    passes, averages the absolute gradient maps over channel pairs, and
-    normalizes.  The gradient map of a circular linear network is identical
-    at every output location, so a single center pixel suffices.
+    gradient from the center output pixel through each layer's adjoint
+    solves (:func:`armakit.arma.ar_backward_input`, then
+    :func:`armakit.arma.ma_backward_input`), averages the absolute gradient
+    maps over channel pairs, and normalizes.  The gradient map of a circular
+    linear network is identical at every output location, so a single center
+    pixel suffices.
 
     ``channels`` applies to the random mode; the uniform idealization is
     single-channel by construction.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
     if kernel_mode == "uniform":
         if channels != 1:
             raise ValueError("uniform kernel mode is single-channel; use xavier for channels > 1")
@@ -341,14 +348,8 @@ def empirical_erf_2d(
             raise WraparoundError(
                 f"dilated kernel footprint does not fit a {grid}x{grid} grid"
             )
-    caches = [
-        LayerCache(
-            ar_spectrum=ar_spectra(ar, grid, grid),
-            output_spectrum=np.zeros((grid, grid, ar.channels), dtype=np.complex128),
-            pre_ar=FieldTensor(np.zeros((grid, grid, ar.channels))),
-        )
-        for _, ar in layers
-    ]
+    # the adjoint network runs the layers last to first
+    adjoints = [(ma, ar_spectra(ar, grid, grid)) for ma, ar in reversed(layers)]
 
     center = grid // 2
     accumulated = np.zeros((grid, grid))
@@ -356,9 +357,8 @@ def empirical_erf_2d(
         seed_grad = np.zeros((grid, grid, channels))
         seed_grad[center, center, out_channel] = 1.0
         grad = FieldTensor(seed_grad)
-        for (ma, _), cache in zip(reversed(layers), reversed(caches)):
-            d_t, _ = ar_backward(grad, cache)
-            grad = ma_backward_input(d_t, ma)
+        for ma, a_hat in adjoints:
+            grad = ma_backward_input(ar_backward_input(grad, a_hat), ma)
         accumulated += np.abs(grad.data).sum(axis=2)
     accumulated /= accumulated.sum()
 

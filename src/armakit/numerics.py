@@ -1,5 +1,4 @@
-"""Dense field tensors, arbitrary-size DFTs, circular convolution, and guarded
-frequency-domain division.
+"""Field and kernel tensors, tap embedding, and the spectral singularity guard.
 
 Conventions used throughout the package:
 
@@ -83,32 +82,6 @@ class FieldTensor:
 
 
 @dataclass(eq=False)
-class SpectralTensor:
-    """Complex-valued rank-3 array holding per-channel 2D spectra."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 3:
-            raise ValueError(f"spectrum must be rank-3, got shape {self.data.shape}")
-        if min(self.data.shape) < 1:
-            raise ValueError(f"spectrum dimensions must be positive, got {self.data.shape}")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(eq=False)
 class MaKernel:
     """Moving-average kernel of shape ``(tap_height, tap_width, out, in)``.
 
@@ -150,61 +123,6 @@ class MaKernel:
         return self.data.shape[3]
 
 
-@dataclass(frozen=True)
-class FftPlan:
-    """Transform handle pinning the sequence length for 1D DFTs.
-
-    Plans are immutable and shareable across threads.  Transforms of any
-    length are supported; lengths with large prime factors take the chirp-z
-    (Bluestein) route inside the backing FFT so the cost stays O(N log N).
-    """
-
-    length: int
-
-    def __post_init__(self):
-        if int(self.length) < 1:
-            raise ValueError(f"plan length must be positive, got {self.length}")
-        object.__setattr__(self, "length", int(self.length))
-
-
-def dft1(x, plan: FftPlan) -> np.ndarray:
-    """1D DFT: ``X_k = sum_n x_n exp(-2*pi*i*n*k/N)``.
-
-    ``x`` must have exactly ``plan.length`` entries.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size != plan.length:
-        raise ValueError(f"input length {x.shape} does not match plan length {plan.length}")
-    return np.fft.fft(x)
-
-
-def idft1(x, plan: FftPlan) -> np.ndarray:
-    """Inverse of :func:`dft1`; carries the ``1/N`` normalization."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size != plan.length:
-        raise ValueError(f"input length {x.shape} does not match plan length {plan.length}")
-    return np.fft.ifft(x)
-
-
-def dft2(x: FieldTensor) -> SpectralTensor:
-    """Per-channel 2D DFT of a real field.
-
-    The output of a real input satisfies conjugate symmetry:
-    ``S[k1, k2, c] == conj(S[-k1 mod I1, -k2 mod I2, c])``.
-    """
-    return SpectralTensor(np.fft.fft2(x.data, axes=(0, 1)))
-
-
-def idft2(x: SpectralTensor) -> FieldTensor:
-    """Per-channel inverse 2D DFT, returning the real part.
-
-    Intended for spectra with conjugate symmetry (anything produced by
-    :func:`dft2` of a real field, or products/quotients of such spectra),
-    whose inverse transform is real up to roundoff.
-    """
-    return FieldTensor(np.fft.ifft2(x.data, axes=(0, 1)).real)
-
-
 def _check_footprint(tap_height, tap_width, height, width, dilation):
     if dilation * (tap_height - 1) >= height or dilation * (tap_width - 1) >= width:
         raise ValueError(
@@ -219,52 +137,13 @@ def _tap_offsets(tap_count):
     return range(-half, half + 1)
 
 
-def circular_conv2(x: FieldTensor, taps, dilation: int = 1) -> FieldTensor:
-    """Circular 2D convolution of a single-channel field with a centered kernel.
-
-    ``y[i1, i2] = sum_p taps[p1, p2] * x[(i1 - d*p1) % I1, (i2 - d*p2) % I2]``
-
-    ``taps`` is a 2D array with odd side lengths whose center entry is the
-    offset-(0, 0) tap.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 2 or taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
-        raise ValueError(f"kernel taps must be a 2D odd-sized array, got {taps.shape}")
-    if x.channels != 1:
-        raise ValueError(f"expected a single-channel field, got {x.channels} channels")
-    _check_footprint(taps.shape[0], taps.shape[1], x.height, x.width, dilation)
-
-    plane = x.plane()
-    out = np.zeros_like(plane)
-    half1 = (taps.shape[0] - 1) // 2
-    half2 = (taps.shape[1] - 1) // 2
-    for k1 in range(taps.shape[0]):
-        for k2 in range(taps.shape[1]):
-            w = taps[k1, k2]
-            if w == 0.0:
-                continue
-            shift = (dilation * (k1 - half1), dilation * (k2 - half2))
-            out += w * np.roll(plane, shift, axis=(0, 1))
-    return FieldTensor.from_2d(out)
-
-
-def embed_kernel(taps, height: int, width: int, dilation: int = 1) -> FieldTensor:
+def embed_taps(taps, height: int, width: int, dilation: int = 1) -> np.ndarray:
     """Place centered kernel taps on a full-size grid, wrapping negative offsets.
 
     The tap at offset ``(p1, p2)`` lands at index
     ``((d*p1) % I1, (d*p2) % I2)``; all other entries are zero.  Convolving
-    with the kernel is then an element-wise product with the embedded field's
+    with the kernel is then an element-wise product with the embedded grid's
     spectrum.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 2 or taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
-        raise ValueError(f"kernel taps must be a 2D odd-sized array, got {taps.shape}")
-    _check_footprint(taps.shape[0], taps.shape[1], height, width, dilation)
-    return FieldTensor.from_2d(embed_taps(taps, height, width, dilation))
-
-
-def embed_taps(taps, height: int, width: int, dilation: int = 1) -> np.ndarray:
-    """Array-in, array-out version of :func:`embed_kernel`.
 
     Performs no footprint check: taps landing on the same wrapped grid cell
     accumulate, which matches circular-convolution semantics for kernels
@@ -280,20 +159,15 @@ def embed_taps(taps, height: int, width: int, dilation: int = 1) -> np.ndarray:
     return grid
 
 
-def spectral_divide(
-    num: SpectralTensor, den: SpectralTensor, epsilon: float = DEFAULT_EPSILON
-) -> SpectralTensor:
-    """Element-wise complex division with a singularity guard.
+def guard_spectrum(spectrum: np.ndarray, epsilon: float) -> None:
+    """Singularity guard for a frequency-domain denominator.
 
-    Raises :class:`SingularSpectrumError` if any denominator magnitude falls
-    below ``epsilon`` (signaling an unstable or degenerate autoregressive
-    kernel); otherwise every entry of the result is well conditioned.
+    Raises :class:`SingularSpectrumError` if any entry magnitude falls below
+    ``epsilon`` (signaling an unstable or degenerate autoregressive kernel);
+    otherwise dividing by ``spectrum`` or its conjugate is well conditioned.
     """
-    if num.data.shape != den.data.shape:
-        raise ValueError(f"shape mismatch: {num.data.shape} vs {den.data.shape}")
-    magnitude = np.abs(den.data)
+    magnitude = np.abs(spectrum)
     bad = magnitude < epsilon
     if bad.any():
         index = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularSpectrumError(index, magnitude[index], epsilon)
-    return SpectralTensor(num.data / den.data)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arma import ar_reparam_gradients, ar_forward, arma_backward_taps, ma_forward
 from .filters import Length3Filter, SeparableArKernel, is_stable
-from .numerics import FieldTensor, MaKernel, SingularSpectrumError, circular_conv2
+from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
 DIVERGENCE_OUTPUT_LIMIT = 1e6
 
@@ -65,11 +65,11 @@ class ToyTask:
             raise ValueError(f"blur radius {radius} does not fit a {size} grid")
         profile = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
         profile /= math.sqrt((profile**2).sum())
+        rows = MaKernel(profile[:, None, None, None])
+        cols = MaKernel(profile[None, :, None, None])
         targets = np.empty_like(inputs)
         for n in range(samples):
-            blurred = circular_conv2(FieldTensor(inputs[n]), profile[:, None])
-            blurred = circular_conv2(blurred, profile[None, :])
-            targets[n] = blurred.data
+            targets[n] = ma_forward(ma_forward(FieldTensor(inputs[n]), rows), cols).data
         return cls(inputs, targets, seed, description=f"gaussian blur sigma={sigma}")
 
     @classmethod

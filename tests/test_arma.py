@@ -4,12 +4,15 @@ import pytest
 from armakit.arma import (
     ArmaLayerParams,
     ar_backward,
+    ar_backward_input,
     ar_forward,
     ar_forward_dense,
     arma_backward,
     arma_forward,
+    ar_spectra,
     dense_circulant_matrix,
     ma_backward,
+    ma_backward_input,
     ma_forward,
 )
 from armakit.filters import (
@@ -172,6 +175,18 @@ class TestArBackward:
         _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
         with pytest.raises(ValueError):
             ar_backward(FieldTensor(np.zeros((2, 2, 1))), cache)
+
+    def test_backward_honours_forward_epsilon(self):
+        # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
+        near = Length3Filter(0.4999999998, 1.0, 0.4999999998)
+        kernel = SeparableArKernel(f_filters=((near,),), g_filters=((Length3Filter(0, 1, 0),),))
+        t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
+        y, cache = ar_forward(t, kernel, epsilon=1e-12)
+        d_t, _ = ar_backward(y, cache)
+        assert np.all(np.isfinite(d_t.data))
+        with pytest.raises(SingularSpectrumError) as info:
+            ar_forward(t, kernel)
+        assert info.value.index == (0, 4, 0)
 
 
 class TestMaBackward:
@@ -353,3 +368,52 @@ class TestRawTapGradients:
             bump[i] -= 2 * h
             lo = loss(bump)
             assert analytic[i] == pytest.approx((up - lo) / (2 * h), rel=1e-6, abs=1e-9)
+
+
+def inner(a, b):
+    return float(np.vdot(a, b))
+
+
+# (height, width, in channels S, out channels T, taps (kh, kw), dilation)
+ADJOINT_CASES = [
+    (6, 9, 1, 1, (3, 3), 1),
+    (7, 5, 2, 3, (3, 5), 1),
+    (9, 12, 3, 2, (3, 5), 2),
+    (9, 11, 2, 4, (5, 3), 2),
+    (10, 10, 3, 3, (1, 3), 2),
+]
+
+
+class TestAdjointIdentities:
+    """``<L x, y> = <x, L^T y>`` for the shared MA loop and the AR adjoint."""
+
+    @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
+    def test_ma_input_adjoint(self, h, w, s, t, taps, dilation):
+        rng = np.random.default_rng(h * w + dilation)
+        x = FieldTensor(rng.standard_normal((h, w, s)))
+        y = FieldTensor(rng.standard_normal((h, w, t)))
+        kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
+        lhs = inner(ma_forward(x, kernel).data, y.data)
+        rhs = inner(x.data, ma_backward_input(y, kernel).data)
+        assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
+    def test_ma_kernel_adjoint(self, h, w, s, t, taps, dilation):
+        # ma_forward is linear in W too, so <W*x, y> = <W, dW>
+        rng = np.random.default_rng(h * w + dilation + 1)
+        x = FieldTensor(rng.standard_normal((h, w, s)))
+        y = FieldTensor(rng.standard_normal((h, w, t)))
+        kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
+        _, d_w = ma_backward(y, x, kernel)
+        lhs = inner(ma_forward(x, kernel).data, y.data)
+        assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
+
+    @pytest.mark.parametrize("h, w, channels, depth", [(5, 7, 1, 1), (6, 9, 3, 2), (8, 5, 2, 2)])
+    def test_ar_adjoint(self, h, w, channels, depth):
+        rng = np.random.default_rng(h * w + depth)
+        kernel = random_stable_kernel(rng, channels, depth)
+        t = FieldTensor(rng.standard_normal((h, w, channels)))
+        y = FieldTensor(rng.standard_normal((h, w, channels)))
+        forward, _ = ar_forward(t, kernel)
+        adjoint = ar_backward_input(y, ar_spectra(kernel, h, w))
+        assert inner(forward.data, y.data) == pytest.approx(inner(t.data, adjoint.data), rel=1e-10)

@@ -63,6 +63,26 @@ class TestErfCommand:
         assert code == 2
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("channels", ["0", "-1"])
+    def test_nonpositive_channels_exit_code(self, capsys, tmp_path, channels):
+        code, _, err = run(
+            capsys, "erf", "--layers", "3,1,0.5", "--mode", "empirical-2d",
+            "--kernels", "xavier", "--channels", channels, "--grid", "32",
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and f"got {channels}" in err
+
+    @pytest.mark.parametrize("mode", ["empirical-1d", "empirical-2d"])
+    @pytest.mark.parametrize("truncation", ["0", "1", "2"])
+    def test_truncation_outside_unit_interval_exit_code(self, capsys, tmp_path, mode, truncation):
+        code, _, err = run(
+            capsys, "erf", "--layers", "3,1,0.5", "--mode", mode,
+            "--truncation", truncation, "--grid", "32", "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "truncation" in err
+
     def test_malformed_layers_exit_code(self, capsys):
         code, _, err = run(capsys, "erf", "--layers", "3;1;0")
         assert code == 1

@@ -103,6 +103,12 @@ class TestEffectiveFilter:
         assert np.allclose(taps, 0.5 ** np.arange(40) * 0.5)
         assert taps.sum() == pytest.approx(1.0, abs=1e-12 * 40)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
+    def test_truncation_outside_unit_interval_rejected(self, epsilon):
+        for a in (0.0, 0.5):
+            with pytest.raises(ValueError, match=repr(epsilon)):
+                effective_filter_1d(LayerSpec1D(3, 1, a), epsilon)
+
     def test_variance_matches_radius_term(self):
         taps = effective_filter_1d(LayerSpec1D(3, 1, 0.5))
         p = np.arange(taps.size)
@@ -217,6 +223,15 @@ class TestEmpirical2d:
     def test_xavier_mode_needs_seed(self):
         with pytest.raises(ValueError):
             empirical_erf_2d(stack(LayerSpec1D(3, 1, 0.0), 1), grid=16, kernel_mode="xavier")
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_nonpositive_channels_rejected(self, channels):
+        # rejected before the window search, which would otherwise divide by zero
+        with pytest.raises(ValueError, match=f"got {channels}"):
+            empirical_erf_2d(
+                stack(LayerSpec1D(3, 1, 0.5), 2), grid=32, channels=channels,
+                seed=1, kernel_mode="xavier",
+            )
 
     def test_uniform_mode_single_channel_only(self):
         with pytest.raises(ValueError):

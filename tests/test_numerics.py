@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from armakit.arma import ar_backward_input, ar_forward, ar_spectra, ma_forward
+from armakit.filters import (
+    IDENTITY_FILTER as IDENTITY,
+    Length3Filter,
+    SeparableArKernel,
+    compose_1d,
+    materialize_2d,
+)
 from armakit.numerics import (
-    FftPlan,
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    SpectralTensor,
-    circular_conv2,
-    dft1,
-    dft2,
-    embed_kernel,
     embed_taps,
-    idft1,
-    idft2,
-    spectral_divide,
+    guard_spectrum,
 )
 from conftest import naive_circular_conv2, naive_dft1, naive_dft2
 
@@ -22,6 +22,41 @@ from conftest import naive_circular_conv2, naive_dft1, naive_dft2
 def random_field(shape, seed):
     rng = np.random.default_rng(seed)
     return FieldTensor(rng.standard_normal(shape))
+
+
+def random_kernel(rng, channels, depth=1):
+    return SeparableArKernel.from_arrays(
+        *(rng.uniform(-1.0, 1.0, (channels, depth)) for _ in range(4))
+    )
+
+
+def row_kernel(*factors):
+    # one channel, a cascade along the column (f) axis, identity along rows
+    return SeparableArKernel(
+        f_filters=(tuple(factors),), g_filters=((IDENTITY,) * len(factors),)
+    )
+
+
+def single_channel(taps, dilation=1):
+    return MaKernel(np.asarray(taps, dtype=float)[:, :, None, None], dilation=dilation)
+
+
+def reconvolve(y, taps_per_channel):
+    """Convolve each channel of ``y`` with its own 2D taps."""
+    planes = [
+        ma_forward(FieldTensor(y.data[:, :, c : c + 1]), single_channel(taps)).plane()
+        for c, taps in enumerate(taps_per_channel)
+    ]
+    return np.stack(planes, axis=2)
+
+
+def kernel_taps(kernel):
+    return [materialize_2d(kernel, c) for c in range(kernel.channels)]
+
+
+def row_taps(kernel):
+    # the f cascade as a one-row kernel, for 1-row fields
+    return [compose_1d(kernel.f_filters[0])[None, :]]
 
 
 class TestFieldTensor:
@@ -34,6 +69,10 @@ class TestFieldTensor:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             FieldTensor(np.zeros((3, 3)))
+
+    def test_rejects_empty_axis(self):
+        with pytest.raises(ValueError):
+            FieldTensor(np.zeros((1, 0, 1)))
 
     def test_shape_properties(self):
         f = FieldTensor(np.zeros((2, 5, 3)))
@@ -59,80 +98,98 @@ class TestMaKernel:
 
 
 class TestDft1:
+    """1D transforms along one axis of the autoregressive stage.
+
+    The kernel spectrum is the only DFT the package builds itself; a separable
+    kernel ``outer(G, F)`` must have the spectrum ``outer(G_hat, F_hat)``.
+    """
+
     def test_impulse_is_constant(self):
-        out = dft1([1, 0, 0, 0], FftPlan(4))
-        assert np.allclose(out, np.ones(4))
+        spectrum = ar_spectra(row_kernel(IDENTITY), 1, 4)
+        assert np.allclose(spectrum[0, :, 0], np.ones(4))
 
     def test_shifted_impulse(self):
-        # against the direct-summation oracle and the hand value
-        out = dft1([0, 1, 0, 0], FftPlan(4))
-        assert np.allclose(out, [1, -1j, -1, 1j], atol=1e-12)
-        assert np.allclose(out, naive_dft1([0, 1, 0, 0]), atol=1e-12)
+        # a lone +1 tap is a pure shift: against the oracle and the hand value
+        spectrum = ar_spectra(row_kernel(Length3Filter(0.0, 0.0, 1.0)), 1, 4)[0, :, 0]
+        assert np.allclose(spectrum, [1, -1j, -1, 1j], atol=1e-12)
+        assert np.allclose(spectrum, naive_dft1([0, 1, 0, 0]), atol=1e-12)
 
     def test_round_trip(self):
-        x = np.array([0.3, -1.2, 4.5])
-        plan = FftPlan(3)
-        assert np.allclose(idft1(dft1(x, plan), plan), x, atol=1e-12)
+        # solving then re-convolving with the kernel returns the input
+        x = FieldTensor(np.array([0.3, -1.2, 4.5]).reshape(1, 3, 1))
+        kernel = row_kernel(Length3Filter(0.2, 1.0, -0.3))
+        y, _ = ar_forward(x, kernel)
+        assert np.allclose(reconvolve(y, row_taps(kernel)), x.data, atol=1e-12)
 
     def test_length_mismatch_is_usage_error(self):
+        a_hat = ar_spectra(row_kernel(IDENTITY), 1, 4)
         with pytest.raises(ValueError):
-            dft1([1, 2, 3], FftPlan(4))
-        with pytest.raises(ValueError):
-            idft1([1, 2, 3], FftPlan(4))
-
-    def test_plan_validates_length(self):
-        with pytest.raises(ValueError):
-            FftPlan(0)
+            ar_backward_input(FieldTensor(np.ones((1, 3, 1))), a_hat)
 
     @pytest.mark.parametrize("n", [3, 5, 16, 31, 97, 1000, 4096])
     def test_plan_round_trip_tolerance(self, n):
+        # prime and large lengths take different FFT routes inside the solve
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        plan = FftPlan(n)
-        back = idft1(dft1(x, plan), plan)
-        assert np.max(np.abs(back - x)) / np.max(np.abs(x)) < 1e-12
+        x = FieldTensor(rng.standard_normal((1, n, 1)))
+        kernel = row_kernel(Length3Filter(0.3, 1.0, -0.45))
+        y, _ = ar_forward(x, kernel)
+        back = reconvolve(y, row_taps(kernel))
+        assert np.max(np.abs(back - x.data)) / np.max(np.abs(x.data)) < 1e-12
 
     def test_matches_naive_oracle_prime_length(self):
+        # separability on a 7x31 grid at depth 2, per channel
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(31) + 1j * rng.standard_normal(31)
-        assert np.allclose(dft1(x, FftPlan(31)), naive_dft1(x), atol=1e-9)
+        kernel = random_kernel(rng, channels=2, depth=2)
+        spectrum = ar_spectra(kernel, 7, 31)
+        for c in range(2):
+            g_taps = compose_1d(kernel.g_filters[c])[:, None]
+            f_taps = compose_1d(kernel.f_filters[c])[None, :]
+            g_hat = naive_dft1(embed_taps(g_taps, 7, 1)[:, 0])
+            f_hat = naive_dft1(embed_taps(f_taps, 1, 31)[0])
+            assert np.allclose(spectrum[:, :, c], np.outer(g_hat, f_hat), atol=1e-9)
 
 
 class TestDft2:
+    """2D transforms of the autoregressive stage: kernel spectra and the solve."""
+
     def test_impulse_spectrum_all_ones(self):
-        field = np.zeros((4, 4, 1))
-        field[0, 0, 0] = 1.0
-        spec = dft2(FieldTensor(field))
-        assert np.allclose(spec.data, 1.0)
+        assert np.allclose(ar_spectra(SeparableArKernel.identity(2), 4, 4), 1.0)
 
     def test_constant_field(self):
-        c = 2.5
-        spec = dft2(FieldTensor(np.full((5, 3, 1), c)))
-        expected = np.zeros((5, 3, 1), dtype=complex)
-        expected[0, 0, 0] = 5 * 3 * c
-        assert np.allclose(spec.data, expected, atol=1e-10)
+        # a constant field lives at frequency (0, 0): the solve divides it by
+        # the kernel's tap sum
+        rng = np.random.default_rng(12)
+        kernel = random_kernel(rng, channels=1)
+        y, _ = ar_forward(FieldTensor(np.full((5, 3, 1), 2.5)), kernel)
+        assert np.allclose(y.data, 2.5 / materialize_2d(kernel, 0).sum(), atol=1e-10)
 
     def test_matches_naive_double_sum(self):
-        field = random_field((8, 8, 3), seed=2)
-        spec = dft2(field)
+        rng = np.random.default_rng(2)
+        kernel = random_kernel(rng, channels=3, depth=2)
+        spectrum = ar_spectra(kernel, 5, 7)
         for c in range(3):
-            assert np.allclose(spec.data[:, :, c], naive_dft2(field.data[:, :, c]), atol=1e-9)
+            grid = embed_taps(materialize_2d(kernel, c), 5, 7)
+            assert np.allclose(spectrum[:, :, c], naive_dft2(grid), atol=1e-9)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 16, 31])
     def test_round_trip_square(self, n):
-        field = random_field((n, n, 2), seed=n)
-        back = idft2(dft2(field))
-        assert np.max(np.abs(back.data - field.data)) < 1e-10
+        rng = np.random.default_rng(n)
+        kernel = random_kernel(rng, channels=2)
+        field = FieldTensor(rng.standard_normal((n, n, 2)))
+        y, _ = ar_forward(field, kernel)
+        assert np.max(np.abs(reconvolve(y, kernel_taps(kernel)) - field.data)) < 1e-10
 
     @pytest.mark.parametrize("shape", [(3, 31), (12, 5), (7, 16)])
     def test_round_trip_rectangular(self, shape):
-        field = random_field(shape + (1,), seed=sum(shape))
-        back = idft2(dft2(field))
-        assert np.max(np.abs(back.data - field.data)) < 1e-10
+        rng = np.random.default_rng(sum(shape))
+        kernel = random_kernel(rng, channels=1)
+        field = FieldTensor(rng.standard_normal(shape + (1,)))
+        y, _ = ar_forward(field, kernel)
+        assert np.max(np.abs(reconvolve(y, kernel_taps(kernel)) - field.data)) < 1e-10
 
     def test_conjugate_symmetry(self):
-        field = random_field((6, 9, 2), seed=3)
-        s = dft2(field).data
+        # real kernels have Hermitian spectra, so the solve's output is real
+        s = ar_spectra(random_kernel(np.random.default_rng(3), channels=2), 6, 9)
         i1, i2 = 6, 9
         for k1 in range(i1):
             for k2 in range(i2):
@@ -140,39 +197,44 @@ class TestDft2:
                 assert np.all(np.abs(s[k1, k2] - np.conj(mirrored)) < 1e-10)
 
     def test_parseval(self):
-        field = random_field((7, 5, 3), seed=4)
-        spatial = (field.data**2).sum()
-        spectral = (np.abs(dft2(field).data) ** 2).sum() / (7 * 5)
-        assert abs(spatial - spectral) / spatial < 1e-9
+        kernel = random_kernel(np.random.default_rng(4), channels=3)
+        spectrum = ar_spectra(kernel, 7, 5)
+        for c in range(3):
+            spatial = (materialize_2d(kernel, c) ** 2).sum()
+            spectral = (np.abs(spectrum[:, :, c]) ** 2).sum() / (7 * 5)
+            assert abs(spatial - spectral) / spatial < 1e-9
 
     def test_linearity(self):
+        kernel = random_kernel(np.random.default_rng(5), channels=2)
         x = random_field((6, 6, 2), seed=5)
         y = random_field((6, 6, 2), seed=6)
         a, b = 1.7, -0.4
-        lhs = dft2(FieldTensor(a * x.data + b * y.data)).data
-        rhs = a * dft2(x).data + b * dft2(y).data
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
+        lhs, _ = ar_forward(FieldTensor(a * x.data + b * y.data), kernel)
+        rhs = a * ar_forward(x, kernel)[0].data + b * ar_forward(y, kernel)[0].data
+        assert np.max(np.abs(lhs.data - rhs)) < 1e-10
 
 
 class TestCircularConv2:
+    """Single-channel :func:`ma_forward` is a circular 2D convolution."""
+
     def test_identity_kernel(self):
         x = random_field((5, 7, 1), seed=7)
         delta = np.zeros((3, 3))
         delta[1, 1] = 1.0
-        out = circular_conv2(x, delta)
-        assert np.allclose(out.data, x.data)
+        assert np.allclose(ma_forward(x, single_channel(delta)).data, x.data)
 
     def test_1d_fixture(self):
-        x = FieldTensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1))
-        out = circular_conv2(x, np.array([[0.0, 1.0, 1.0]]))  # taps {0: 1, +1: 1}
+        # the row-axis twin of the column fixture in test_arma
+        x = FieldTensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
+        out = ma_forward(x, single_channel([[0.0], [1.0], [1.0]]))  # taps {0: 1, +1: 1}
         assert np.allclose(out.data.ravel(), [5, 3, 5, 7])
 
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_matches_direct_summation(self, dilation):
         rng = np.random.default_rng(8 + dilation)
-        x = FieldTensor(rng.standard_normal((6, 6, 1)))
-        taps = rng.standard_normal((3, 3))
-        out = circular_conv2(x, taps, dilation)
+        x = FieldTensor(rng.standard_normal((6, 9, 1)))
+        taps = rng.standard_normal((3, 5))
+        out = ma_forward(x, single_channel(taps, dilation))
         assert np.allclose(out.plane(), naive_circular_conv2(x.plane(), taps, dilation), atol=1e-12)
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -180,47 +242,48 @@ class TestCircularConv2:
         rng = np.random.default_rng(9 + dilation)
         x = FieldTensor(rng.standard_normal((8, 8, 1)))
         taps = rng.standard_normal((3, 3))
-        spatial = circular_conv2(x, taps, dilation)
-        spectral = idft2(
-            SpectralTensor(dft2(x).data * dft2(embed_kernel(taps, 8, 8, dilation)).data)
-        )
-        assert np.max(np.abs(spatial.data - spectral.data)) < 1e-10
+        spatial = ma_forward(x, single_channel(taps, dilation))
+        spectral = np.fft.ifft2(
+            np.fft.fft2(x.plane()) * np.fft.fft2(embed_taps(taps, 8, 8, dilation))
+        ).real
+        assert np.max(np.abs(spatial.plane() - spectral)) < 1e-10
 
     def test_footprint_guard(self):
         x = random_field((4, 4, 1), seed=10)
         with pytest.raises(ValueError):
-            circular_conv2(x, np.ones((3, 3)), dilation=2)
+            ma_forward(x, single_channel(np.ones((3, 3)), dilation=2))
 
     def test_rejects_multichannel(self):
         with pytest.raises(ValueError):
-            circular_conv2(random_field((4, 4, 2), seed=0), np.ones((1, 1)))
+            ma_forward(random_field((4, 4, 2), seed=0), single_channel(np.ones((1, 1))))
 
 
 class TestEmbedKernel:
     def test_delta(self):
-        out = embed_kernel(np.array([[1.0]]), 4, 4)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.allclose(out.plane(), expected)
+        assert np.allclose(embed_taps(np.array([[1.0]]), 4, 4), expected)
 
     def test_1d_row(self):
-        out = embed_kernel(np.array([[0.3, 1.0, 0.5]]), 1, 8)
-        assert np.allclose(out.plane().ravel(), [1, 0.5, 0, 0, 0, 0, 0, 0.3])
+        out = embed_taps(np.array([[0.3, 1.0, 0.5]]), 1, 8)
+        assert np.allclose(out.ravel(), [1, 0.5, 0, 0, 0, 0, 0, 0.3])
 
     def test_dilated_wrap_positions(self):
         taps = np.arange(1.0, 10.0).reshape(3, 3)
-        out = embed_kernel(taps, 8, 8, dilation=2).plane()
+        out = embed_taps(taps, 8, 8, dilation=2)
         nonzero = set(zip(*np.nonzero(out)))
         assert nonzero == {(r, c) for r in (0, 2, 6) for c in (0, 2, 6)}
         # embedding is consistent with the direct convolution of an impulse
         impulse = np.zeros((8, 8, 1))
         impulse[0, 0, 0] = 1.0
-        conv = circular_conv2(FieldTensor(impulse), taps, dilation=2)
+        conv = ma_forward(FieldTensor(impulse), single_channel(taps, dilation=2))
         assert np.allclose(out, conv.plane())
 
     def test_footprint_guard(self):
+        # the solve refuses a kernel that would alias when embedded
+        kernel = row_kernel(Length3Filter(0.2, 1.0, 0.1), Length3Filter(0.1, 1.0, 0.2))
         with pytest.raises(ValueError):
-            embed_kernel(np.ones((5, 5)), 4, 4)
+            ar_forward(FieldTensor(np.ones((4, 4, 1))), kernel)
 
     def test_aliasing_accumulates_in_raw_embed(self):
         # the unchecked array variant wraps overlapping taps additively
@@ -229,30 +292,42 @@ class TestEmbedKernel:
 
 
 class TestSpectralDivide:
+    """The guard on ``|A_hat|`` and the adjoint division by ``conj(A_hat)``."""
+
     def test_unit_denominator(self):
-        rng = np.random.default_rng(11)
-        num = SpectralTensor(rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2)))
-        den = SpectralTensor(np.ones((3, 4, 2), dtype=complex))
-        assert np.allclose(spectral_divide(num, den).data, num.data)
+        d_y = random_field((3, 4, 2), seed=11)
+        ones = np.ones((3, 4, 2), dtype=complex)
+        guard_spectrum(ones, 1e-8)
+        assert np.allclose(ar_backward_input(d_y, ones).data, d_y.data)
 
     def test_geometric_solve(self):
-        den = dft2(embed_kernel(np.array([[0.0, 1.0, -0.5]]), 1, 4))
-        num = SpectralTensor(np.ones((1, 4, 1), dtype=complex))
-        out = idft2(spectral_divide(num, den))
+        # the transposed geometric fixture: a~ * dT = delta for a = (1, -0.5)
+        a_hat = ar_spectra(row_kernel(Length3Filter(0.0, 1.0, -0.5)), 1, 4)
+        impulse = FieldTensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1))
+        out = ar_backward_input(impulse, a_hat).data.ravel()
         expected = 0.5 ** np.arange(4) / (1 - 0.5**4)
-        assert np.allclose(out.data.ravel(), expected, atol=5e-5)
-        assert np.allclose(out.data.ravel(), [1.0667, 0.5333, 0.2667, 0.1333], atol=1e-4)
+        assert np.allclose(out, expected[[0, 3, 2, 1]], atol=1e-12)
+        assert np.allclose(out, [1.0667, 0.1333, 0.2667, 0.5333], atol=1e-4)
 
     def test_zero_entry_raises_with_index(self):
-        den_data = np.ones((2, 3, 1), dtype=complex)
-        den_data[1, 2, 0] = 0.0
-        num = SpectralTensor(np.ones((2, 3, 1), dtype=complex))
+        spectrum = np.ones((2, 3, 1), dtype=complex)
+        spectrum[1, 2, 0] = 0.0
         with pytest.raises(SingularSpectrumError) as info:
-            spectral_divide(num, SpectralTensor(den_data), epsilon=1e-8)
+            guard_spectrum(spectrum, epsilon=1e-8)
         assert info.value.index == (1, 2, 0)
 
+    def test_unit_circle_factor_raises_at_nyquist(self):
+        # |fm1 + fp1| = f0 zeroes F_hat at k2 = W/2, on every row
+        edge = Length3Filter(0.5, 1.0, 0.5)
+        kernel = SeparableArKernel(
+            f_filters=((IDENTITY,), (edge,)), g_filters=((IDENTITY,), (IDENTITY,))
+        )
+        with pytest.raises(SingularSpectrumError) as info:
+            ar_spectra(kernel, 4, 8)
+        assert info.value.index == (0, 4, 1)
+
     def test_shape_mismatch(self):
-        a = SpectralTensor(np.ones((2, 2, 1), dtype=complex))
-        b = SpectralTensor(np.ones((2, 3, 1), dtype=complex))
         with pytest.raises(ValueError):
-            spectral_divide(a, b)
+            ar_backward_input(
+                FieldTensor(np.ones((2, 2, 1))), np.ones((2, 2, 2), dtype=complex)
+            )
