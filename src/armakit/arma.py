@@ -10,6 +10,8 @@ kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
 with ``*`` denoting circular convolution.  The solve splits into a plain
 convolution (``T = W * X``) followed by a per-channel deconvolution
 (``A * Y = T``) carried out as an element-wise division of 2D spectra.
+Fields may carry a leading sample axis ``(N, I1, I2, C)``; the kernels and
+spectra are shared by all samples, so kernel gradients sum over the batch.
 
 The backward pass solves two more systems of the same shape.  With ``dY``
 the incoming gradient and ``a~`` the coordinate reversal of ``a``
@@ -92,7 +94,7 @@ class LayerCache:
     """Forward-pass quantities reused by the backward pass."""
 
     ar_spectrum: np.ndarray  # (I1, I2, T) complex, per-channel A_hat
-    output_spectrum: np.ndarray  # (I1, I2, T) complex, Y_hat
+    output_spectrum: np.ndarray  # ([N,] I1, I2, T) complex, Y_hat
 
 
 @dataclass(eq=False)
@@ -126,7 +128,7 @@ def _rolled_taps(
             if skip_zero and not w.data[k1, k2].any():
                 continue
             shift = (sign * w.dilation * (k1 - half1), sign * w.dilation * (k2 - half2))
-            yield k1, k2, np.roll(field, shift, axis=(0, 1))
+            yield k1, k2, np.roll(field, shift, axis=(-3, -2))
 
 
 def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
@@ -139,9 +141,9 @@ def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
             f"input has {x.channels} channels but kernel expects {w.in_channels}"
         )
     _check_footprint(w.tap_height, w.tap_width, x.height, x.width, w.dilation)
-    out = np.zeros((x.height, x.width, w.out_channels))
+    out = np.zeros(x.data.shape[:-1] + (w.out_channels,))
     for k1, k2, rolled in _rolled_taps(x.data, w):
-        out += np.einsum("ijs,ts->ijt", rolled, w.data[k1, k2])
+        out += np.einsum("...ijs,ts->...ijt", rolled, w.data[k1, k2])
     return FieldTensor(out)
 
 
@@ -155,9 +157,9 @@ def ma_backward_input(d_t: FieldTensor, w: MaKernel) -> FieldTensor:
         raise ValueError(
             f"gradient has {d_t.channels} channels but kernel produces {w.out_channels}"
         )
-    out = np.zeros((d_t.height, d_t.width, w.in_channels))
+    out = np.zeros(d_t.data.shape[:-1] + (w.in_channels,))
     for k1, k2, rolled in _rolled_taps(d_t.data, w, sign=-1):
-        out += np.einsum("ijt,ts->ijs", rolled, w.data[k1, k2])
+        out += np.einsum("...ijt,ts->...ijs", rolled, w.data[k1, k2])
     return FieldTensor(out)
 
 
@@ -168,12 +170,14 @@ def ma_backward(
 
     ``dW[p1, p2, t, s]`` is the circular cross-correlation of ``X`` channel
     ``s`` with ``dT`` channel ``t`` read at the dilated offset
-    ``(d*p1, d*p2)``.
+    ``(d*p1, d*p2)``, summed over the samples of a batch.
     """
     d_x = ma_backward_input(d_t, w)
     d_w = np.zeros_like(w.data)
+    # one contiguous (T, pixels) copy keeps every tap's product on BLAS
+    d_t_rows = np.ascontiguousarray(d_t.data.reshape(-1, w.out_channels).T)
     for k1, k2, rolled in _rolled_taps(x.data, w, skip_zero=False):
-        d_w[k1, k2] = np.einsum("ijt,ijs->ts", d_t.data, rolled)
+        d_w[k1, k2] = d_t_rows @ rolled.reshape(-1, w.in_channels)
     return d_x, d_w
 
 
@@ -229,18 +233,18 @@ def ar_forward(
                 f"of channel {ch} does not fit a {t.height}x{t.width} field"
             )
     a_hat = ar_spectra(ar, t.height, t.width, epsilon)
-    y_hat = np.fft.fft2(t.data, axes=(0, 1)) / a_hat
-    y = FieldTensor(np.fft.ifft2(y_hat, axes=(0, 1)).real)
+    y_hat = np.fft.fft2(t.data, axes=(-3, -2)) / a_hat
+    y = FieldTensor(np.fft.ifft2(y_hat, axes=(-3, -2)).real)
     return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat)
 
 
 def _adjoint_spectrum(d_y: FieldTensor, a_hat: np.ndarray) -> np.ndarray:
     # dT_hat = dY_hat / conj(A_hat); a_hat was guarded when ar_spectra built it
-    if d_y.data.shape != a_hat.shape:
+    if d_y.data.shape[-3:] != a_hat.shape:
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match spectrum shape {a_hat.shape}"
         )
-    return np.fft.fft2(d_y.data, axes=(0, 1)) / np.conj(a_hat)
+    return np.fft.fft2(d_y.data, axes=(-3, -2)) / np.conj(a_hat)
 
 
 def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
@@ -250,23 +254,28 @@ def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
     divides by its conjugate.  Mirrors :func:`ma_backward_input`: it needs
     neither the forward output nor a :class:`LayerCache`.
     """
-    return FieldTensor(np.fft.ifft2(_adjoint_spectrum(d_y, a_hat), axes=(0, 1)).real)
+    return FieldTensor(np.fft.ifft2(_adjoint_spectrum(d_y, a_hat), axes=(-3, -2)).real)
 
 
 def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, FieldTensor]:
     """Backward pass of :func:`ar_forward`.
 
     Returns ``(dT, dA_field)`` where ``dA_field`` is the gradient w.r.t. the
-    full embedded kernel grid; restriction to actual tap positions happens in
-    :func:`arma_backward`.  In the frequency domain:
+    full embedded kernel grid, summed over the samples of a batch; restriction
+    to actual tap positions happens in :func:`arma_backward`.  In the
+    frequency domain:
 
         dT_hat = dY_hat / conj(A_hat)
         dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
     """
+    if d_y.data.shape != cache.output_spectrum.shape:
+        raise ValueError(f"gradient shape {d_y.data.shape} does not match the forward output")
     d_t_hat = _adjoint_spectrum(d_y, cache.ar_spectrum)
     d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat
-    d_t = FieldTensor(np.fft.ifft2(d_t_hat, axes=(0, 1)).real)
-    d_a_field = FieldTensor(np.fft.ifft2(d_a_hat, axes=(0, 1)).real)
+    if d_a_hat.ndim == 4:
+        d_a_hat = d_a_hat.sum(axis=0)
+    d_t = FieldTensor(np.fft.ifft2(d_t_hat, axes=(-3, -2)).real)
+    d_a_field = FieldTensor(np.fft.ifft2(d_a_hat, axes=(-3, -2)).real)
     return d_t, d_a_field
 
 

@@ -11,7 +11,8 @@ wraparound rejection, tolerance breach), 3 divergence detected during
 training.  Primary data and JSON go to stdout, diagnostics to stderr.
 Every flag of a subcommand can instead be supplied through ``--config FILE``
 (a flat JSON object keyed by flag name); explicit flags win, unknown keys are
-rejected.
+rejected, and each value must have the JSON type of its flag: a bool for a
+switch, an integer or number for a numeric flag, a string otherwise.
 """
 
 from __future__ import annotations
@@ -103,6 +104,25 @@ def _parse_float_list(text, count):
     return values
 
 
+def _check_config_value(action, value):
+    # config values skip argparse, so check them against the flag's own type
+    if action.const is True:
+        expected, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        expected = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise UsageError(f"config key {action.dest!r} must be {expected}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {action.dest!r} must be one of {list(action.choices)}, got {value!r}"
+        )
+
+
 def _resolve(args, defaults):
     """Merge flag values over config-file values over defaults."""
     settings = dict(defaults)
@@ -117,6 +137,9 @@ def _resolve(args, defaults):
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys: {unknown}")
+        actions = {action.dest: action for action in args.parser._actions}
+        for key, value in loaded.items():
+            _check_config_value(actions[key], value)
         settings.update(loaded)
     for key in defaults:
         value = getattr(args, key)
@@ -521,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--seed", type=int)
     _add_option(p, "--kernels", choices=["uniform", "xavier"])
     _add_option(p, "--truncation", type=float)
-    p.set_defaults(handler=cmd_erf)
+    p.set_defaults(handler=cmd_erf, parser=p)
 
     p = subs.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p.add_argument("--config", help="JSON file mirroring the flags")
@@ -530,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--q", type=int)
     _add_option(p, "--seed", type=int)
     _add_option(p, "--tol", type=float)
-    p.set_defaults(handler=cmd_gradcheck)
+    p.set_defaults(handler=cmd_gradcheck, parser=p)
 
     p = subs.add_parser("stability", help="filter stability audit")
     p.add_argument("--config", help="JSON file mirroring the flags")
@@ -538,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--reparam", help='"alpha,beta"')
     _add_option(p, "--scan", type=int, help="sample N random reparam points")
     _add_option(p, "--seed", type=int)
-    p.set_defaults(handler=cmd_stability)
+    p.set_defaults(handler=cmd_stability, parser=p)
 
     p = subs.add_parser("solve", help="single-layer forward solve")
     p.add_argument("--config", help="JSON file mirroring the flags")
@@ -550,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--oracle", action="store_const", const=True)
     _add_option(p, "--timing", action="store_const", const=True)
     _add_option(p, "--repeats", type=int)
-    p.set_defaults(handler=cmd_solve)
+    p.set_defaults(handler=cmd_solve, parser=p)
 
     p = subs.add_parser("train", help="toy training demo")
     p.add_argument("--config", help="JSON file mirroring the flags")
@@ -566,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--channels", help='channel sizes, e.g. "1,4,1"')
     _add_option(p, "--clip", type=float)
     _add_option(p, "--raw-sum", dest="raw_sum", type=float)
-    p.set_defaults(handler=cmd_train)
+    p.set_defaults(handler=cmd_train, parser=p)
     return parser
 
 

@@ -37,6 +37,10 @@ from .numerics import FieldTensor, MaKernel
 #: Mass threshold for truncating the geometric inverse filter.
 DEFAULT_TRUNCATION = 1e-12
 
+#: Longest geometric inverse filter :func:`effective_filter_1d` will build;
+#: every ``a <= 0.99`` fits at any truncation a double can hold.
+MAX_FILTER_TAPS = 2**20
+
 #: An empirical 2D map is refused when more than this much of the composed
 #: filter's mass cannot be represented on the grid without wrapping.
 DEFAULT_WRAP_TOLERANCE = 1e-6
@@ -157,7 +161,8 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
     ``H = ceil(ln(epsilon)/ln(a))`` so the dropped tail has mass at most
     ``epsilon`` (``H = 0``, i.e. a bare delta, when ``a == 0``); it is then
     convolved with the uniform dilated moving-average taps ``(1-a)/K``.
-    ``epsilon`` must lie in ``(0, 1)``.
+    ``epsilon`` must lie in ``(0, 1)``, and ``H`` may not exceed
+    ``MAX_FILTER_TAPS``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"truncation epsilon must be in (0, 1), got {epsilon!r}")
@@ -166,6 +171,11 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
         inverse = np.array([1.0])
     else:
         horizon = int(math.ceil(math.log(epsilon) / math.log(a)))
+        if horizon > MAX_FILTER_TAPS:
+            raise ValueError(
+                f"autoregressive coefficient {a!r} needs {horizon} taps to reach "
+                f"truncation {epsilon!r}; the limit is {MAX_FILTER_TAPS}"
+            )
         inverse = a ** np.arange(horizon, dtype=np.float64)
     ma = np.zeros(layer.dilation * (layer.taps - 1) + 1)
     ma[:: layer.dilation] = (1.0 - a) / layer.taps

@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * fields are rank-3 arrays indexed ``(row, column, channel)`` in row-major
-  order, double precision;
+  order, double precision, optionally with a leading sample axis;
 * all convolutions are circular (periodic boundary), so the DFT diagonalizes
   them exactly;
 * the forward DFT is unnormalized and the inverse carries ``1/(I1*I2)``.
@@ -40,7 +40,8 @@ class SingularSpectrumError(ValueError):
 
 @dataclass(eq=False)
 class FieldTensor:
-    """Real-valued rank-3 array of shape ``(height, width, channels)``.
+    """Real-valued array of shape ``(height, width, channels)``, or a batch of
+    such fields of shape ``(samples, height, width, channels)``.
 
     Entries must be finite on construction; shapes must be positive.
     """
@@ -49,8 +50,8 @@ class FieldTensor:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError(f"field must be rank-3, got shape {self.data.shape}")
+        if self.data.ndim not in (3, 4):
+            raise ValueError(f"field must be rank-3 or rank-4, got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise ValueError(f"field dimensions must be positive, got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
@@ -58,15 +59,15 @@ class FieldTensor:
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-2]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[2]
+        return self.data.shape[-1]
 
     @classmethod
     def from_2d(cls, array) -> "FieldTensor":
@@ -77,8 +78,8 @@ class FieldTensor:
         return cls(array[:, :, np.newaxis])
 
     def plane(self, channel: int = 0) -> np.ndarray:
-        """Return one channel as a 2D array (a view, not a copy)."""
-        return self.data[:, :, channel]
+        """Return one channel as an array without the channel axis (a view)."""
+        return self.data[..., channel]
 
 
 @dataclass(eq=False)

@@ -3,7 +3,8 @@
 Trains small stacks with plain SGD plus gradient clipping on a synthetic
 wide-context regression task (targets are a Gaussian blur of the inputs whose
 footprint far exceeds any single moving-average kernel, so the layers can only
-fit it by learning nonzero autoregressive coefficients).  Two modes:
+fit it by learning nonzero autoregressive coefficients).  The whole batch
+runs through each layer in one call, as an ``(N, H, W, C)`` field.  Two modes:
 
 * ``reparam``: autoregressive factors live in unconstrained ``(alpha, beta)``
   coordinates and are provably stable at every step;
@@ -67,9 +68,7 @@ class ToyTask:
         profile /= math.sqrt((profile**2).sum())
         rows = MaKernel(profile[:, None, None, None])
         cols = MaKernel(profile[None, :, None, None])
-        targets = np.empty_like(inputs)
-        for n in range(samples):
-            targets[n] = ma_forward(ma_forward(FieldTensor(inputs[n]), rows), cols).data
+        targets = ma_forward(ma_forward(FieldTensor(inputs), rows), cols).data
         return cls(inputs, targets, seed, description=f"gaussian blur sigma={sigma}")
 
     @classmethod
@@ -190,25 +189,14 @@ def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerS
     return layers
 
 
-def _forward_stack(x: np.ndarray, kernels) -> Tuple[np.ndarray, list]:
-    """Run one sample through the stack, keeping per-layer inputs and caches."""
-    memo = []
-    current = FieldTensor(x)
-    for ma, ar in kernels:
-        pre = ma_forward(current, ma)
-        out, cache = ar_forward(pre, ar)
-        memo.append((current, cache))
-        current = out
-    return current.data, memo
-
-
 def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     """SGD over the stack; returns the trace (divergence included, never raised).
 
     Each record holds the loss at the current parameters, the largest output
     magnitude over the batch, and the mean materialized ``|fm1 + fp1|`` over
     all autoregressive factors.  In reparam mode every factor is checked
-    against the stability bound at every step.
+    against the stability bound at every step.  Other errors, such as a
+    kernel that does not fit the field, are raised.
     """
     if config.channel_sizes[0] != task.inputs.shape[3]:
         raise ValueError(
@@ -233,23 +221,25 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         ]
         mean_ar_sum = float(np.mean(ar_sums))
 
+        # each layer's input and cache, kept for its backward pass
+        inputs, caches = [], []
+        y = FieldTensor(task.inputs)
         try:
-            outputs, memos = [], []
-            for sample in range(n):
-                y, memo = _forward_stack(task.inputs[sample], kernels)
-                outputs.append(y)
-                memos.append(memo)
-            residuals = [y - t for y, t in zip(outputs, task.targets)]
-            # total squared error per sample, averaged over the batch; the
-            # large pixel sums are what make the gradient clip meaningful
-            loss = float(sum((r**2).sum() for r in residuals) / (2.0 * n))
-            max_out = float(max(np.max(np.abs(y)) for y in outputs))
-        except (SingularSpectrumError, ValueError):
-            # the forward pass only fails once the outputs have blown up
+            for ma, ar in kernels:
+                inputs.append(y)
+                y, cache = ar_forward(ma_forward(y, ma), ar)
+                caches.append(cache)
+        except SingularSpectrumError:
+            # raw taps left the stable region and zeroed a spectral mode
             trace.rows.append((step, float("inf"), float("inf"), mean_ar_sum))
             trace.diverged = True
             trace.divergence_step = step
             return trace
+        residual = y.data - task.targets
+        # total squared error per sample, averaged over the batch; the
+        # large pixel sums are what make the gradient clip meaningful
+        loss = float((residual**2).sum() / (2.0 * n))
+        max_out = float(np.max(np.abs(y.data)))
 
         trace.rows.append((step, loss, max_out, mean_ar_sum))
         if not math.isfinite(loss) or max_out > DIVERGENCE_OUTPUT_LIMIT:
@@ -257,44 +247,27 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             trace.divergence_step = step
             return trace
 
-        grads = [
-            {
-                "w": np.zeros_like(layer.w),
-                "ar_f": np.zeros_like(layer.ar_f),
-                "ar_g": np.zeros_like(layer.ar_g),
-            }
-            for layer in layers
-        ]
-        for sample in range(n):
-            grad = FieldTensor(residuals[sample] / n)
-            for index in reversed(range(len(layers))):
-                ma, ar = kernels[index]
-                x_in, cache = memos[sample][index]
-                d_x, d_w, d_f, d_g = arma_backward_taps(grad, x_in, ma, ar, cache)
-                grads[index]["w"] += d_w
-                if config.mode == "reparam":
-                    ab = ar_reparam_gradients(ar, d_f, d_g)
-                    grads[index]["ar_f"][:, :, 0] += ab.alpha_f
-                    grads[index]["ar_f"][:, :, 1] += ab.beta_f
-                    grads[index]["ar_g"][:, :, 0] += ab.alpha_g
-                    grads[index]["ar_g"][:, :, 1] += ab.beta_g
-                else:
-                    grads[index]["ar_f"] += d_f[:, :, [0, 2]]
-                    grads[index]["ar_g"] += d_g[:, :, [0, 2]]
-                grad = d_x
+        grads = []
+        grad = FieldTensor(residual / n)
+        for (ma, ar), x_in, cache in reversed(list(zip(kernels, inputs, caches))):
+            grad, d_w, d_f, d_g = arma_backward_taps(grad, x_in, ma, ar, cache)
+            if config.mode == "reparam":
+                ab = ar_reparam_gradients(ar, d_f, d_g)
+                d_f = np.stack([ab.alpha_f, ab.beta_f], axis=-1)
+                d_g = np.stack([ab.alpha_g, ab.beta_g], axis=-1)
+            else:
+                d_f, d_g = d_f[:, :, [0, 2]], d_g[:, :, [0, 2]]
+            grads.insert(0, (d_w, d_f, d_g))
 
-        norm_sq = sum(
-            float((g**2).sum()) for entry in grads for g in entry.values()
-        )
+        norm = math.sqrt(sum(float((g**2).sum()) for entry in grads for g in entry))
         scale = 1.0
-        norm = math.sqrt(norm_sq)
         if norm > config.clip_norm:
             scale = config.clip_norm / norm
 
-        for layer, entry in zip(layers, grads):
-            layer.w -= config.learning_rate * scale * entry["w"]
-            layer.ar_f -= config.learning_rate * scale * entry["ar_f"]
-            layer.ar_g -= config.learning_rate * scale * entry["ar_g"]
+        for layer, (d_w, d_f, d_g) in zip(layers, grads):
+            layer.w -= config.learning_rate * scale * d_w
+            layer.ar_f -= config.learning_rate * scale * d_f
+            layer.ar_g -= config.learning_rate * scale * d_g
 
         if config.mode == "reparam":
             for layer in layers:

@@ -374,6 +374,11 @@ def inner(a, b):
     return float(np.vdot(a, b))
 
 
+def field_shape(h, w, channels):
+    # ``h`` is a height, or ``(N, height)`` for a batch of N fields
+    return tuple(np.atleast_1d(h)) + (w, channels)
+
+
 # (height, width, in channels S, out channels T, taps (kh, kw), dilation)
 ADJOINT_CASES = [
     (6, 9, 1, 1, (3, 3), 1),
@@ -381,6 +386,7 @@ ADJOINT_CASES = [
     (9, 12, 3, 2, (3, 5), 2),
     (9, 11, 2, 4, (5, 3), 2),
     (10, 10, 3, 3, (1, 3), 2),
+    ((3, 8), 7, 2, 3, (3, 3), 2),
 ]
 
 
@@ -389,9 +395,9 @@ class TestAdjointIdentities:
 
     @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
     def test_ma_input_adjoint(self, h, w, s, t, taps, dilation):
-        rng = np.random.default_rng(h * w + dilation)
-        x = FieldTensor(rng.standard_normal((h, w, s)))
-        y = FieldTensor(rng.standard_normal((h, w, t)))
+        rng = np.random.default_rng(int(np.prod(h)) * w + dilation)
+        x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
+        y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
         lhs = inner(ma_forward(x, kernel).data, y.data)
         rhs = inner(x.data, ma_backward_input(y, kernel).data)
@@ -400,20 +406,49 @@ class TestAdjointIdentities:
     @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
     def test_ma_kernel_adjoint(self, h, w, s, t, taps, dilation):
         # ma_forward is linear in W too, so <W*x, y> = <W, dW>
-        rng = np.random.default_rng(h * w + dilation + 1)
-        x = FieldTensor(rng.standard_normal((h, w, s)))
-        y = FieldTensor(rng.standard_normal((h, w, t)))
+        rng = np.random.default_rng(int(np.prod(h)) * w + dilation + 1)
+        x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
+        y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
         _, d_w = ma_backward(y, x, kernel)
         lhs = inner(ma_forward(x, kernel).data, y.data)
         assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
 
-    @pytest.mark.parametrize("h, w, channels, depth", [(5, 7, 1, 1), (6, 9, 3, 2), (8, 5, 2, 2)])
+    @pytest.mark.parametrize(
+        "h, w, channels, depth", [(5, 7, 1, 1), (6, 9, 3, 2), (8, 5, 2, 2), ((3, 6), 5, 2, 2)]
+    )
     def test_ar_adjoint(self, h, w, channels, depth):
-        rng = np.random.default_rng(h * w + depth)
+        rng = np.random.default_rng(int(np.prod(h)) * w + depth)
         kernel = random_stable_kernel(rng, channels, depth)
-        t = FieldTensor(rng.standard_normal((h, w, channels)))
-        y = FieldTensor(rng.standard_normal((h, w, channels)))
+        t = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
+        y = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
         forward, _ = ar_forward(t, kernel)
-        adjoint = ar_backward_input(y, ar_spectra(kernel, h, w))
+        adjoint = ar_backward_input(y, ar_spectra(kernel, t.height, w))
         assert inner(forward.data, y.data) == pytest.approx(inner(t.data, adjoint.data), rel=1e-10)
+
+
+class TestBatchAxis:
+    def test_batch_equals_stacked_samples(self):
+        # one call on (N, H, W, C) gives each sample's Y and dX, and kernel
+        # gradients that are the sums of the per-sample ones
+        rng = np.random.default_rng(39)
+        params = random_params(rng, 2, 3, 2)
+        x = FieldTensor(rng.standard_normal((3, 7, 6, 2)))
+        d_y = FieldTensor(rng.standard_normal((3, 7, 6, 3)))
+        y, cache = arma_forward(x, params)
+        d_x, d_w, grads = arma_backward(d_y, x, params, cache)
+
+        singles = []
+        for x_n, d_y_n in zip(x.data, d_y.data):
+            y_n, cache_n = arma_forward(FieldTensor(x_n), params)
+            d_x_n, d_w_n, grads_n = arma_backward(FieldTensor(d_y_n), FieldTensor(x_n), params, cache_n)
+            singles.append((y_n.data, d_x_n.data, d_w_n, grads_n))
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        assert_close(y.data, np.stack([s[0] for s in singles]))
+        assert_close(d_x.data, np.stack([s[1] for s in singles]))
+        assert_close(d_w, sum(s[2] for s in singles))
+        for name in ("alpha_f", "beta_f", "alpha_g", "beta_g"):
+            assert_close(getattr(grads, name), sum(getattr(s[3], name) for s in singles))

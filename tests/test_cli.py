@@ -281,11 +281,17 @@ class TestTrainCommand:
     def test_zero_steps_is_usage_error(self, capsys):
         assert run(capsys, "train", "--steps", "0")[0] == 1
 
+    def test_kernel_larger_than_field_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "train", "--task", "zero", "--size", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "footprint" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             code, _, _ = run(
-                capsys, "train", "--steps", "4", "--size", "24", "--samples", "1",
+                capsys, "train", "--steps", "4", "--size", "24", "--samples", "3",
                 "--sigma", "2", "--seed", "9", "--out", str(path),
             )
             assert code == 0
@@ -298,3 +304,19 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(capsys, "transmogrify")[0] == 1
+
+    @pytest.mark.parametrize("command, config", [
+        ("erf", {"layers": "3,1,0.5", "grid": 1.7}),
+        ("train", {"steps": 2.9}),
+        ("solve", {"oracle": "no"}),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        field = tmp_path / "x.csv"
+        field.write_text("1,0\n0,0\n")
+        extra = ["--input", str(field), "--out", str(tmp_path / "y.csv")] if command == "solve" else []
+        code, _, err = run(capsys, command, "--config", str(path), *extra)
+        assert code == 1
+        key = list(config)[-1]
+        assert err.startswith("error:") and f"config key {key!r}" in err

@@ -109,6 +109,11 @@ class TestEffectiveFilter:
             with pytest.raises(ValueError, match=repr(epsilon)):
                 effective_filter_1d(LayerSpec1D(3, 1, a), epsilon)
 
+    def test_horizon_beyond_tap_limit_rejected(self):
+        # a = 0.99999 needs 2.76M taps at the default truncation
+        with pytest.raises(ValueError, match="0.99999"):
+            effective_filter_1d(LayerSpec1D(3, 1, 0.99999))
+
     def test_variance_matches_radius_term(self):
         taps = effective_filter_1d(LayerSpec1D(3, 1, 0.5))
         p = np.arange(taps.size)

@@ -69,6 +69,8 @@ class TestFieldTensor:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             FieldTensor(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            FieldTensor(np.zeros((2, 1, 3, 3, 1)))
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):
@@ -77,6 +79,8 @@ class TestFieldTensor:
     def test_shape_properties(self):
         f = FieldTensor(np.zeros((2, 5, 3)))
         assert (f.height, f.width, f.channels) == (2, 5, 3)
+        batch = FieldTensor(np.zeros((4, 2, 5, 3)))
+        assert (batch.height, batch.width, batch.channels) == (2, 5, 3)
 
 
 class TestMaKernel:

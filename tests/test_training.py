@@ -117,6 +117,12 @@ class TestTrain:
         trace = train(task, config)
         assert trace.rows[0][3] == pytest.approx(1.1)
 
+    def test_kernel_larger_than_field_raises(self):
+        # a kernel that does not fit the field is a setup error, not divergence
+        task = ToyTask.zero_target(samples=1, size=2)
+        with pytest.raises(ValueError, match="footprint"):
+            train(task, small_config(steps=1))
+
     def test_channel_size_mismatch_rejected(self):
         task = ToyTask.zero_target(samples=1, size=16)
         with pytest.raises(ValueError):
