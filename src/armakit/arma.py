@@ -10,6 +10,10 @@ kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
 with ``*`` denoting circular convolution.  The solve splits into a plain
 convolution (``T = W * X``) followed by a per-channel deconvolution
 (``A * Y = T``) carried out as an element-wise division of 2D spectra.
+Every field is real, so every spectrum is a half spectrum
+``(I1, I2//2 + 1, C)`` from ``rfft2`` and is inverted by ``irfft2``.  The
+kernel ``A = outer(g, f)`` is separable, so its spectrum is the outer
+product of two 1D DFTs and needs no 2D transform.
 Fields may carry a leading sample axis ``(N, I1, I2, C)``; the kernels and
 spectra are shared by all samples, so kernel gradients sum over the batch.
 
@@ -36,7 +40,6 @@ from .filters import (
     SeparableArKernel,
     compose_1d,
     is_stable,
-    materialize_2d,
     reparam_gradient,
 )
 from .numerics import (
@@ -93,8 +96,9 @@ class ArmaLayerParams:
 class LayerCache:
     """Forward-pass quantities reused by the backward pass."""
 
-    ar_spectrum: np.ndarray  # (I1, I2, T) complex, per-channel A_hat
-    output_spectrum: np.ndarray  # ([N,] I1, I2, T) complex, Y_hat
+    ar_spectrum: np.ndarray  # (I1, I2//2+1, T) complex, per-channel half A_hat
+    output_spectrum: np.ndarray  # ([N,] I1, I2//2+1, T) complex, half Y_hat
+    shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward field's shape
 
 
 @dataclass(eq=False)
@@ -163,38 +167,45 @@ def ma_backward_input(d_t: FieldTensor, w: MaKernel) -> FieldTensor:
     return FieldTensor(out)
 
 
-def ma_backward(
-    d_t: FieldTensor, x: FieldTensor, w: MaKernel
-) -> Tuple[FieldTensor, np.ndarray]:
-    """Gradients of :func:`ma_forward` w.r.t. its input and kernel.
+def ma_backward_kernel(d_t: FieldTensor, x: FieldTensor, w: MaKernel) -> np.ndarray:
+    """Kernel gradient of :func:`ma_forward`.
 
     ``dW[p1, p2, t, s]`` is the circular cross-correlation of ``X`` channel
     ``s`` with ``dT`` channel ``t`` read at the dilated offset
     ``(d*p1, d*p2)``, summed over the samples of a batch.
     """
-    d_x = ma_backward_input(d_t, w)
     d_w = np.zeros_like(w.data)
     # one contiguous (T, pixels) copy keeps every tap's product on BLAS
     d_t_rows = np.ascontiguousarray(d_t.data.reshape(-1, w.out_channels).T)
     for k1, k2, rolled in _rolled_taps(x.data, w, skip_zero=False):
         d_w[k1, k2] = d_t_rows @ rolled.reshape(-1, w.in_channels)
-    return d_x, d_w
+    return d_w
+
+
+def ma_backward(
+    d_t: FieldTensor, x: FieldTensor, w: MaKernel
+) -> Tuple[FieldTensor, np.ndarray]:
+    """Gradients of :func:`ma_forward` w.r.t. its input and kernel."""
+    return ma_backward_input(d_t, w), ma_backward_kernel(d_t, x, w)
 
 
 def ar_spectra(
     ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
-    """Per-channel spectra of the embedded autoregressive kernels, ``(I1, I2, T)``.
+    """Per-channel half spectra of the embedded autoregressive kernels, ``(I1, I2//2+1, T)``.
 
-    The spectrum is guarded once, here: every entry magnitude is at least
-    ``epsilon``, so both the forward solve and its adjoint may divide by it
-    (or its conjugate) without checking again.  Raises
-    :class:`armakit.numerics.SingularSpectrumError` otherwise.
+    The kernel is ``outer(g, f)``, so its spectrum is ``G_hat[k1] * F_hat[k2]``:
+    the length-``I1`` DFT of the embedded ``g`` taps times the length-``I2``
+    real DFT of the embedded ``f`` taps.  The spectrum is guarded once, here:
+    every entry magnitude is at least ``epsilon``, so both the forward solve
+    and its adjoint may divide by it (or its conjugate) without checking
+    again.  Raises :class:`armakit.numerics.SingularSpectrumError` otherwise.
     """
-    out = np.empty((height, width, ar.channels), dtype=np.complex128)
+    out = np.empty((height, width // 2 + 1, ar.channels), dtype=np.complex128)
     for t in range(ar.channels):
-        grid = embed_taps(materialize_2d(ar, t), height, width)
-        out[:, :, t] = np.fft.fft2(grid)
+        g = embed_taps(compose_1d(ar.g_filters[t])[:, None], height, 1)[:, 0]
+        f = embed_taps(compose_1d(ar.f_filters[t])[None, :], 1, width)[0]
+        out[:, :, t] = np.outer(np.fft.fft(g), np.fft.rfft(f))
     guard_spectrum(out, epsilon)
     return out
 
@@ -233,28 +244,38 @@ def ar_forward(
                 f"of channel {ch} does not fit a {t.height}x{t.width} field"
             )
     a_hat = ar_spectra(ar, t.height, t.width, epsilon)
-    y_hat = np.fft.fft2(t.data, axes=(-3, -2)) / a_hat
-    y = FieldTensor(np.fft.ifft2(y_hat, axes=(-3, -2)).real)
-    return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat)
+    y_hat = np.fft.rfft2(t.data, axes=(-3, -2))
+    y_hat /= a_hat
+    y = FieldTensor(_irfft2(y_hat, t))
+    return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat, shape=t.data.shape)
+
+
+def _irfft2(spectrum: np.ndarray, like: FieldTensor) -> np.ndarray:
+    # the half spectrum cannot tell width I2 from I2 + 1; the field can
+    return np.fft.irfft2(spectrum, s=(like.height, like.width), axes=(-3, -2))
 
 
 def _adjoint_spectrum(d_y: FieldTensor, a_hat: np.ndarray) -> np.ndarray:
     # dT_hat = dY_hat / conj(A_hat); a_hat was guarded when ar_spectra built it
-    if d_y.data.shape[-3:] != a_hat.shape:
+    if (d_y.height, d_y.width // 2 + 1, d_y.channels) != a_hat.shape:
         raise ValueError(
-            f"gradient shape {d_y.data.shape} does not match spectrum shape {a_hat.shape}"
+            f"gradient shape {d_y.data.shape} does not match half spectrum shape {a_hat.shape}"
         )
-    return np.fft.fft2(d_y.data, axes=(-3, -2)) / np.conj(a_hat)
+    d_t_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
+    d_t_hat /= np.conj(a_hat)
+    return d_t_hat
 
 
 def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
     """Input gradient of :func:`ar_forward`: solves ``a~ * dT = dY`` per channel.
 
-    ``a_hat`` is the per-channel spectrum from :func:`ar_spectra`; the solve
-    divides by its conjugate.  Mirrors :func:`ma_backward_input`: it needs
-    neither the forward output nor a :class:`LayerCache`.
+    ``a_hat`` must be ``ar_spectra(ar, dY.height, dY.width)``: its height,
+    channels and ``dY.width // 2 + 1`` columns are checked, but a width ``W``
+    and ``W + 1`` share that column count.  The solve divides by its
+    conjugate.  Mirrors :func:`ma_backward_input`: it needs neither the
+    forward output nor a :class:`LayerCache`.
     """
-    return FieldTensor(np.fft.ifft2(_adjoint_spectrum(d_y, a_hat), axes=(-3, -2)).real)
+    return FieldTensor(_irfft2(_adjoint_spectrum(d_y, a_hat), d_y))
 
 
 def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, FieldTensor]:
@@ -268,15 +289,16 @@ def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, Field
         dT_hat = dY_hat / conj(A_hat)
         dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
     """
-    if d_y.data.shape != cache.output_spectrum.shape:
-        raise ValueError(f"gradient shape {d_y.data.shape} does not match the forward output")
+    if d_y.data.shape != cache.shape:
+        raise ValueError(
+            f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
+        )
     d_t_hat = _adjoint_spectrum(d_y, cache.ar_spectrum)
+    # Hermitian: the spectrum of a real correlation, so irfft2 inverts it
     d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat
     if d_a_hat.ndim == 4:
         d_a_hat = d_a_hat.sum(axis=0)
-    d_t = FieldTensor(np.fft.ifft2(d_t_hat, axes=(-3, -2)).real)
-    d_a_field = FieldTensor(np.fft.ifft2(d_a_hat, axes=(-3, -2)).real)
-    return d_t, d_a_field
+    return FieldTensor(_irfft2(d_t_hat, d_y)), FieldTensor(_irfft2(d_a_hat, d_y))
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:

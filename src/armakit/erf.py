@@ -37,8 +37,9 @@ from .numerics import FieldTensor, MaKernel
 #: Mass threshold for truncating the geometric inverse filter.
 DEFAULT_TRUNCATION = 1e-12
 
-#: Longest geometric inverse filter :func:`effective_filter_1d` will build;
-#: every ``a <= 0.99`` fits at any truncation a double can hold.
+#: Longest geometric inverse filter or dilated moving-average support
+#: ``d*(K-1)+1`` the ERF paths will build; every ``a <= 0.99`` fits at any
+#: truncation a double can hold.
 MAX_FILTER_TAPS = 2**20
 
 #: An empirical 2D map is refused when more than this much of the composed
@@ -153,6 +154,16 @@ def layer_moments(layer: LayerSpec1D) -> Tuple[float, float]:
     return m1, m2
 
 
+def _check_ma_support(layer: LayerSpec1D) -> None:
+    # the dilated moving-average support d*(K-1)+1, refused before allocating
+    support = layer.dilation * (layer.taps - 1) + 1
+    if support > MAX_FILTER_TAPS:
+        raise ValueError(
+            f"moving-average taps {layer.taps} at dilation {layer.dilation} span "
+            f"{support} taps; the limit is {MAX_FILTER_TAPS}"
+        )
+
+
 def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION) -> np.ndarray:
     """Truncated equivalent filter of one layer, taps at offsets ``0..len-1``.
 
@@ -161,11 +172,12 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
     ``H = ceil(ln(epsilon)/ln(a))`` so the dropped tail has mass at most
     ``epsilon`` (``H = 0``, i.e. a bare delta, when ``a == 0``); it is then
     convolved with the uniform dilated moving-average taps ``(1-a)/K``.
-    ``epsilon`` must lie in ``(0, 1)``, and ``H`` may not exceed
-    ``MAX_FILTER_TAPS``.
+    ``epsilon`` must lie in ``(0, 1)``, and neither ``H`` nor the
+    moving-average support ``d*(K-1)+1`` may exceed ``MAX_FILTER_TAPS``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"truncation epsilon must be in (0, 1), got {epsilon!r}")
+    _check_ma_support(layer)
     a = layer.ar_coeff
     if a == 0.0:
         inverse = np.array([1.0])
@@ -246,6 +258,7 @@ def _layer_kernels(
     """Materialize (MaKernel, SeparableArKernel) pairs for the 2D simulation."""
     layers = []
     for layer in spec.layers:
+        _check_ma_support(layer)
         if kernel_mode == "uniform":
             taps_1d = _uniform_ma_taps_1d(layer)
             plane = np.outer(taps_1d, taps_1d)

@@ -6,7 +6,10 @@ Conventions used throughout the package:
   order, double precision, optionally with a leading sample axis;
 * all convolutions are circular (periodic boundary), so the DFT diagonalizes
   them exactly;
-* the forward DFT is unnormalized and the inverse carries ``1/(I1*I2)``.
+* the forward DFT is unnormalized and the inverse carries ``1/(I1*I2)``;
+* every field is real, so spectra are half spectra of shape
+  ``(I1, I2//2 + 1, C)`` (``numpy.fft.rfft2`` along the two grid axes); a
+  separable kernel's spectrum is built from two 1D DFTs, one per axis.
 """
 
 from __future__ import annotations

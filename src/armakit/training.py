@@ -21,7 +21,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arma import ar_reparam_gradients, ar_forward, arma_backward_taps, ma_forward
+from .arma import (
+    ar_backward,
+    ar_factor_tap_gradients,
+    ar_forward,
+    ar_reparam_gradients,
+    ma_backward_input,
+    ma_backward_kernel,
+    ma_forward,
+)
 from .filters import Length3Filter, SeparableArKernel, is_stable
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
@@ -249,8 +257,14 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
         grads = []
         grad = FieldTensor(residual / n)
-        for (ma, ar), x_in, cache in reversed(list(zip(kernels, inputs, caches))):
-            grad, d_w, d_f, d_g = arma_backward_taps(grad, x_in, ma, ar, cache)
+        for index in reversed(range(len(kernels))):
+            ma, ar = kernels[index]
+            d_t, d_a_field = ar_backward(grad, caches[index])
+            d_w = ma_backward_kernel(d_t, inputs[index], ma)
+            d_f, d_g = ar_factor_tap_gradients(d_a_field, ar)
+            if index > 0:
+                # nothing reads the first layer's input gradient
+                grad = ma_backward_input(d_t, ma)
             if config.mode == "reparam":
                 ab = ar_reparam_gradients(ar, d_f, d_g)
                 d_f = np.stack([ab.alpha_f, ab.beta_f], axis=-1)

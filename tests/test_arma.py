@@ -36,12 +36,13 @@ def causal_kernel(coeff, channels=1):
     )
 
 
-def random_stable_kernel(rng, channels, depth=1):
+def random_stable_kernel(rng, channels, depth=1, rows=True):
+    # rows=False keeps g at the identity, for one-row fields
     shape = (channels, depth)
-    return SeparableArKernel.from_arrays(
-        rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape),
-        rng.uniform(-1.5, 1.5, shape), rng.uniform(-1.5, 1.5, shape),
-    )
+    alpha_f, beta_f, alpha_g, beta_g = (rng.uniform(-1.5, 1.5, shape) for _ in range(4))
+    if not rows:
+        alpha_g, beta_g = np.zeros(shape), np.zeros(shape)
+    return SeparableArKernel.from_arrays(alpha_f, beta_f, alpha_g, beta_g)
 
 
 def delta_ma(channels=1):
@@ -104,6 +105,28 @@ class TestArForward:
         taps = [materialize_2d(kernel, c) for c in range(2)]
         dense_out = ar_forward_dense(t, taps)
         assert np.max(np.abs(fft_out.data - dense_out.data)) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 9), (7, 6), (1, 5)])
+    def test_matches_dense_oracle_odd_sizes(self, shape):
+        # odd widths have no Nyquist column in the half spectrum; a one-row
+        # field needs the identity along rows (alpha_g = beta_g = 0)
+        rng = np.random.default_rng(sum(shape))
+        kernel = random_stable_kernel(rng, channels=2, rows=shape[0] > 1)
+        t = FieldTensor(rng.standard_normal(shape + (2,)))
+        fft_out, _ = ar_forward(t, kernel)
+        dense_out = ar_forward_dense(t, [materialize_2d(kernel, c) for c in range(2)])
+        assert np.max(np.abs(fft_out.data - dense_out.data)) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 9), (7, 6), (1, 5)])
+    def test_batch_matches_dense_oracle_per_sample(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        kernel = random_stable_kernel(rng, channels=2, rows=shape[0] > 1)
+        t = FieldTensor(rng.standard_normal((2,) + shape + (2,)))
+        fft_out, _ = ar_forward(t, kernel)
+        taps = [materialize_2d(kernel, c) for c in range(2)]
+        for sample in range(2):
+            dense_out = ar_forward_dense(FieldTensor(t.data[sample]), taps)
+            assert np.max(np.abs(fft_out.data[sample] - dense_out.data)) < 1e-8
 
     def test_unstable_kernel_triggers_guard(self):
         # symmetric taps summing to -1 zero out the Nyquist frequency
@@ -175,6 +198,12 @@ class TestArBackward:
         _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
         with pytest.raises(ValueError):
             ar_backward(FieldTensor(np.zeros((2, 2, 1))), cache)
+
+    def test_refuses_gradient_one_column_wider(self):
+        # widths 4 and 5 share the 3 columns of the half spectrum
+        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
+        with pytest.raises(ValueError):
+            ar_backward(FieldTensor(np.zeros((1, 5, 1))), cache)
 
     def test_backward_honours_forward_epsilon(self):
         # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
@@ -415,7 +444,8 @@ class TestAdjointIdentities:
         assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
 
     @pytest.mark.parametrize(
-        "h, w, channels, depth", [(5, 7, 1, 1), (6, 9, 3, 2), (8, 5, 2, 2), ((3, 6), 5, 2, 2)]
+        "h, w, channels, depth",
+        [(5, 7, 1, 1), (6, 9, 3, 2), (8, 5, 2, 2), ((3, 6), 5, 2, 2), (5, 9, 2, 2), ((2, 7), 9, 3, 1)],
     )
     def test_ar_adjoint(self, h, w, channels, depth):
         rng = np.random.default_rng(int(np.prod(h)) * w + depth)

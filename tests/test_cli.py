@@ -83,6 +83,18 @@ class TestErfCommand:
         assert code == 1
         assert err.startswith("error:") and "truncation" in err
 
+    def test_ma_support_beyond_tap_limit_exit_code(self, capsys, tmp_path):
+        layers = "1048577,1,0.0"  # 2^20 + 1 taps, one over the limit
+        for mode in ("empirical-1d", "empirical-2d"):
+            code, _, err = run(
+                capsys, "erf", "--layers", layers, "--mode", mode,
+                "--grid", "32", "--out", str(tmp_path / "h.csv"),
+            )
+            assert code == 1
+            assert err.startswith("error:") and "taps 1048577 at dilation 1" in err
+        code, out, _ = run(capsys, "erf", "--layers", layers, "--mode", "analytic")
+        assert code == 0 and out.startswith("layer,")
+
     def test_malformed_layers_exit_code(self, capsys):
         code, _, err = run(capsys, "erf", "--layers", "3;1;0")
         assert code == 1

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from armakit import erf
 from armakit.erf import (
+    MAX_FILTER_TAPS,
     ErfMap,
     LayerSpec1D,
     LinearNetSpec,
@@ -113,6 +116,26 @@ class TestEffectiveFilter:
         # a = 0.99999 needs 2.76M taps at the default truncation
         with pytest.raises(ValueError, match="0.99999"):
             effective_filter_1d(LayerSpec1D(3, 1, 0.99999))
+
+    @pytest.mark.parametrize("taps, dilation", [(MAX_FILTER_TAPS + 1, 1), (3, MAX_FILTER_TAPS // 2 + 1)])
+    def test_ma_support_beyond_tap_limit_rejected(self, taps, dilation):
+        # d*(K-1)+1 lies just over the cap; each path refuses before it
+        # allocates the 8 MB support or the (2K-1)^2 plane
+        spec = LinearNetSpec((LayerSpec1D(taps, dilation, 0.0),))
+        message = f"taps {taps} at dilation {dilation}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                effective_filter_1d(spec.layers[0])
+            with pytest.raises(ValueError, match=message):
+                empirical_erf_1d(spec)
+            for mode in ("uniform", "xavier"):
+                with pytest.raises(ValueError, match=message):
+                    erf._layer_kernels(spec, 1, mode, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_variance_matches_radius_term(self):
         taps = effective_filter_1d(LayerSpec1D(3, 1, 0.5))

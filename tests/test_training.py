@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from armakit import training
 from armakit.filters import is_stable
 from armakit.training import (
     ToyTask,
@@ -116,6 +117,20 @@ class TestTrain:
         config = small_config(steps=1, mode="raw", ma_init="zeros")
         trace = train(task, config)
         assert trace.rows[0][3] == pytest.approx(1.1)
+
+    def test_first_layer_input_gradient_is_skipped(self, monkeypatch):
+        # three layers need two input gradients per step, not three
+        calls = []
+        original = training.ma_backward_input
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(training, "ma_backward_input", counted)
+        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)
+        train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
+        assert len(calls) == 3 * 2
 
     def test_kernel_larger_than_field_raises(self):
         # a kernel that does not fit the field is a setup error, not divergence
