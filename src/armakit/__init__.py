@@ -37,7 +37,8 @@ from .arma import (
     ar_forward_dense,
     arma_backward,
     arma_forward,
-    ma_backward,
+    ma_backward_input,
+    ma_backward_kernel,
     ma_forward,
 )
 from .erf import (

@@ -96,6 +96,7 @@ class ArmaLayerParams:
 class LayerCache:
     """Forward-pass quantities reused by the backward pass."""
 
+    ar: SeparableArKernel  # the kernel the forward pass solved with
     ar_spectrum: np.ndarray  # (I1, I2//2+1, T) complex, per-channel half A_hat
     output_spectrum: np.ndarray  # ([N,] I1, I2//2+1, T) complex, half Y_hat
     shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward field's shape
@@ -182,13 +183,6 @@ def ma_backward_kernel(d_t: FieldTensor, x: FieldTensor, w: MaKernel) -> np.ndar
     return d_w
 
 
-def ma_backward(
-    d_t: FieldTensor, x: FieldTensor, w: MaKernel
-) -> Tuple[FieldTensor, np.ndarray]:
-    """Gradients of :func:`ma_forward` w.r.t. its input and kernel."""
-    return ma_backward_input(d_t, w), ma_backward_kernel(d_t, x, w)
-
-
 def ar_spectra(
     ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
@@ -247,7 +241,7 @@ def ar_forward(
     y_hat = np.fft.rfft2(t.data, axes=(-3, -2))
     y_hat /= a_hat
     y = FieldTensor(_irfft2(y_hat, t))
-    return y, LayerCache(ar_spectrum=a_hat, output_spectrum=y_hat, shape=t.data.shape)
+    return y, LayerCache(ar=ar, ar_spectrum=a_hat, output_spectrum=y_hat, shape=t.data.shape)
 
 
 def _irfft2(spectrum: np.ndarray, like: FieldTensor) -> np.ndarray:
@@ -278,27 +272,65 @@ def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
     return FieldTensor(_irfft2(_adjoint_spectrum(d_y, a_hat), d_y))
 
 
-def ar_backward(d_y: FieldTensor, cache: LayerCache) -> Tuple[FieldTensor, FieldTensor]:
+def ar_backward(
+    d_y: FieldTensor, cache: LayerCache
+) -> Tuple[FieldTensor, np.ndarray, np.ndarray]:
     """Backward pass of :func:`ar_forward`.
 
-    Returns ``(dT, dA_field)`` where ``dA_field`` is the gradient w.r.t. the
-    full embedded kernel grid, summed over the samples of a batch; restriction
-    to actual tap positions happens in :func:`arma_backward`.  In the
-    frequency domain:
+    Returns ``(dT, dF, dG)``: the input gradient, and the gradients of every
+    length-3 factor's taps at offsets (-1, 0, +1) for the kernel
+    ``cache.ar``, arrays of shape ``(channels, depth, 3)`` summed over the
+    samples of a batch.  In the frequency domain:
 
         dT_hat = dY_hat / conj(A_hat)
         dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
+
+    ``dA`` is the gradient w.r.t. the embedded kernel grid, which carries tap
+    ``(p1, p2)`` at grid index ``(p1 % I1, p2 % I2)``.  Taps sit only at
+    offsets ``|p1|, |p2| <= depth``, so ``dA`` is read there alone: a direct
+    inverse DFT of those rows, then an ``irfft`` along each row.  It is then
+    factored through the outer product (``dF[p2] = sum_p1 G[p1] * dA[p1, p2]``,
+    symmetrically for ``dG``) and through the cascade (the gradient of one
+    factor is the correlation of the composition gradient with the remaining
+    factors' composition).
     """
     if d_y.data.shape != cache.shape:
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
+    ar = cache.ar
     d_t_hat = _adjoint_spectrum(d_y, cache.ar_spectrum)
-    # Hermitian: the spectrum of a real correlation, so irfft2 inverts it
+    # inverted first, while the spectrum is still cached: inverting it after
+    # the tap reads below took twice as long on a (4, 64, 64, 4) field
+    d_t = FieldTensor(_irfft2(d_t_hat, d_y))
     d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat
     if d_a_hat.ndim == 4:
         d_a_hat = d_a_hat.sum(axis=0)
-    return FieldTensor(_irfft2(d_t_hat, d_y)), FieldTensor(_irfft2(d_a_hat, d_y))
+    offsets = np.arange(-ar.depth, ar.depth + 1)
+    inverse_rows = np.exp(2j * np.pi * np.outer(offsets, np.arange(d_y.height)) / d_y.height)
+    rows = np.tensordot(inverse_rows / d_y.height, d_a_hat, axes=(1, 0))
+    # Hermitian along the columns: the spectrum of a real correlation
+    d_a_taps = np.fft.irfft(rows, n=d_y.width, axis=1)[:, offsets % d_y.width]
+    d_f = np.zeros((ar.channels, ar.depth, 3))
+    d_g = np.zeros((ar.channels, ar.depth, 3))
+    for t in range(ar.channels):
+        # the composed kernel is outer(G, F): rows follow g, columns follow f
+        d_f_comp = compose_1d(ar.g_filters[t]) @ d_a_taps[:, :, t]
+        d_g_comp = d_a_taps[:, :, t] @ compose_1d(ar.f_filters[t])
+        for q in range(ar.depth):
+            d_f[t, q] = _factor_gradient(d_f_comp, ar.f_filters[t], q)
+            d_g[t, q] = _factor_gradient(d_g_comp, ar.g_filters[t], q)
+    return d_t, d_f, d_g
+
+
+def _factor_gradient(d_composition: np.ndarray, factors: Sequence[Length3Filter], q: int):
+    # d(c_1 * ... * c_Q)/d(c_q) correlates the composition gradient with the
+    # convolution of the remaining factors, leaving exactly 3 taps.
+    rest = [f for j, f in enumerate(factors) if j != q]
+    if not rest:
+        return d_composition.copy()
+    rest_taps = compose_1d(rest)
+    return np.correlate(d_composition, rest_taps, mode="valid")
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:
@@ -368,10 +400,12 @@ def arma_backward(
     if not params.ar.is_reparam:
         raise ValueError(
             "autoregressive kernel carries no (alpha, beta) parameters; "
-            "use arma_backward_taps for raw kernels"
+            "use ar_backward for the taps of raw kernels"
         )
-    d_x, d_w, f_tap_grads, g_tap_grads = arma_backward_taps(d_y, x, params.ma, params.ar, cache)
-    return d_x, d_w, ar_reparam_gradients(params.ar, f_tap_grads, g_tap_grads)
+    d_t, d_f, d_g = ar_backward(d_y, cache)
+    d_w = ma_backward_kernel(d_t, x, params.ma)
+    d_x = ma_backward_input(d_t, params.ma)
+    return d_x, d_w, ar_reparam_gradients(params.ar, d_f, d_g)
 
 
 def ar_reparam_gradients(
@@ -400,68 +434,3 @@ def ar_reparam_gradients(
                 ar.g_params[t][q], (d_g[t, q, 0], d_g[t, q, 2])
             )
     return grads
-
-
-def arma_backward_taps(
-    d_y: FieldTensor,
-    x: FieldTensor,
-    ma: MaKernel,
-    ar: SeparableArKernel,
-    cache: LayerCache,
-) -> Tuple[FieldTensor, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass stopping at raw factor taps.
-
-    Returns ``(dX, dW, dF, dG)`` where ``dF`` and ``dG`` have shape
-    ``(channels, depth, 3)``: the gradient of each length-3 factor's taps at
-    offsets (-1, 0, +1).  Used directly by unconstrained training and as the
-    trunk of :func:`arma_backward`.
-    """
-    d_t, d_a_field = ar_backward(d_y, cache)
-    d_x, d_w = ma_backward(d_t, x, ma)
-    d_f, d_g = ar_factor_tap_gradients(d_a_field, ar)
-    return d_x, d_w, d_f, d_g
-
-
-def ar_factor_tap_gradients(
-    d_a_field: FieldTensor, ar: SeparableArKernel
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Restrict a full-grid kernel gradient to the separable factor taps.
-
-    The embedded kernel places tap ``(p1, p2)`` at grid index
-    ``(p1 % I1, p2 % I2)``, so the gradient w.r.t. the composed 2D taps is read
-    off at those positions; it is then factored through the outer product
-    (``dF[p1] = sum_p2 dA[p1, p2] * G[p2]``, symmetrically for ``dG``) and
-    through the cascade (the gradient of one factor is the correlation of the
-    composition gradient with the remaining factors' composition).
-    """
-    height, width, channels = d_a_field.data.shape
-    if channels != ar.channels:
-        raise ValueError(f"gradient has {channels} channels, kernel {ar.channels}")
-    q_depth = ar.depth
-    offsets = range(-q_depth, q_depth + 1)
-    rows = [p % height for p in offsets]
-    cols = [p % width for p in offsets]
-    d_f = np.zeros((channels, q_depth, 3))
-    d_g = np.zeros((channels, q_depth, 3))
-    for t in range(channels):
-        d_a_taps = d_a_field.data[:, :, t][np.ix_(rows, cols)]
-        f_taps = compose_1d(ar.f_filters[t])
-        g_taps = compose_1d(ar.g_filters[t])
-        # the composed kernel is outer(G, F): rows follow g, columns follow f
-        d_f_comp = g_taps @ d_a_taps
-        d_g_comp = d_a_taps @ f_taps
-        for q in range(q_depth):
-            d_f[t, q] = _factor_gradient(d_f_comp, ar.f_filters[t], q)
-            d_g[t, q] = _factor_gradient(d_g_comp, ar.g_filters[t], q)
-    return d_f, d_g
-
-
-def _factor_gradient(d_composition: np.ndarray, factors: Sequence[Length3Filter], q: int):
-    # d(c_1 * ... * c_Q)/d(c_q) correlates the composition gradient with the
-    # convolution of the remaining factors, leaving exactly 3 taps.
-    rest = [f for j, f in enumerate(factors) if j != q]
-    if not rest:
-        return d_composition.copy()
-    rest_taps = compose_1d(rest)
-    return np.correlate(d_composition, rest_taps, mode="valid")
-

@@ -84,23 +84,14 @@ def _parse_layers(text) -> erf.LinearNetSpec:
     return erf.LinearNetSpec(tuple(layers))
 
 
-def _parse_int_list(text, count=None):
+def _parse_list(text, kind, count=None):
+    noun = "integer" if kind is int else "number"
     try:
-        values = [int(v) for v in str(text).split(",")]
+        values = [kind(v) for v in str(text).split(",")]
     except ValueError as exc:
-        raise UsageError(f"malformed integer list {text!r}") from exc
+        raise UsageError(f"malformed {noun} list {text!r}") from exc
     if count is not None and len(values) != count:
-        raise UsageError(f"expected {count} comma-separated integers, got {text!r}")
-    return values
-
-
-def _parse_float_list(text, count):
-    try:
-        values = [float(v) for v in str(text).split(",")]
-    except ValueError as exc:
-        raise UsageError(f"malformed number list {text!r}") from exc
-    if len(values) != count:
-        raise UsageError(f"expected {count} comma-separated numbers, got {text!r}")
+        raise UsageError(f"expected {count} comma-separated {noun}s, got {text!r}")
     return values
 
 
@@ -239,7 +230,7 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(
             f"size {size} exceeds the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
         )
-    s, t = _parse_int_list(opts["channels"], count=2)
+    s, t = _parse_list(opts["channels"], int, count=2)
     report, failures = gradcheck_report(
         size=size, in_channels=s, out_channels=t,
         depth=int(opts["q"]), seed=int(opts["seed"]), tol=float(opts["tol"]),
@@ -353,7 +344,7 @@ def cmd_stability(args) -> int:
     if len(chosen) != 1:
         raise UsageError("give exactly one of --filter, --reparam, --scan")
     if opts["filter"] is not None:
-        fm1, f0, fp1 = _parse_float_list(opts["filter"], 3)
+        fm1, f0, fp1 = _parse_list(opts["filter"], float, 3)
         try:
             report = _filter_report(filters.Length3Filter(fm1, f0, fp1))
         except ValueError as exc:
@@ -361,7 +352,7 @@ def cmd_stability(args) -> int:
         print(json.dumps(report))
         return EXIT_OK
     if opts["reparam"] is not None:
-        alpha, beta = _parse_float_list(opts["reparam"], 2)
+        alpha, beta = _parse_list(opts["reparam"], float, 2)
         report = _filter_report(filters.materialize(filters.ReparamFilter(alpha, beta)))
         print(json.dumps(report))
         return EXIT_OK
@@ -499,7 +490,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"unknown task {opts['task']!r}")
     try:
         config = training.TrainConfig(
-            channel_sizes=tuple(_parse_int_list(opts["channels"])),
+            channel_sizes=tuple(_parse_list(opts["channels"], int)),
             steps=int(opts["steps"]),
             learning_rate=float(opts["lr"]),
             clip_norm=float(opts["clip"]),

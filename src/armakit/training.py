@@ -23,7 +23,6 @@ import numpy as np
 
 from .arma import (
     ar_backward,
-    ar_factor_tap_gradients,
     ar_forward,
     ar_reparam_gradients,
     ma_backward_input,
@@ -259,9 +258,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         grad = FieldTensor(residual / n)
         for index in reversed(range(len(kernels))):
             ma, ar = kernels[index]
-            d_t, d_a_field = ar_backward(grad, caches[index])
+            d_t, d_f, d_g = ar_backward(grad, caches[index])
             d_w = ma_backward_kernel(d_t, inputs[index], ma)
-            d_f, d_g = ar_factor_tap_gradients(d_a_field, ar)
             if index > 0:
                 # nothing reads the first layer's input gradient
                 grad = ma_backward_input(d_t, ma)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armakit.arma import (
     ArmaLayerParams,
@@ -11,8 +12,8 @@ from armakit.arma import (
     arma_forward,
     ar_spectra,
     dense_circulant_matrix,
-    ma_backward,
     ma_backward_input,
+    ma_backward_kernel,
     ma_forward,
 )
 from armakit.filters import (
@@ -170,12 +171,13 @@ class TestArForwardDense:
 
 class TestArBackward:
     def test_delta_kernel_case(self):
-        # with A = delta: dT = dY and dA_field = -(reversed Y) * dY
+        # with A = delta: dT = dY and dA = -(reversed Y) * dY; the identity
+        # factors read dF off row 0 of dA and dG off its column 0
         rng = np.random.default_rng(26)
         t = FieldTensor(rng.standard_normal((5, 4, 1)))
         y, cache = ar_forward(t, SeparableArKernel.identity(1))
         d_y = FieldTensor(rng.standard_normal((5, 4, 1)))
-        d_t, d_a = ar_backward(d_y, cache)
+        d_t, d_f, d_g = ar_backward(d_y, cache)
         assert np.max(np.abs(d_t.data - d_y.data)) < 1e-12
         expected = np.zeros((5, 4))
         for q1 in range(5):
@@ -185,11 +187,13 @@ class TestArBackward:
                     for i2 in range(4):
                         total += y.data[(i1 - q1) % 5, (i2 - q2) % 4, 0] * d_y.data[i1, i2, 0]
                 expected[q1, q2] = -total
-        assert np.max(np.abs(d_a.plane() - expected)) < 1e-10
+        offsets = np.arange(-1, 2)
+        assert np.max(np.abs(d_f[0, 0] - expected[0, offsets % 4])) < 1e-10
+        assert np.max(np.abs(d_g[0, 0] - expected[offsets % 5, 0])) < 1e-10
 
     def test_transposed_geometric_fixture(self):
         _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
-        d_t, _ = ar_backward(field_1x4([1, 0, 0, 0]), cache)
+        d_t, _, _ = ar_backward(field_1x4([1, 0, 0, 0]), cache)
         assert np.allclose(
             d_t.data.ravel(), [1.06667, 0.13333, 0.26667, 0.53333], atol=1e-5
         )
@@ -211,11 +215,36 @@ class TestArBackward:
         kernel = SeparableArKernel(f_filters=((near,),), g_filters=((Length3Filter(0, 1, 0),),))
         t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
         y, cache = ar_forward(t, kernel, epsilon=1e-12)
-        d_t, _ = ar_backward(y, cache)
+        d_t, _, _ = ar_backward(y, cache)
         assert np.all(np.isfinite(d_t.data))
         with pytest.raises(SingularSpectrumError) as info:
             ar_forward(t, kernel)
         assert info.value.index == (0, 4, 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        depth=st.integers(1, 2),
+        channels=st.integers(1, 3),
+        batch=st.integers(1, 3),
+        extra_height=st.integers(0, 4),
+        extra_width=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_scaling_identity(self, depth, channels, batch, extra_height, extra_width, seed):
+        # scaling one factor of channel t by lam scales Y[..., t] by 1/lam, so
+        # with dY = Y every factor's taps satisfy <dF, f> = <dG, g> = -|Y_t|^2
+        rng = np.random.default_rng(seed)
+        height, width = 2 * depth + 1 + extra_height, 2 * depth + 1 + extra_width
+        shape = (height, width, channels) if batch == 1 else (batch, height, width, channels)
+        kernel = random_stable_kernel(rng, channels, depth)
+        y, cache = ar_forward(FieldTensor(rng.standard_normal(shape)), kernel)
+        _, d_f, d_g = ar_backward(y, cache)
+        for t in range(channels):
+            energy = -float((y.data[..., t] ** 2).sum())
+            for q in range(depth):
+                for grads, factor in ((d_f, kernel.f_filters), (d_g, kernel.g_filters)):
+                    got = float(grads[t, q] @ factor[t][q].taps())
+                    assert got == pytest.approx(energy, rel=1e-10)
 
 
 class TestMaBackward:
@@ -223,7 +252,8 @@ class TestMaBackward:
         rng = np.random.default_rng(27)
         x = FieldTensor(rng.standard_normal((4, 4, 1)))
         d_t = FieldTensor(rng.standard_normal((4, 4, 1)))
-        d_x, d_w = ma_backward(d_t, x, delta_ma())
+        d_x = ma_backward_input(d_t, delta_ma())
+        d_w = ma_backward_kernel(d_t, x, delta_ma())
         assert np.allclose(d_x.data, d_t.data)
         assert d_w.shape == (1, 1, 1, 1)
 
@@ -231,7 +261,7 @@ class TestMaBackward:
         w = np.zeros((1, 3, 1, 1))
         w[0, 1, 0, 0] = 1.0
         w[0, 2, 0, 0] = 1.0
-        d_x, _ = ma_backward(field_1x4([1, 0, 0, 0]), field_1x4([0, 0, 0, 0]), MaKernel(w))
+        d_x = ma_backward_input(field_1x4([1, 0, 0, 0]), MaKernel(w))
         assert np.allclose(d_x.data.ravel(), [1, 0, 0, 1])
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -248,9 +278,9 @@ class TestMaBackward:
             )
             return float((out.data * d_y).sum())
 
-        d_x, d_w = ma_backward(
-            FieldTensor(d_y), FieldTensor(x0), MaKernel(w0, dilation=dilation)
-        )
+        kernel = MaKernel(w0, dilation=dilation)
+        d_x = ma_backward_input(FieldTensor(d_y), kernel)
+        d_w = ma_backward_kernel(FieldTensor(d_y), FieldTensor(x0), kernel)
         h = 1e-6
         for i in rng.choice(x0.size, 20, replace=False):
             bump = x0.ravel().copy()
@@ -366,11 +396,8 @@ class TestArmaLayer:
 
 class TestRawTapGradients:
     def test_raw_taps_match_finite_differences(self):
-        from armakit.arma import arma_backward_taps
-
+        # odd and even widths (the Nyquist column) and a batch of two fields
         rng = np.random.default_rng(37)
-        x = FieldTensor(rng.standard_normal((6, 6, 1)))
-        w = MaKernel(rng.standard_normal((3, 3, 1, 1)) * 0.5)
         taps0 = np.array([0.2, -0.3, 0.1, 0.25])  # f (fm1, fp1), g (fm1, fp1)
 
         def kernel_from(taps):
@@ -379,24 +406,26 @@ class TestRawTapGradients:
                 g_filters=((Length3Filter(taps[2], 1.0, taps[3]),),),
             )
 
-        def loss(taps):
+        for shape in ((6, 6, 1), (5, 7, 1), (6, 8, 1), (2, 5, 8, 1)):
+            x = FieldTensor(rng.standard_normal(shape))
+            w = MaKernel(rng.standard_normal((3, 3, 1, 1)) * 0.5)
             pre = ma_forward(x, w)
-            y, _ = ar_forward(pre, kernel_from(taps))
-            return 0.5 * float((y.data**2).sum())
 
-        kernel = kernel_from(taps0)
-        pre = ma_forward(x, w)
-        y, cache = ar_forward(pre, kernel)
-        _, _, d_f, d_g = arma_backward_taps(y, x, w, kernel, cache)
-        analytic = np.array([d_f[0, 0, 0], d_f[0, 0, 2], d_g[0, 0, 0], d_g[0, 0, 2]])
-        h = 1e-6
-        for i in range(4):
-            bump = taps0.copy()
-            bump[i] += h
-            up = loss(bump)
-            bump[i] -= 2 * h
-            lo = loss(bump)
-            assert analytic[i] == pytest.approx((up - lo) / (2 * h), rel=1e-6, abs=1e-9)
+            def loss(taps):
+                y, _ = ar_forward(pre, kernel_from(taps))
+                return 0.5 * float((y.data**2).sum())
+
+            y, cache = ar_forward(pre, kernel_from(taps0))
+            _, d_f, d_g = ar_backward(y, cache)
+            analytic = np.array([d_f[0, 0, 0], d_f[0, 0, 2], d_g[0, 0, 0], d_g[0, 0, 2]])
+            h = 1e-6
+            for i in range(4):
+                bump = taps0.copy()
+                bump[i] += h
+                up = loss(bump)
+                bump[i] -= 2 * h
+                lo = loss(bump)
+                assert analytic[i] == pytest.approx((up - lo) / (2 * h), rel=1e-6, abs=1e-9)
 
 
 def inner(a, b):
@@ -439,7 +468,7 @@ class TestAdjointIdentities:
         x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
-        _, d_w = ma_backward(y, x, kernel)
+        d_w = ma_backward_kernel(y, x, kernel)
         lhs = inner(ma_forward(x, kernel).data, y.data)
         assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
 

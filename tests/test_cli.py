@@ -332,3 +332,14 @@ class TestParser:
         assert code == 1
         key = list(config)[-1]
         assert err.startswith("error:") and f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (("stability", "--filter", "1,2"), "'1,2'"),
+        (("stability", "--reparam", "a,b"), "'a,b'"),
+        (("gradcheck", "--channels", "1,x"), "'1,x'"),
+        (("train", "--channels", "1,,1"), "'1,,1'"),
+    ])
+    def test_malformed_list_is_usage_error(self, capsys, argv, text):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and text in err
