@@ -32,7 +32,6 @@ from .arma import (
     ArmaLayerParams,
     LayerCache,
     ar_backward,
-    ar_backward_input,
     ar_forward,
     ar_forward_dense,
     arma_backward,

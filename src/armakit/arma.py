@@ -249,29 +249,6 @@ def _irfft2(spectrum: np.ndarray, like: FieldTensor) -> np.ndarray:
     return np.fft.irfft2(spectrum, s=(like.height, like.width), axes=(-3, -2))
 
 
-def _adjoint_spectrum(d_y: FieldTensor, a_hat: np.ndarray) -> np.ndarray:
-    # dT_hat = dY_hat / conj(A_hat); a_hat was guarded when ar_spectra built it
-    if (d_y.height, d_y.width // 2 + 1, d_y.channels) != a_hat.shape:
-        raise ValueError(
-            f"gradient shape {d_y.data.shape} does not match half spectrum shape {a_hat.shape}"
-        )
-    d_t_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
-    d_t_hat /= np.conj(a_hat)
-    return d_t_hat
-
-
-def ar_backward_input(d_y: FieldTensor, a_hat: np.ndarray) -> FieldTensor:
-    """Input gradient of :func:`ar_forward`: solves ``a~ * dT = dY`` per channel.
-
-    ``a_hat`` must be ``ar_spectra(ar, dY.height, dY.width)``: its height,
-    channels and ``dY.width // 2 + 1`` columns are checked, but a width ``W``
-    and ``W + 1`` share that column count.  The solve divides by its
-    conjugate.  Mirrors :func:`ma_backward_input`: it needs neither the
-    forward output nor a :class:`LayerCache`.
-    """
-    return FieldTensor(_irfft2(_adjoint_spectrum(d_y, a_hat), d_y))
-
-
 def ar_backward(
     d_y: FieldTensor, cache: LayerCache
 ) -> Tuple[FieldTensor, np.ndarray, np.ndarray]:
@@ -299,7 +276,8 @@ def ar_backward(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
     ar = cache.ar
-    d_t_hat = _adjoint_spectrum(d_y, cache.ar_spectrum)
+    d_t_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
+    d_t_hat /= np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
     # inverted first, while the spectrum is still cached: inverting it after
     # the tap reads below took twice as long on a (4, 64, 64, 4) field
     d_t = FieldTensor(_irfft2(d_t_hat, d_y))
@@ -402,6 +380,8 @@ def arma_backward(
             "autoregressive kernel carries no (alpha, beta) parameters; "
             "use ar_backward for the taps of raw kernels"
         )
+    if cache.ar is not params.ar:
+        raise ValueError("cache was not built by arma_forward with these params")
     d_t, d_f, d_g = ar_backward(d_y, cache)
     d_w = ma_backward_kernel(d_t, x, params.ma)
     d_x = ma_backward_input(d_t, params.ma)

@@ -52,7 +52,10 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv_grid(rows, destination):
-    text = "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
+    rows = np.asarray(rows, dtype=np.float64)
+    # one %-format per row of Python floats gives the text of _fmt per entry
+    template = ",".join(["%.17g"] * rows.shape[1])
+    text = "\n".join(template % tuple(row.tolist()) for row in rows) + "\n"
     if destination is None:
         sys.stdout.write(text)
     else:

@@ -15,8 +15,8 @@ closed form
 
 This module provides that analytic radius, the moment machinery behind it, a
 truncated-series oracle (the layer's exact infinite-tap equivalent filter cut
-at a mass threshold), and empirical gradient-map ERFs computed by running
-actual backward passes of ARMA layers on a grid.
+at a mass threshold), and empirical gradient-map ERFs: the composed layer
+filters in 1D, the network's adjoint transfer function on a grid in 2D.
 
 Offset convention: ERF offsets are input position minus output position, so a
 purely causal network has its mass at non-positive offsets.
@@ -30,9 +30,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arma import ar_backward_input, ar_spectra, ma_backward_input
-from .filters import Length3Filter, SeparableArKernel
-from .numerics import FieldTensor, MaKernel
+from .arma import ma_backward_input
+from .filters import Length3Filter, SeparableArKernel, compose_1d
+from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, embed_taps, guard_spectrum
 
 #: Mass threshold for truncating the geometric inverse filter.
 DEFAULT_TRUNCATION = 1e-12
@@ -269,7 +269,7 @@ def _uniform_ma_taps_1d(layer: LayerSpec1D) -> np.ndarray:
 def _layer_kernels(
     spec: LinearNetSpec, channels: int, kernel_mode: str, rng: Optional[np.random.Generator]
 ):
-    """Materialize (MaKernel, SeparableArKernel) pairs for the 2D simulation."""
+    """Materialize (MaKernel, SeparableArKernel) pairs for the 2D network."""
     layers = []
     for layer in spec.layers:
         _check_ma_support(layer)
@@ -289,6 +289,8 @@ def _layer_kernels(
             f_filters=((causal,),) * width,
             g_filters=((causal,),) * width,
         )
+        # empirical_erf_2d relies on one causal factor per channel and axis
+        assert set(ar.f_filters + ar.g_filters) == {(causal,)}
         layers.append((ma, ar))
     return layers
 
@@ -309,6 +311,12 @@ def _axis_mass_profile(spec: LinearNetSpec, kernel_mode: str, epsilon: float):
     return taps / taps.sum(), start
 
 
+def _window_sums(taps: np.ndarray, grid: int) -> np.ndarray:
+    """Sum of every ``grid``-wide window of ``taps``, from one cumulative sum."""
+    cumulative = np.concatenate(([0.0], np.cumsum(taps)))
+    return cumulative[grid:] - cumulative[:-grid]
+
+
 def _select_window(
     spec: LinearNetSpec, grid: int, kernel_mode: str, epsilon: float, tolerance: float
 ):
@@ -324,7 +332,7 @@ def _select_window(
     if taps.size <= grid:
         # support fits; center it in the window
         return start - (grid - taps.size) // 2
-    window_sums = np.convolve(taps, np.ones(grid), mode="valid")
+    window_sums = _window_sums(taps, grid)
     best = int(np.argmax(window_sums))
     leak = float(1.0 - window_sums[best])
     if leak >= tolerance:
@@ -348,13 +356,16 @@ def empirical_erf_2d(
 
     Builds the linear network on a ``grid x grid`` field (moving-average
     kernels either the uniform idealization or Xavier-initialized random;
-    autoregressive part the causal per-axis factor), back-propagates a unit
-    gradient from the center output pixel through each layer's adjoint
-    solves (:func:`armakit.arma.ar_backward_input`, then
-    :func:`armakit.arma.ma_backward_input`), averages the absolute gradient
-    maps over channel pairs, and normalizes.  The gradient map of a circular
-    linear network is identical at every output location, so a single center
-    pixel suffices.
+    autoregressive part the causal per-axis factor) and reads the gradient
+    map of one output pixel (identical at every pixel of a circular network)
+    off the adjoint network's transfer function, with no backward pass.
+    Circular convolutions commute and every layer applies one causal factor
+    to each channel along both axes, so the adjoint autoregressive part is
+    one rank-1 filter ``outer(u, u)``, ``u = irfft(prod_l 1/conj(F_hat_l))``,
+    and the moving-average adjoints (:func:`armakit.arma.ma_backward_input`)
+    compose into one small kernel ``P[:, :, t, s]`` per channel pair.  The
+    absolute maps ``U @ P[:, :, t, s] @ U.T`` (``U`` holding rolled copies
+    of ``u``) are summed over channel pairs and normalized.
 
     ``channels`` applies to the random mode; the uniform idealization is
     single-channel by construction.
@@ -380,23 +391,30 @@ def empirical_erf_2d(
             raise WraparoundError(
                 f"dilated kernel footprint does not fit a {grid}x{grid} grid"
             )
-    # the adjoint network runs the layers last to first
-    adjoints = [(ma, ar_spectra(ar, grid, grid)) for ma, ar in reversed(layers)]
+    u_hat = np.ones(grid // 2 + 1, dtype=np.complex128)
+    for _, ar in layers:
+        f_hat = np.fft.rfft(embed_taps(compose_1d(ar.f_filters[0])[None, :], 1, grid)[0])
+        # ar_spectra's guard: |outer(G_hat, F_hat)| is |outer(F_hat, F_hat)| mirrored
+        guard_spectrum(np.outer(f_hat, f_hat)[:, :, None], DEFAULT_EPSILON)
+        u_hat /= np.conj(f_hat)
+    u = np.fft.irfft(u_hat, grid)
 
-    center = grid // 2
-    accumulated = np.zeros((grid, grid))
-    for out_channel in range(channels):
-        seed_grad = np.zeros((grid, grid, channels))
-        seed_grad[center, center, out_channel] = 1.0
-        grad = FieldTensor(seed_grad)
-        for ma, a_hat in adjoints:
-            grad = ma_backward_input(ar_backward_input(grad, a_hat), ma)
-        accumulated += np.abs(grad.data).sum(axis=2)
-    accumulated /= accumulated.sum()
-
-    # unwrap grid positions into the selected offset window: ERF offset
-    # q = position - center, read in [-(w0 + grid - 1), -w0]
+    # the map is read in the offset window [q_low, -w0] directly: row x of U
+    # holds u at ERF offset q_low + x minus P's offset i - half, wrapped
+    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma, _ in layers)
+    taps = np.arange(2 * half + 1)
     q_low = -(w0 + grid - 1)
-    shift = (center + q_low) % grid
-    window = np.roll(accumulated, (-shift, -shift), axis=(0, 1))
-    return ErfMap(window, origin=(-q_low, -q_low))
+    rolled_u = u[(np.arange(grid)[:, None] + q_low + half - taps) % grid]
+    window = np.zeros((grid, grid))
+    for out_channel in range(channels):
+        # P[:, :, t, s] over the offsets [-half, half], one output channel at
+        # a time: memory grows as channels * taps**2, not channels**2 * taps**2
+        delta = np.zeros((taps.size, taps.size, channels))
+        delta[half, half, out_channel] = 1.0
+        kernels = FieldTensor(delta)
+        for ma, _ in reversed(layers):
+            kernels = ma_backward_input(kernels, ma)
+        left = np.tensordot(rolled_u, kernels.data, axes=(1, 0))
+        for in_channel in range(channels):
+            window += np.abs(left[:, :, in_channel] @ rolled_u.T)
+    return ErfMap(window / window.sum(), origin=(-q_low, -q_low))

@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from armakit.arma import (
     ArmaLayerParams,
     ar_backward,
-    ar_backward_input,
     ar_forward,
     ar_forward_dense,
     arma_backward,
     arma_forward,
-    ar_spectra,
     dense_circulant_matrix,
     ma_backward_input,
     ma_backward_kernel,
@@ -393,6 +391,16 @@ class TestArmaLayer:
         with pytest.raises(ValueError):
             arma_backward(y, x, params, cache)
 
+    def test_cache_from_other_params_rejected(self):
+        # the factor taps would come from the cache's kernel and the chain
+        # rule from params': same shapes, silently wrong gradients
+        rng = np.random.default_rng(37)
+        x = FieldTensor(rng.standard_normal((6, 6, 1)))
+        p1, p2 = random_params(rng, 1, 1, 1), random_params(rng, 1, 1, 1)
+        y, cache = arma_forward(x, p1)
+        with pytest.raises(ValueError, match="cache"):
+            arma_backward(y, x, p2, cache)
+
 
 class TestRawTapGradients:
     def test_raw_taps_match_finite_differences(self):
@@ -481,8 +489,8 @@ class TestAdjointIdentities:
         kernel = random_stable_kernel(rng, channels, depth)
         t = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
-        forward, _ = ar_forward(t, kernel)
-        adjoint = ar_backward_input(y, ar_spectra(kernel, t.height, w))
+        forward, cache = ar_forward(t, kernel)
+        adjoint, _, _ = ar_backward(y, cache)
         assert inner(forward.data, y.data) == pytest.approx(inner(t.data, adjoint.data), rel=1e-10)
 
 

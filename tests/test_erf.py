@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from armakit import erf
+from armakit.arma import ar_backward, ar_forward, ma_backward_input
 from armakit.erf import (
     MAX_FILTER_TAPS,
     ErfMap,
@@ -20,10 +21,38 @@ from armakit.erf import (
     layer_moments,
     layer_variance_term,
 )
+from armakit.numerics import FieldTensor
 
 
 def stack(layer, depth):
     return LinearNetSpec((layer,) * depth)
+
+
+def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform"):
+    """Oracle for :func:`empirical_erf_2d`: one real backward pass per output channel.
+
+    Runs each layer's adjoints, last layer first: ``ar_backward``'s input
+    gradient on a cache from ``ar_forward``, then ``ma_backward_input``.
+    Returns the unwrapped map and its origin, like the library.
+    """
+    w0 = erf._select_window(spec, grid, kernel_mode, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
+    rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
+    layers = erf._layer_kernels(spec, channels, kernel_mode, rng)
+    zeros = FieldTensor(np.zeros((grid, grid, channels)))
+    adjoints = [(ma, ar_forward(zeros, ar)[1]) for ma, ar in reversed(layers)]
+    center = grid // 2
+    accumulated = np.zeros((grid, grid))
+    for out_channel in range(channels):
+        seed_grad = np.zeros((grid, grid, channels))
+        seed_grad[center, center, out_channel] = 1.0
+        grad = FieldTensor(seed_grad)
+        for ma, cache in adjoints:
+            grad = ma_backward_input(ar_backward(grad, cache)[0], ma)
+        accumulated += np.abs(grad.data).sum(axis=2)
+    accumulated /= accumulated.sum()
+    q_low = -(w0 + grid - 1)
+    shift = (center + q_low) % grid
+    return np.roll(accumulated, (-shift, -shift), axis=(0, 1)), (-q_low, -q_low)
 
 
 class TestLayerSpec:
@@ -210,7 +239,50 @@ class TestRadiusForms:
             ErfMap(np.array([1.5, -0.5]), origin=(0,))
 
 
+def net(*triples):
+    return LinearNetSpec(tuple(LayerSpec1D(*t) for t in triples))
+
+
 class TestEmpirical2d:
+    @pytest.mark.parametrize(
+        "spec, grid, channels, kernel_mode",
+        [
+            (net((3, 1, 0.5), (3, 1, 0.5)), 48, 1, "uniform"),
+            (net((3, 1, 0.5), (3, 1, 0.5)), 32, 1, "xavier"),
+            (net((3, 1, 0.5), (3, 1, 0.25), (3, 1, 0.5)), 40, 3, "xavier"),
+            (net((3, 2, 0.25), (3, 2, 0.25)), 64, 1, "uniform"),
+            (net((3, 2, 0.25), (5, 1, 0.3), (3, 2, 0.1)), 64, 3, "xavier"),
+            (net((3, 1, 0.8), (3, 1, 0.8)), 96, 1, "uniform"),
+            (net((3, 1, 0.8), (5, 1, 0.7)), 96, 2, "xavier"),
+        ],
+        ids=["uniform", "xavier-1ch", "xavier-3ch", "dilation-2", "mixed-taps", "long-uniform", "long-xavier"],
+    )
+    def test_matches_backward_pass_oracle(self, spec, grid, channels, kernel_mode):
+        want, origin = backward_pass_erf_2d(spec, grid, channels, seed=5, kernel_mode=kernel_mode)
+        m = empirical_erf_2d(spec, grid, channels=channels, seed=5, kernel_mode=kernel_mode)
+        assert m.origin == origin
+        assert np.abs(m.weights - want).max() <= 1e-13 * want.max()
+
+    def test_long_cases_window_narrower_than_filter(self):
+        # the two "long" oracle cases select a window inside the composed filter
+        for spec in (net((3, 1, 0.8), (3, 1, 0.8)), net((3, 1, 0.8), (5, 1, 0.7))):
+            taps, _ = erf._axis_mass_profile(spec, "xavier", erf.DEFAULT_TRUNCATION)
+            assert taps.size > 96
+
+    def test_window_scan_matches_convolution(self):
+        # 276k composed taps against a 4096-wide window
+        spec = stack(LayerSpec1D(3, 1, 0.9998), 2)
+        grid = 4096
+        taps, start = erf._axis_mass_profile(spec, "uniform", erf.DEFAULT_TRUNCATION)
+        want = np.convolve(taps, np.ones(grid), mode="valid")
+        sums = erf._window_sums(taps, grid)
+        assert sums.shape == want.shape
+        assert np.abs(sums - want).max() <= 1e-12
+        best = int(np.argmax(want))
+        assert erf._select_window(spec, grid, "uniform", erf.DEFAULT_TRUNCATION, 1.0) == start + best
+        with pytest.raises(WraparoundError, match=f"leaks {1.0 - want[best]:.3e} "):
+            erf._select_window(spec, grid, "uniform", erf.DEFAULT_TRUNCATION, 1e-6)
+
     def test_identity_network_is_delta(self):
         m = empirical_erf_2d(stack(LayerSpec1D(1, 1, 0.0), 1), grid=16)
         assert erf_radius(m) == pytest.approx(0.0, abs=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armakit.arma import ar_backward_input, ar_forward, ar_spectra, ma_forward
+from armakit.arma import ar_backward, ar_forward, ar_spectra, ma_forward
 from armakit.filters import (
     IDENTITY_FILTER as IDENTITY,
     Length3Filter,
@@ -127,9 +127,9 @@ class TestDft1:
         assert np.allclose(reconvolve(y, row_taps(kernel)), x.data, atol=1e-12)
 
     def test_length_mismatch_is_usage_error(self):
-        a_hat = ar_spectra(row_kernel(IDENTITY), 1, 4)
+        _, cache = ar_forward(FieldTensor(np.zeros((1, 4, 1))), row_kernel(IDENTITY))
         with pytest.raises(ValueError):
-            ar_backward_input(FieldTensor(np.ones((1, 3, 1))), a_hat)
+            ar_backward(FieldTensor(np.ones((1, 3, 1))), cache)
 
     @pytest.mark.parametrize("n", [3, 5, 16, 31, 97, 1000, 4096])
     def test_plan_round_trip_tolerance(self, n):
@@ -309,15 +309,18 @@ class TestSpectralDivide:
 
     def test_unit_denominator(self):
         d_y = random_field((3, 4, 2), seed=11)
-        ones = np.ones((3, 4 // 2 + 1, 2), dtype=complex)
-        guard_spectrum(ones, 1e-8)
-        assert np.allclose(ar_backward_input(d_y, ones).data, d_y.data)
+        identity = SeparableArKernel.identity(2)
+        _, cache = ar_forward(FieldTensor(np.zeros((3, 4, 2))), identity)
+        assert np.array_equal(cache.ar_spectrum, np.ones((3, 4 // 2 + 1, 2), dtype=complex))
+        guard_spectrum(cache.ar_spectrum, 1e-8)
+        assert np.allclose(ar_backward(d_y, cache)[0].data, d_y.data)
 
     def test_geometric_solve(self):
         # the transposed geometric fixture: a~ * dT = delta for a = (1, -0.5)
-        a_hat = ar_spectra(row_kernel(Length3Filter(0.0, 1.0, -0.5)), 1, 4)
+        kernel = row_kernel(Length3Filter(0.0, 1.0, -0.5))
+        _, cache = ar_forward(FieldTensor(np.zeros((1, 4, 1))), kernel)
         impulse = FieldTensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1))
-        out = ar_backward_input(impulse, a_hat).data.ravel()
+        out = ar_backward(impulse, cache)[0].data.ravel()
         expected = 0.5 ** np.arange(4) / (1 - 0.5**4)
         assert np.allclose(out, expected[[0, 3, 2, 1]], atol=1e-12)
         assert np.allclose(out, [1.0667, 0.1333, 0.2667, 0.5333], atol=1e-4)
@@ -340,7 +343,6 @@ class TestSpectralDivide:
         assert info.value.index == (0, 4, 1)
 
     def test_shape_mismatch(self):
+        _, cache = ar_forward(FieldTensor(np.zeros((2, 2, 2))), SeparableArKernel.identity(2))
         with pytest.raises(ValueError):
-            ar_backward_input(
-                FieldTensor(np.ones((2, 2, 1))), np.ones((2, 2, 2), dtype=complex)
-            )
+            ar_backward(FieldTensor(np.ones((2, 2, 1))), cache)
