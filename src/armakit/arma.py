@@ -222,8 +222,12 @@ def ar_forward(
     identity factors cost nothing) must fit the grid.  Returns the output
     together with a :class:`LayerCache` for the backward pass.  Raises
     :class:`armakit.numerics.SingularSpectrumError` for degenerate kernels
-    (``epsilon`` is the guard :func:`ar_spectra` applies); kernels
-    materialized from the re-parameterization cannot trigger it.
+    (``epsilon`` is the guard :func:`ar_spectra` applies).  Kernels
+    materialized from the re-parameterization can trigger it too, although
+    :func:`armakit.filters.is_stable` passes them: a factor's spectrum
+    falls to ``1 - tanh|beta|`` at frequency 0 or pi, below the default
+    epsilon once ``|beta|`` exceeds about 9.56 (measured on an 8x8 field,
+    e.g. ``beta = 9.7`` or ``10``).  See ROADMAP item I.
     """
     if t.channels != ar.channels:
         raise ValueError(

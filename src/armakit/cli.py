@@ -13,6 +13,9 @@ Every flag of a subcommand can instead be supplied through ``--config FILE``
 (a flat JSON object keyed by flag name); explicit flags win, unknown keys are
 rejected, and each value must have the JSON type of its flag: a bool for a
 switch, an integer or number for a numeric flag, a string otherwise.
+
+Each flag is declared once, as a row of ``COMMANDS``; that row drives the
+argparse option, the config default and the config type check.
 """
 
 from __future__ import annotations
@@ -51,15 +54,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv_grid(rows, destination):
-    rows = np.asarray(rows, dtype=np.float64)
-    # one %-format per row of Python floats gives the text of _fmt per entry
-    template = ",".join(["%.17g"] * rows.shape[1])
-    text = "\n".join(template % tuple(row.tolist()) for row in rows) + "\n"
+def _emit(text, destination):
+    """Send primary data to the ``--out`` file, or to stdout without one."""
     if destination is None:
         sys.stdout.write(text)
     else:
         Path(destination).write_text(text)
+
+
+def _write_csv_grid(rows, destination):
+    rows = np.asarray(rows, dtype=np.float64)
+    # one %-format per row of Python floats gives the text of _fmt per entry
+    template = ",".join(["%.17g"] * rows.shape[1])
+    _emit("\n".join(template % tuple(row.tolist()) for row in rows) + "\n", destination)
 
 
 def _read_csv_grid(path) -> np.ndarray:
@@ -98,44 +105,44 @@ def _parse_list(text, kind, count=None):
     return values
 
 
-def _check_config_value(action, value):
-    # config values skip argparse, so check them against the flag's own type
-    if action.const is True:
+def _check_config_value(key, kind, choices, value):
+    # config values skip argparse, so check them against the flag's table row
+    if kind is bool:
         expected, ok = "true or false", isinstance(value, bool)
-    elif action.type is int:
+    elif kind is int:
         expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif action.type is float:
+    elif kind is float:
         expected = "a number"
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         expected, ok = "a string", isinstance(value, str)
     if not ok:
-        raise UsageError(f"config key {action.dest!r} must be {expected}, got {value!r}")
-    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+    if choices is not None and value not in choices:
         raise UsageError(
-            f"config key {action.dest!r} must be one of {list(action.choices)}, got {value!r}"
+            f"config key {key!r} must be one of {list(choices)}, got {value!r}"
         )
 
 
-def _resolve(args, defaults):
-    """Merge flag values over config-file values over defaults."""
-    settings = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _resolve(args):
+    """Merge flag values over config-file values over the table's defaults."""
+    rows = {row[0]: row for row in COMMANDS[args.command][2]}
+    settings = {name: default for name, _, default, _, _ in rows.values()}
+    if args.config:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}") from exc
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
+        unknown = sorted(set(loaded) - set(rows))
         if unknown:
             raise UsageError(f"unknown config keys: {unknown}")
-        actions = {action.dest: action for action in args.parser._actions}
         for key, value in loaded.items():
-            _check_config_value(actions[key], value)
+            _, kind, _, choices, _ = rows[key]
+            _check_config_value(key, kind, choices, value)
         settings.update(loaded)
-    for key in defaults:
+    for key in rows:
         value = getattr(args, key)
         if value is not _UNSET:
             settings[key] = value
@@ -145,20 +152,8 @@ def _resolve(args, defaults):
 # ---------------------------------------------------------------- erf ----
 
 
-ERF_DEFAULTS = {
-    "layers": None,
-    "mode": "analytic",
-    "grid": 64,
-    "out": None,
-    "channels": 1,
-    "seed": 0,
-    "kernels": "uniform",
-    "truncation": 1e-12,
-}
-
-
 def cmd_erf(args) -> int:
-    opts = _resolve(args, ERF_DEFAULTS)
+    opts = _resolve(args)
     if not opts["layers"]:
         raise UsageError("erf needs --layers (or a config file providing them)")
     spec = _parse_layers(opts["layers"])
@@ -172,11 +167,7 @@ def cmd_erf(args) -> int:
                 f"{i},{layer.taps},{layer.dilation},{_fmt(layer.ar_coeff)},"
                 f"{_fmt(term)},{_fmt(radius)}"
             )
-        text = "\n".join(lines) + "\n"
-        if opts["out"] is None:
-            sys.stdout.write(text)
-        else:
-            Path(opts["out"]).write_text(text)
+        _emit("\n".join(lines) + "\n", opts["out"])
         return EXIT_OK
     if mode == "empirical-1d":
         erf_map = erf.empirical_erf_1d(spec, epsilon=opts["truncation"])
@@ -189,46 +180,35 @@ def cmd_erf(args) -> int:
             _write_csv_grid(rows, opts["out"])
         print(json.dumps(summary))
         return EXIT_OK
-    if mode == "empirical-2d":
-        if opts["out"] is None:
-            raise UsageError("empirical-2d writes a heatmap and needs --out")
-        erf_map = erf.empirical_erf_2d(
-            spec,
-            grid=int(opts["grid"]),
-            channels=int(opts["channels"]),
-            seed=int(opts["seed"]),
-            kernel_mode=opts["kernels"],
-            epsilon=opts["truncation"],
-        )
-        _write_csv_grid(erf_map.weights, opts["out"])
-        sidecar = {
-            "radial_radius": erf.erf_radius(erf_map),
-            "axis_variance_x": erf.erf_axis_variance(erf_map, axis=0),
-            "axis_variance_y": erf.erf_axis_variance(erf_map, axis=1),
-            "origin_row": erf_map.origin[0],
-            "origin_col": erf_map.origin[1],
-        }
-        Path(opts["out"]).with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
-        print(json.dumps(sidecar))
-        return EXIT_OK
-    raise UsageError(f"unknown erf mode {mode!r}")
+    if opts["out"] is None:
+        raise UsageError("empirical-2d writes a heatmap and needs --out")
+    erf_map = erf.empirical_erf_2d(
+        spec,
+        grid=opts["grid"],
+        channels=opts["channels"],
+        seed=opts["seed"],
+        kernel_mode=opts["kernels"],
+        epsilon=opts["truncation"],
+    )
+    _write_csv_grid(erf_map.weights, opts["out"])
+    sidecar = {
+        "radial_radius": erf.erf_radius(erf_map),
+        "axis_variance_x": erf.erf_axis_variance(erf_map, axis=0),
+        "axis_variance_y": erf.erf_axis_variance(erf_map, axis=1),
+        "origin_row": erf_map.origin[0],
+        "origin_col": erf_map.origin[1],
+    }
+    Path(opts["out"]).with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
+    print(json.dumps(sidecar))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------- gradcheck ----
 
 
-GRADCHECK_DEFAULTS = {
-    "size": 6,
-    "channels": "1,1",
-    "q": 1,
-    "seed": 0,
-    "tol": 1e-5,
-}
-
-
 def cmd_gradcheck(args) -> int:
-    opts = _resolve(args, GRADCHECK_DEFAULTS)
-    size = int(opts["size"])
+    opts = _resolve(args)
+    size = opts["size"]
     if size * size > arma.DENSE_SOLVE_LIMIT:
         raise UsageError(
             f"size {size} exceeds the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
@@ -236,7 +216,7 @@ def cmd_gradcheck(args) -> int:
     s, t = _parse_list(opts["channels"], int, count=2)
     report, failures = gradcheck_report(
         size=size, in_channels=s, out_channels=t,
-        depth=int(opts["q"]), seed=int(opts["seed"]), tol=float(opts["tol"]),
+        depth=opts["q"], seed=opts["seed"], tol=float(opts["tol"]),
     )
     print(json.dumps(report))
     if failures:
@@ -317,12 +297,9 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 # ---------------------------------------------------------- stability ----
 
 
-STABILITY_DEFAULTS = {
-    "filter": None,
-    "reparam": None,
-    "scan": None,
-    "seed": 0,
-}
+# --scan draws this many points at most: each costs a Python-level
+# materialize and zero test, and the points are held in one (N, 2) array
+SCAN_LIMIT = 10**6
 
 
 def _filter_report(f: filters.Length3Filter) -> dict:
@@ -342,7 +319,7 @@ def _filter_report(f: filters.Length3Filter) -> dict:
 
 
 def cmd_stability(args) -> int:
-    opts = _resolve(args, STABILITY_DEFAULTS)
+    opts = _resolve(args)
     chosen = [k for k in ("filter", "reparam", "scan") if opts[k] is not None]
     if len(chosen) != 1:
         raise UsageError("give exactly one of --filter, --reparam, --scan")
@@ -359,10 +336,10 @@ def cmd_stability(args) -> int:
         report = _filter_report(filters.materialize(filters.ReparamFilter(alpha, beta)))
         print(json.dumps(report))
         return EXIT_OK
-    count = int(opts["scan"])
-    if count < 1:
-        raise UsageError(f"scan count must be positive, got {count}")
-    rng = np.random.default_rng(int(opts["seed"]))
+    count = opts["scan"]
+    if not 1 <= count <= SCAN_LIMIT:
+        raise UsageError(f"scan count must be between 1 and {SCAN_LIMIT}, got {count}")
+    rng = np.random.default_rng(opts["seed"])
     points = rng.uniform(-10.0, 10.0, size=(count, 2))
     bad = []
     for alpha, beta in points:
@@ -380,19 +357,7 @@ def cmd_stability(args) -> int:
 # -------------------------------------------------------------- solve ----
 
 
-SOLVE_DEFAULTS = {
-    "input": None,
-    "ma_kernel": None,
-    "ma_dilation": 1,
-    "ar_config": None,
-    "out": None,
-    "oracle": False,
-    "timing": False,
-    "repeats": 5,
-}
-
-
-def _ar_from_config(path, channels) -> filters.SeparableArKernel:
+def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
     if path is None:
         return filters.SeparableArKernel.identity(channels)
     try:
@@ -402,7 +367,12 @@ def _ar_from_config(path, channels) -> filters.SeparableArKernel:
     mode = spec.get("mode", "raw")
     try:
         if mode == "identity":
-            return filters.SeparableArKernel.identity(channels, depth=int(spec.get("depth", 1)))
+            # identity factors cost work per factor but widen nothing, so the
+            # field size is the only scale that bounds the cascade
+            depth = spec.get("depth", 1)
+            if type(depth) is not int or not 1 <= depth <= max_depth:
+                raise ValueError(f"depth must be an integer in [1, {max_depth}], got {depth!r}")
+            return filters.SeparableArKernel.identity(channels, depth=depth)
         if mode == "reparam":
             return filters.SeparableArKernel.from_arrays(
                 spec["alpha_f"], spec["beta_f"], spec["alpha_g"], spec["beta_g"]
@@ -418,9 +388,11 @@ def _ar_from_config(path, channels) -> filters.SeparableArKernel:
 
 
 def cmd_solve(args) -> int:
-    opts = _resolve(args, SOLVE_DEFAULTS)
+    opts = _resolve(args)
     if opts["input"] is None:
         raise UsageError("solve needs --input")
+    if opts["repeats"] < 1:
+        raise UsageError(f"repeats must be positive, got {opts['repeats']}")
     field = FieldTensor.from_2d(_read_csv_grid(opts["input"]))
     if opts["ma_kernel"] is None:
         ma = MaKernel(np.ones((1, 1, 1, 1)))
@@ -428,19 +400,18 @@ def cmd_solve(args) -> int:
         taps = _read_csv_grid(opts["ma_kernel"])
         if taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
             raise UsageError(f"kernel must be odd-sized, got {taps.shape}")
-        ma = MaKernel(taps[:, :, None, None], dilation=int(opts["ma_dilation"]))
-    ar = _ar_from_config(opts["ar_config"], channels=1)
+        ma = MaKernel(taps[:, :, None, None], dilation=opts["ma_dilation"])
+    ar = _ar_from_config(opts["ar_config"], channels=1, max_depth=max(field.height, field.width))
 
     pre = arma.ma_forward(field, ma)
     y, _ = arma.ar_forward(pre, ar)
     summary = {}
     if opts["timing"]:
-        best = None
-        for _ in range(max(1, int(opts["repeats"]))):
+        best = float("inf")
+        for _ in range(opts["repeats"]):
             begin = time.perf_counter()
             arma.ar_forward(pre, ar)
-            elapsed = time.perf_counter() - begin
-            best = elapsed if best is None else min(best, elapsed)
+            best = min(best, time.perf_counter() - begin)
         summary["ar_seconds"] = best
     if opts["oracle"]:
         taps_per_channel = [
@@ -459,58 +430,28 @@ def cmd_solve(args) -> int:
 # -------------------------------------------------------------- train ----
 
 
-TRAIN_DEFAULTS = {
-    "mode": "reparam",
-    "steps": 500,
-    "lr": 1e-2,
-    "seed": 0,
-    "out": None,
-    "size": 64,
-    "samples": 4,
-    "sigma": 6.0,
-    "task": "blur",
-    "channels": "1,4,1",
-    "clip": 3.0,
-    "raw_sum": 1.1,
-}
-
-
 def cmd_train(args) -> int:
-    opts = _resolve(args, TRAIN_DEFAULTS)
-    tasks = {
-        "blur": lambda: training.ToyTask.wide_blur(
-            samples=int(opts["samples"]), size=int(opts["size"]),
-            sigma=float(opts["sigma"]), seed=int(opts["seed"]),
-        ),
-        "identity": lambda: training.ToyTask.identity_map(
-            samples=int(opts["samples"]), size=int(opts["size"]), seed=int(opts["seed"]),
-        ),
-        "zero": lambda: training.ToyTask.zero_target(
-            samples=int(opts["samples"]), size=int(opts["size"]), seed=int(opts["seed"]),
-        ),
-    }
-    if opts["task"] not in tasks:
-        raise UsageError(f"unknown task {opts['task']!r}")
+    opts = _resolve(args)
+    sizes = {"samples": opts["samples"], "size": opts["size"], "seed": opts["seed"]}
+    make_task = {
+        "blur": lambda: training.ToyTask.wide_blur(sigma=float(opts["sigma"]), **sizes),
+        "identity": lambda: training.ToyTask.identity_map(**sizes),
+        "zero": lambda: training.ToyTask.zero_target(**sizes),
+    }[opts["task"]]
     try:
         config = training.TrainConfig(
             channel_sizes=tuple(_parse_list(opts["channels"], int)),
-            steps=int(opts["steps"]),
+            steps=opts["steps"],
             learning_rate=float(opts["lr"]),
             clip_norm=float(opts["clip"]),
-            seed=int(opts["seed"]),
-            mode=str(opts["mode"]),
+            seed=opts["seed"],
+            mode=opts["mode"],
             raw_tap_sum=float(opts["raw_sum"]),
         )
-        task = tasks[opts["task"]]()
-        trace = training.train(task, config)
+        trace = training.train(make_task(), config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if opts["out"] is None:
-        sys.stdout.write(trace.HEADER + "\n")
-        for step, loss, max_out, ar_sum in trace.rows:
-            sys.stdout.write(f"{step},{_fmt(loss)},{_fmt(max_out)},{_fmt(ar_sum)}\n")
-    else:
-        trace.write_csv(opts["out"])
+    _emit(trace.csv_text(), opts["out"])
     if trace.diverged:
         print(f"diverged at step {trace.divergence_step}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -520,70 +461,72 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------- main ----
 
 
-def _add_option(parser, name, **kwargs):
-    parser.add_argument(name, default=_UNSET, **kwargs)
+# Each subcommand maps to (help, handler, flags), and each flag row is
+# (name, type, default, choices, help).  The option is --name with
+# underscores as hyphens; type bool makes it a switch.
+COMMANDS = {
+    "erf": ("receptive-field analysis", cmd_erf, (
+        ("layers", str, None, None, 'layer list "K,d,a;K,d,a;..."'),
+        ("mode", str, "analytic", ("analytic", "empirical-1d", "empirical-2d"), None),
+        ("grid", int, 64, None, None),
+        ("out", str, None, None, None),
+        ("channels", int, 1, None, None),
+        ("seed", int, 0, None, None),
+        ("kernels", str, "uniform", ("uniform", "xavier"), None),
+        ("truncation", float, 1e-12, None, None),
+    )),
+    "gradcheck": ("analytic vs finite-difference gradients", cmd_gradcheck, (
+        ("size", int, 6, None, None),
+        ("channels", str, "1,1", None, '"S,T"'),
+        ("q", int, 1, None, None),
+        ("seed", int, 0, None, None),
+        ("tol", float, 1e-5, None, None),
+    )),
+    "stability": ("filter stability audit", cmd_stability, (
+        ("filter", str, None, None, '"fm1,f0,fp1"'),
+        ("reparam", str, None, None, '"alpha,beta"'),
+        ("scan", int, None, None, "sample N random reparam points"),
+        ("seed", int, 0, None, None),
+    )),
+    "solve": ("single-layer forward solve", cmd_solve, (
+        ("input", str, None, None, "field CSV (rectangular, no header)"),
+        ("ma_kernel", str, None, None, "kernel CSV (odd-sized)"),
+        ("ma_dilation", int, 1, None, None),
+        ("ar_config", str, None, None, "AR kernel JSON"),
+        ("out", str, None, None, None),
+        ("oracle", bool, False, None, None),
+        ("timing", bool, False, None, None),
+        ("repeats", int, 5, None, None),
+    )),
+    "train": ("toy training demo", cmd_train, (
+        ("mode", str, "reparam", ("reparam", "raw"), None),
+        ("steps", int, 500, None, None),
+        ("lr", float, 1e-2, None, None),
+        ("seed", int, 0, None, None),
+        ("out", str, None, None, None),
+        ("size", int, 64, None, None),
+        ("samples", int, 4, None, None),
+        ("sigma", float, 6.0, None, None),
+        ("task", str, "blur", ("blur", "identity", "zero"), None),
+        ("channels", str, "1,4,1", None, 'channel sizes, e.g. "1,4,1"'),
+        ("clip", float, 3.0, None, None),
+        ("raw_sum", float, 1.1, None, None),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="armakit", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is for
+    # readers of this module
+    parser = _Parser(prog="armakit", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("erf", help="receptive-field analysis")
-    _add_option(p, "--layers", help='layer list "K,d,a;K,d,a;..."')
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    _add_option(p, "--mode", choices=["analytic", "empirical-1d", "empirical-2d"])
-    _add_option(p, "--grid", type=int)
-    _add_option(p, "--out")
-    _add_option(p, "--channels", type=int)
-    _add_option(p, "--seed", type=int)
-    _add_option(p, "--kernels", choices=["uniform", "xavier"])
-    _add_option(p, "--truncation", type=float)
-    p.set_defaults(handler=cmd_erf, parser=p)
-
-    p = subs.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    _add_option(p, "--size", type=int)
-    _add_option(p, "--channels", help='"S,T"')
-    _add_option(p, "--q", type=int)
-    _add_option(p, "--seed", type=int)
-    _add_option(p, "--tol", type=float)
-    p.set_defaults(handler=cmd_gradcheck, parser=p)
-
-    p = subs.add_parser("stability", help="filter stability audit")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    _add_option(p, "--filter", help='"fm1,f0,fp1"')
-    _add_option(p, "--reparam", help='"alpha,beta"')
-    _add_option(p, "--scan", type=int, help="sample N random reparam points")
-    _add_option(p, "--seed", type=int)
-    p.set_defaults(handler=cmd_stability, parser=p)
-
-    p = subs.add_parser("solve", help="single-layer forward solve")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    _add_option(p, "--input", help="field CSV (rectangular, no header)")
-    _add_option(p, "--ma-kernel", dest="ma_kernel", help="kernel CSV (odd-sized)")
-    _add_option(p, "--ma-dilation", dest="ma_dilation", type=int)
-    _add_option(p, "--ar-config", dest="ar_config", help="AR kernel JSON")
-    _add_option(p, "--out")
-    _add_option(p, "--oracle", action="store_const", const=True)
-    _add_option(p, "--timing", action="store_const", const=True)
-    _add_option(p, "--repeats", type=int)
-    p.set_defaults(handler=cmd_solve, parser=p)
-
-    p = subs.add_parser("train", help="toy training demo")
-    p.add_argument("--config", help="JSON file mirroring the flags")
-    _add_option(p, "--mode", choices=["reparam", "raw"])
-    _add_option(p, "--steps", type=int)
-    _add_option(p, "--lr", type=float)
-    _add_option(p, "--seed", type=int)
-    _add_option(p, "--out")
-    _add_option(p, "--size", type=int)
-    _add_option(p, "--samples", type=int)
-    _add_option(p, "--sigma", type=float)
-    _add_option(p, "--task", choices=["blur", "identity", "zero"])
-    _add_option(p, "--channels", help='channel sizes, e.g. "1,4,1"')
-    _add_option(p, "--clip", type=float)
-    _add_option(p, "--raw-sum", dest="raw_sum", type=float)
-    p.set_defaults(handler=cmd_train, parser=p)
+    for command, (help_text, _, flags) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON file mirroring the flags")
+        for name, kind, _, choices, flag_help in flags:
+            how = ({"action": "store_const", "const": True} if kind is bool
+                   else {"type": kind, "choices": choices})
+            p.add_argument("--" + name.replace("_", "-"), default=_UNSET, help=flag_help, **how)
     return parser
 
 
@@ -591,7 +534,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return COMMANDS[args.command][1](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -167,13 +167,17 @@ class TrainTrace:
 
     HEADER = "step,loss,max_abs_output,mean_abs_ar_sum"
 
+    def csv_text(self) -> str:
+        """The header and one row per step, floats to 17 significant digits."""
+        lines = [self.HEADER] + [
+            f"{step},{loss:.17g},{max_out:.17g},{ar_sum:.17g}"
+            for step, loss, max_out, ar_sum in self.rows
+        ]
+        return "\n".join(lines) + "\n"
+
     def write_csv(self, path):
         with open(path, "w") as handle:
-            handle.write(self.HEADER + "\n")
-            for step, loss, max_out, ar_sum in self.rows:
-                handle.write(
-                    f"{step},{loss:.17g},{max_out:.17g},{ar_sum:.17g}\n"
-                )
+            handle.write(self.csv_text())
 
 
 def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerState]:

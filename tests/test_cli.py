@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ class TestStabilityCommand:
         assert code == 0
         assert json.loads(out)["all_stable"] is True
 
+    def test_scan_count_above_cap_rejected_before_allocation(self, capsys):
+        # the points of a cap+1 scan would take 16 MB; the check comes first
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "stability", "--scan", str(cli.SCAN_LIMIT + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "scan" in err and str(cli.SCAN_LIMIT) in err
+        assert peak < 1_000_000
+
     def test_requires_exactly_one_selector(self, capsys):
         assert run(capsys, "stability")[0] == 1
         assert run(capsys, "stability", "--filter", "0,1,0", "--scan", "5")[0] == 1
@@ -240,6 +253,36 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 2
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_nonpositive_repeats_exit_code(self, capsys, tmp_path, repeats):
+        field = tmp_path / "x.csv"
+        field.write_text("1,2\n3,4\n")
+        code, out, err = run(
+            capsys, "solve", "--input", str(field), "--out", str(tmp_path / "y.csv"),
+            "--timing", "--repeats", repeats,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "repeats" in err
+
+    @pytest.mark.parametrize("depth", [True, 2.9, "3", 0, 5])
+    def test_identity_depth_must_be_integer_within_field(self, capsys, tmp_path, depth):
+        field = tmp_path / "x.csv"
+        field.write_text("1,0,0,0\n0,0,0,0\n1,0,0,0\n0,0,0,0\n")  # larger side 4
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps({"mode": "identity", "depth": depth}))
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed AR config") and "depth" in err
+
+    def test_identity_depth_up_to_field_side_echoes_input(self, capsys, tmp_path):
+        field = tmp_path / "x.csv"
+        field.write_text("1,2,3\n4,5,6\n")
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps({"mode": "identity", "depth": 3}))
+        code, out, _ = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 0
+        assert [float(v) for v in out.strip().splitlines()[1].split(",")] == [4, 5, 6]
 
     def test_ragged_csv_rejected(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
@@ -332,6 +375,17 @@ class TestParser:
         assert code == 1
         key = list(config)[-1]
         assert err.startswith("error:") and f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_table_defaults_pass_their_own_config_check(self, tmp_path, command):
+        flags = cli.COMMANDS[command][2]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            name: default for name, _, default, _, _ in flags if default is not None
+        }))
+        parser = cli.build_parser()
+        from_config = cli._resolve(parser.parse_args([command, "--config", str(path)]))
+        assert from_config == cli._resolve(parser.parse_args([command]))
 
     @pytest.mark.parametrize("argv, text", [
         (("stability", "--filter", "1,2"), "'1,2'"),
