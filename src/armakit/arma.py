@@ -7,31 +7,38 @@ kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
 
     A[:, :, t] * Y[:, :, t] = sum_s W[:, :, t, s] * X[:, :, s]
 
-with ``*`` denoting circular convolution.  The solve splits into a plain
-convolution (``T = W * X``) followed by a per-channel deconvolution
-(``A * Y = T``) carried out as an element-wise division of 2D spectra.
-Every field is real, so every spectrum is a half spectrum
-``(I1, I2//2 + 1, C)`` from ``rfft2`` and is inverted by ``irfft2``.  The
-kernel ``A = outer(g, f)`` is separable, so its spectrum is the outer
-product of two 1D DFTs and needs no 2D transform.
-Fields may carry a leading sample axis ``(N, I1, I2, C)``; the kernels and
-spectra are shared by all samples, so kernel gradients sum over the batch.
+with ``*`` denoting circular convolution.  Every convolution is diagonal in
+the frequency domain, so the layer is one fused spectral solve:
 
-The backward pass solves two more systems of the same shape.  With ``dY``
-the incoming gradient and ``a~`` the coordinate reversal of ``a``
-(``a~[i1, i2] = a[-i1, -i2]``), the spatial contracts are
+    Y_hat[k, t] = sum_s W_hat[k, t, s] * X_hat[k, s] / A_hat[k, t]
 
-    a~ * dT = dY           a~ * dA = -(y~ * dY)
+one ``rfft2`` of the input, a ``(T x S)`` product per frequency, the
+division and one ``irfft2``.  Every field is real, so every spectrum is a
+half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is built from two small
+phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at the dilated tap
+offsets ``d*p``.  The kernel ``A = outer(g, f)`` is separable, so its
+spectrum is the outer product of two 1D DFTs.  Neither needs a 2D
+transform.  Fields may carry a leading sample axis ``(N, I1, I2, C)``; the
+kernels and spectra are shared by all samples, so kernel gradients sum over
+the batch.
 
-whose frequency realization for real signals divides by ``conj(A_hat)``.
-Correctness of every gradient here is pinned by finite differences in the
-test suite rather than by the algebra alone.
+The backward pass is the spectral adjoint.  With ``dY`` the incoming
+gradient, ``dT_hat = dY_hat / conj(A_hat)`` stays in the frequency domain,
+``dX_hat = W_hat^H . dT_hat`` is inverted by one ``irfft2``, and both
+kernel gradients are batch-summed cross spectra read only at the kernel's
+tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW`` and
+``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
+over the offset rows, then an ``irfft`` at the offset columns.  The stage
+functions (``ma_forward``, ``ar_forward`` and their backward passes) are
+thin wrappers over the same helpers.  Correctness of every gradient here is
+pinned by finite differences in the test suite rather than by the algebra
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +106,9 @@ class LayerCache:
     ar: SeparableArKernel  # the kernel the forward pass solved with
     ar_spectrum: np.ndarray  # (I1, I2//2+1, T) complex, per-channel half A_hat
     output_spectrum: np.ndarray  # ([N,] I1, I2//2+1, T) complex, half Y_hat
-    shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward field's shape
+    shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward output's shape
+    ma: Optional[MaKernel] = None  # the moving-average kernel, None for ar_forward
+    input_spectrum: Optional[np.ndarray] = None  # ([N,] I1, I2//2+1, S), half X_hat with ma
 
 
 @dataclass(eq=False)
@@ -115,57 +124,117 @@ class ArGradients:
     beta_g: np.ndarray
 
 
-def _rolled_taps(
-    field: np.ndarray, w: MaKernel, sign: int = 1, skip_zero: bool = True
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield ``(k1, k2, rolled)`` for every tap of ``w``.
+def _phases(count: int, offsets: np.ndarray, n: int) -> np.ndarray:
+    """``exp(-2 pi i k m / n)`` for frequencies ``k < count`` (rows) and grid
+    offsets ``m`` (columns), with ``k*m`` reduced mod ``n`` in integers first."""
+    return np.exp(-2j * np.pi * (np.outer(np.arange(count), offsets) % n) / n)
 
-    ``rolled`` is ``field`` circularly shifted by ``sign`` times the tap's
-    dilated offset ``(d*p1, d*p2)``; ``sign=-1`` gives the adjoint shift.
-    With ``skip_zero``, taps whose ``(T, S)`` block is all zero are skipped:
-    they add nothing to a convolution, though they still carry a kernel
-    gradient.
+
+def _dilated_offsets(w: MaKernel) -> Tuple[np.ndarray, np.ndarray]:
+    # tap k of an axis with K taps sits at offset d * (k - (K-1)//2)
+    return tuple(
+        w.dilation * (np.arange(taps) - (taps - 1) // 2) for taps in (w.tap_height, w.tap_width)
+    )
+
+
+def _ma_spectrum(w: MaKernel, height: int, width: int, adjoint: bool = False) -> np.ndarray:
+    """Half spectrum of the embedded kernel, ``(I1, I2//2+1, T, S)``.
+
+    ``W_hat[k1, k2] = sum_p E1[k1, p1] * E2[k2, p2] * W[p1, p2]`` with the
+    phase matrices ``E1`` (``I1 x K1``) and ``E2`` (``(I2//2+1) x K2``) taken
+    at the dilated offsets ``d*p``.  With ``adjoint`` it is the conjugate
+    transpose ``W_hat^H``, ``(I1, I2//2+1, S, T)``: the spectrum of the
+    reversed kernel with its channel roles swapped.
     """
-    half1 = (w.tap_height - 1) // 2
-    half2 = (w.tap_width - 1) // 2
-    for k1 in range(w.tap_height):
-        for k2 in range(w.tap_width):
-            if skip_zero and not w.data[k1, k2].any():
-                continue
-            shift = (sign * w.dilation * (k1 - half1), sign * w.dilation * (k2 - half2))
-            yield k1, k2, np.roll(field, shift, axis=(-3, -2))
+    rows, cols = _dilated_offsets(w)
+    e1, e2 = _phases(height, rows, height), _phases(width // 2 + 1, cols, width)
+    taps = w.data
+    if adjoint:
+        e1, e2, taps = e1.conj(), e2.conj(), taps.transpose(0, 1, 3, 2)
+    return np.tensordot(e1, np.tensordot(e2, taps, axes=(1, 1)), axes=(1, 1))
 
 
-def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
-    """Multi-channel circular convolution ``T[:,:,t] = sum_s W[:,:,t,s] * X[:,:,s]``.
+def _ma_product(field_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
+    # one (out x in) matrix per frequency; einsum beat stacked matmul on the
+    # 1->4 and 4->1 channel shapes, and lost by about 20% at 16->16
+    return np.einsum("...ijs,ijts->...ijt", field_hat, w_hat)
 
-    Kernel offsets are scaled by ``w.dilation``.
+
+def _read_taps(cross_hat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """A real circular cross-correlation read only at the grid offsets ``rows x cols``.
+
+    ``cross_hat`` is its half spectrum ``(I1, I2//2+1, ...)``.  The offset
+    rows come from a direct inverse DFT over the ``I1`` frequencies; each is
+    the spectrum of a real row, so one ``irfft`` per row gives its columns.
+    Returns ``(len(rows), len(cols), ...)``.
     """
+    height = cross_hat.shape[0]
+    inverse_rows = _phases(height, rows, height).conj().T / height
+    read = np.tensordot(inverse_rows, cross_hat, axes=(1, 0))
+    return np.fft.irfft(read, n=width, axis=1)[:, cols % width]
+
+
+def _samples(spectrum: np.ndarray) -> np.ndarray:
+    # a view with a leading sample axis, of length 1 for a single field
+    return spectrum.reshape((-1,) + spectrum.shape[-3:])
+
+
+def _check_ma(x: FieldTensor, w: MaKernel) -> None:
     if x.channels != w.in_channels:
         raise ValueError(
             f"input has {x.channels} channels but kernel expects {w.in_channels}"
         )
     _check_footprint(w.tap_height, w.tap_width, x.height, x.width, w.dilation)
-    out = np.zeros(x.data.shape[:-1] + (w.out_channels,))
-    for k1, k2, rolled in _rolled_taps(x.data, w):
-        out += np.einsum("...ijs,ts->...ijt", rolled, w.data[k1, k2])
-    return FieldTensor(out)
+
+
+def _rfft2(field: FieldTensor) -> np.ndarray:
+    return np.fft.rfft2(field.data, axes=(-3, -2))
+
+
+def _irfft2(spectrum: np.ndarray, height: int, width: int) -> FieldTensor:
+    # the half spectrum cannot tell width I2 from I2 + 1; the field can
+    return FieldTensor(np.fft.irfft2(spectrum, s=(height, width), axes=(-3, -2)))
+
+
+def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
+    """Multi-channel circular convolution ``T[:,:,t] = sum_s W[:,:,t,s] * X[:,:,s]``.
+
+    Kernel offsets are scaled by ``w.dilation``.  Computed as
+    ``T_hat = W_hat . X_hat``, one ``(T x S)`` product per frequency.
+    """
+    _check_ma(x, w)
+    w_hat = _ma_spectrum(w, x.height, x.width)
+    return _irfft2(_ma_product(_rfft2(x), w_hat), x.height, x.width)
 
 
 def ma_backward_input(d_t: FieldTensor, w: MaKernel) -> FieldTensor:
     """Input gradient of :func:`ma_forward`: ``dX[:,:,s] = sum_t W~[:,:,t,s] * dT[:,:,t]``.
 
     ``W~`` is the coordinate reversal of ``W`` (the adjoint of a circular
-    convolution is convolution with the reversed kernel).
+    convolution is convolution with the reversed kernel), so
+    ``dX_hat = W_hat^H . dT_hat``.
     """
     if d_t.channels != w.out_channels:
         raise ValueError(
             f"gradient has {d_t.channels} channels but kernel produces {w.out_channels}"
         )
-    out = np.zeros(d_t.data.shape[:-1] + (w.in_channels,))
-    for k1, k2, rolled in _rolled_taps(d_t.data, w, sign=-1):
-        out += np.einsum("...ijt,ts->...ijs", rolled, w.data[k1, k2])
-    return FieldTensor(out)
+    w_hat = _ma_spectrum(w, d_t.height, d_t.width, adjoint=True)
+    return _irfft2(_ma_product(_rfft2(d_t), w_hat), d_t.height, d_t.width)
+
+
+def _ma_kernel_gradient(
+    d_t_hat: np.ndarray, x_hat: np.ndarray, w: MaKernel, width: int
+) -> np.ndarray:
+    # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), summed over the
+    # batch and read at the dilated tap offsets; one input channel at a time
+    # keeps the cross spectrum at the size of dT_hat
+    rows, cols = _dilated_offsets(w)
+    d_t_hat, x_hat = _samples(d_t_hat), _samples(x_hat)
+    d_w = np.empty_like(w.data)
+    for s in range(w.in_channels):
+        cross = np.einsum("nijt,nij->ijt", d_t_hat, np.conj(x_hat[..., s]))
+        d_w[:, :, :, s] = _read_taps(cross, rows, cols, width)
+    return d_w
 
 
 def ma_backward_kernel(d_t: FieldTensor, x: FieldTensor, w: MaKernel) -> np.ndarray:
@@ -175,12 +244,7 @@ def ma_backward_kernel(d_t: FieldTensor, x: FieldTensor, w: MaKernel) -> np.ndar
     ``s`` with ``dT`` channel ``t`` read at the dilated offset
     ``(d*p1, d*p2)``, summed over the samples of a batch.
     """
-    d_w = np.zeros_like(w.data)
-    # one contiguous (T, pixels) copy keeps every tap's product on BLAS
-    d_t_rows = np.ascontiguousarray(d_t.data.reshape(-1, w.out_channels).T)
-    for k1, k2, rolled in _rolled_taps(x.data, w, skip_zero=False):
-        d_w[k1, k2] = d_t_rows @ rolled.reshape(-1, w.in_channels)
-    return d_w
+    return _ma_kernel_gradient(_rfft2(d_t), _rfft2(x), w, x.width)
 
 
 def ar_spectra(
@@ -213,6 +277,104 @@ def _nonzero_halfwidth(taps: np.ndarray) -> int:
     return int(max(abs(nonzero.min() - half), abs(nonzero.max() - half)))
 
 
+def layer_forward(
+    x: FieldTensor,
+    ma: Optional[MaKernel],
+    ar: SeparableArKernel,
+    epsilon: float = DEFAULT_EPSILON,
+) -> Tuple[FieldTensor, LayerCache]:
+    """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / A_hat``.
+
+    One ``rfft2`` of the input, one ``(T x S)`` product per frequency with
+    the moving-average spectrum (skipped when ``ma`` is ``None``, the
+    autoregressive stage alone), the per-channel division by ``A_hat`` and
+    one ``irfft2``.  Checks shapes and footprints but not the stability of
+    ``ar``'s factors, so the trainer's raw mode can run unstable ones.
+    Raises :class:`armakit.numerics.SingularSpectrumError` as
+    :func:`ar_spectra` does.
+    """
+    if ma is not None:
+        _check_ma(x, ma)
+    stage_channels = x.channels if ma is None else ma.out_channels
+    if stage_channels != ar.channels:
+        raise ValueError(
+            f"field has {stage_channels} channels but kernel has {ar.channels}"
+        )
+    for ch in range(ar.channels):
+        g_half = _nonzero_halfwidth(compose_1d(ar.g_filters[ch]))
+        f_half = _nonzero_halfwidth(compose_1d(ar.f_filters[ch]))
+        if 2 * g_half >= x.height or 2 * f_half >= x.width:
+            raise ValueError(
+                f"autoregressive footprint ({2 * g_half + 1}, {2 * f_half + 1}) "
+                f"of channel {ch} does not fit a {x.height}x{x.width} field"
+            )
+    a_hat = ar_spectra(ar, x.height, x.width, epsilon)
+    x_hat = _rfft2(x)
+    if ma is None:
+        y_hat, x_hat = x_hat, None  # divided in place: no kernel gradient reads it
+    else:
+        y_hat = _ma_product(x_hat, _ma_spectrum(ma, x.height, x.width))
+    y_hat /= a_hat
+    shape = x.data.shape[:-1] + (ar.channels,)
+    cache = LayerCache(
+        ar=ar, ar_spectrum=a_hat, output_spectrum=y_hat, shape=shape,
+        ma=ma, input_spectrum=x_hat,
+    )
+    return _irfft2(y_hat, x.height, x.width), cache
+
+
+def _ar_adjoint(
+    d_y: FieldTensor, cache: LayerCache
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (dT_hat, dF, dG): the adjoint solve, kept in the frequency domain, and
+    # the factor tap gradients read from the cross spectrum -conj(Y_hat).dT_hat
+    if d_y.data.shape != cache.shape:
+        raise ValueError(
+            f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
+        )
+    ar = cache.ar
+    d_t_hat = _rfft2(d_y)
+    d_t_hat /= np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
+    cross = np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat))
+    offsets = np.arange(-ar.depth, ar.depth + 1)
+    d_a_taps = -_read_taps(cross, offsets, offsets, d_y.width)
+    d_f = np.zeros((ar.channels, ar.depth, 3))
+    d_g = np.zeros((ar.channels, ar.depth, 3))
+    for t in range(ar.channels):
+        # the composed kernel is outer(G, F): rows follow g, columns follow f
+        d_f_comp = compose_1d(ar.g_filters[t]) @ d_a_taps[:, :, t]
+        d_g_comp = d_a_taps[:, :, t] @ compose_1d(ar.f_filters[t])
+        for q in range(ar.depth):
+            d_f[t, q] = _factor_gradient(d_f_comp, ar.f_filters[t], q)
+            d_g[t, q] = _factor_gradient(d_g_comp, ar.g_filters[t], q)
+    return d_t_hat, d_f, d_g
+
+
+def layer_backward(
+    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
+) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
+    """Backward pass of :func:`layer_forward` with a moving-average kernel.
+
+    Returns ``(dX, dW, dF, dG)``; ``dX`` is ``None`` unless
+    ``input_gradient``.  ``dT_hat = dY_hat / conj(A_hat)`` never leaves the
+    frequency domain: ``dX_hat = W_hat^H . dT_hat`` is inverted by one
+    ``irfft2``, and ``dW`` and ``dA`` are the batch-summed cross spectra
+    ``dT_hat . conj(X_hat)`` and ``-conj(Y_hat) . dT_hat`` read only at the
+    kernels' tap offsets.  ``dW`` comes from the forward's input spectrum.
+    """
+    ma = cache.ma
+    if ma is None:
+        raise ValueError("cache holds no moving-average stage; use ar_backward")
+    height, width = d_y.height, d_y.width
+    d_t_hat, d_f, d_g = _ar_adjoint(d_y, cache)
+    d_x = None
+    if input_gradient:
+        w_hat = _ma_spectrum(ma, height, width, adjoint=True)
+        d_x = _irfft2(_ma_product(d_t_hat, w_hat), height, width)
+    d_w = _ma_kernel_gradient(d_t_hat, cache.input_spectrum, ma, width)
+    return d_x, d_w, d_f, d_g
+
+
 def ar_forward(
     t: FieldTensor, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
 ) -> Tuple[FieldTensor, LayerCache]:
@@ -229,80 +391,33 @@ def ar_forward(
     epsilon once ``|beta|`` exceeds about 9.56 (measured on an 8x8 field,
     e.g. ``beta = 9.7`` or ``10``).  See ROADMAP item I.
     """
-    if t.channels != ar.channels:
-        raise ValueError(
-            f"field has {t.channels} channels but kernel has {ar.channels}"
-        )
-    for ch in range(ar.channels):
-        g_half = _nonzero_halfwidth(compose_1d(ar.g_filters[ch]))
-        f_half = _nonzero_halfwidth(compose_1d(ar.f_filters[ch]))
-        if 2 * g_half >= t.height or 2 * f_half >= t.width:
-            raise ValueError(
-                f"autoregressive footprint ({2 * g_half + 1}, {2 * f_half + 1}) "
-                f"of channel {ch} does not fit a {t.height}x{t.width} field"
-            )
-    a_hat = ar_spectra(ar, t.height, t.width, epsilon)
-    y_hat = np.fft.rfft2(t.data, axes=(-3, -2))
-    y_hat /= a_hat
-    y = FieldTensor(_irfft2(y_hat, t))
-    return y, LayerCache(ar=ar, ar_spectrum=a_hat, output_spectrum=y_hat, shape=t.data.shape)
-
-
-def _irfft2(spectrum: np.ndarray, like: FieldTensor) -> np.ndarray:
-    # the half spectrum cannot tell width I2 from I2 + 1; the field can
-    return np.fft.irfft2(spectrum, s=(like.height, like.width), axes=(-3, -2))
+    return layer_forward(t, None, ar, epsilon)
 
 
 def ar_backward(
     d_y: FieldTensor, cache: LayerCache
 ) -> Tuple[FieldTensor, np.ndarray, np.ndarray]:
-    """Backward pass of :func:`ar_forward`.
+    """Backward pass of the autoregressive stage.
 
-    Returns ``(dT, dF, dG)``: the input gradient, and the gradients of every
-    length-3 factor's taps at offsets (-1, 0, +1) for the kernel
-    ``cache.ar``, arrays of shape ``(channels, depth, 3)`` summed over the
-    samples of a batch.  In the frequency domain:
+    Returns ``(dT, dF, dG)``: the gradient of the stage's input, and the
+    gradients of every length-3 factor's taps at offsets (-1, 0, +1) for the
+    kernel ``cache.ar``, arrays of shape ``(channels, depth, 3)`` summed over
+    the samples of a batch.  In the frequency domain:
 
         dT_hat = dY_hat / conj(A_hat)
         dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
 
     ``dA`` is the gradient w.r.t. the embedded kernel grid, which carries tap
     ``(p1, p2)`` at grid index ``(p1 % I1, p2 % I2)``.  Taps sit only at
-    offsets ``|p1|, |p2| <= depth``, so ``dA`` is read there alone: a direct
-    inverse DFT of those rows, then an ``irfft`` along each row.  It is then
-    factored through the outer product (``dF[p2] = sum_p1 G[p1] * dA[p1, p2]``,
-    symmetrically for ``dG``) and through the cascade (the gradient of one
-    factor is the correlation of the composition gradient with the remaining
-    factors' composition).
+    offsets ``|p1|, |p2| <= depth``, so ``dA`` is read there alone, as
+    :func:`layer_backward` reads ``dW``.  It is then factored through the
+    outer product (``dF[p2] = sum_p1 G[p1] * dA[p1, p2]``, symmetrically for
+    ``dG``) and through the cascade (the gradient of one factor is the
+    correlation of the composition gradient with the remaining factors'
+    composition).
     """
-    if d_y.data.shape != cache.shape:
-        raise ValueError(
-            f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
-        )
-    ar = cache.ar
-    d_t_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
-    d_t_hat /= np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
-    # inverted first, while the spectrum is still cached: inverting it after
-    # the tap reads below took twice as long on a (4, 64, 64, 4) field
-    d_t = FieldTensor(_irfft2(d_t_hat, d_y))
-    d_a_hat = -np.conj(cache.output_spectrum) * d_t_hat
-    if d_a_hat.ndim == 4:
-        d_a_hat = d_a_hat.sum(axis=0)
-    offsets = np.arange(-ar.depth, ar.depth + 1)
-    inverse_rows = np.exp(2j * np.pi * np.outer(offsets, np.arange(d_y.height)) / d_y.height)
-    rows = np.tensordot(inverse_rows / d_y.height, d_a_hat, axes=(1, 0))
-    # Hermitian along the columns: the spectrum of a real correlation
-    d_a_taps = np.fft.irfft(rows, n=d_y.width, axis=1)[:, offsets % d_y.width]
-    d_f = np.zeros((ar.channels, ar.depth, 3))
-    d_g = np.zeros((ar.channels, ar.depth, 3))
-    for t in range(ar.channels):
-        # the composed kernel is outer(G, F): rows follow g, columns follow f
-        d_f_comp = compose_1d(ar.g_filters[t]) @ d_a_taps[:, :, t]
-        d_g_comp = d_a_taps[:, :, t] @ compose_1d(ar.f_filters[t])
-        for q in range(ar.depth):
-            d_f[t, q] = _factor_gradient(d_f_comp, ar.f_filters[t], q)
-            d_g[t, q] = _factor_gradient(d_g_comp, ar.g_filters[t], q)
-    return d_t, d_f, d_g
+    d_t_hat, d_f, d_g = _ar_adjoint(d_y, cache)
+    return _irfft2(d_t_hat, d_y.height, d_y.width), d_f, d_g
 
 
 def _factor_gradient(d_composition: np.ndarray, factors: Sequence[Length3Filter], q: int):
@@ -365,9 +480,9 @@ def dense_circulant_matrix(taps, height: int, width: int, dilation: int = 1) -> 
 def arma_forward(
     x: FieldTensor, params: ArmaLayerParams, epsilon: float = DEFAULT_EPSILON
 ) -> Tuple[FieldTensor, LayerCache]:
-    """Full layer: moving-average convolution followed by the deconvolution."""
-    t = ma_forward(x, params.ma)
-    return ar_forward(t, params.ar, epsilon)
+    """Full layer: moving-average convolution followed by the deconvolution,
+    fused into one spectral solve (:func:`layer_forward`)."""
+    return layer_forward(x, params.ma, params.ar, epsilon)
 
 
 def arma_backward(
@@ -377,18 +492,23 @@ def arma_backward(
 
     Returns ``(dX, dW, dAlphaBeta)``: the input gradient, the moving-average
     kernel gradient, and the gradients of the unconstrained ``(alpha, beta)``
-    parameters of every autoregressive factor.
+    parameters of every autoregressive factor.  ``dW`` comes from the
+    forward's input, whose spectrum ``cache`` holds, so ``x`` must have the
+    forward input's shape.
     """
     if not params.ar.is_reparam:
         raise ValueError(
             "autoregressive kernel carries no (alpha, beta) parameters; "
             "use ar_backward for the taps of raw kernels"
         )
-    if cache.ar is not params.ar:
+    if cache.ar is not params.ar or cache.ma is not params.ma:
         raise ValueError("cache was not built by arma_forward with these params")
-    d_t, d_f, d_g = ar_backward(d_y, cache)
-    d_w = ma_backward_kernel(d_t, x, params.ma)
-    d_x = ma_backward_input(d_t, params.ma)
+    forward_shape = cache.shape[:-1] + (params.in_channels,)
+    if x.data.shape != forward_shape:
+        raise ValueError(
+            f"input shape {x.data.shape} differs from the forward input's shape {forward_shape}"
+        )
+    d_x, d_w, d_f, d_g = layer_backward(d_y, cache)
     return d_x, d_w, ar_reparam_gradients(params.ar, d_f, d_g)
 
 

@@ -364,6 +364,8 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
         spec = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read AR config {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise UsageError(f"malformed AR config {path}: expected a JSON object, got {spec!r}")
     mode = spec.get("mode", "raw")
     try:
         if mode == "identity":
@@ -403,9 +405,11 @@ def cmd_solve(args) -> int:
         ma = MaKernel(taps[:, :, None, None], dilation=opts["ma_dilation"])
     ar = _ar_from_config(opts["ar_config"], channels=1, max_depth=max(field.height, field.width))
 
-    pre = arma.ma_forward(field, ma)
-    y, _ = arma.ar_forward(pre, ar)
+    y, _ = arma.layer_forward(field, ma, ar)
     summary = {}
+    if opts["timing"] or opts["oracle"]:
+        # --timing and --oracle run the autoregressive stage alone, on its input
+        pre = arma.ma_forward(field, ma)
     if opts["timing"]:
         best = float("inf")
         for _ in range(opts["repeats"]):

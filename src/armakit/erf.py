@@ -362,10 +362,12 @@ def empirical_erf_2d(
     Circular convolutions commute and every layer applies one causal factor
     to each channel along both axes, so the adjoint autoregressive part is
     one rank-1 filter ``outer(u, u)``, ``u = irfft(prod_l 1/conj(F_hat_l))``,
-    and the moving-average adjoints (:func:`armakit.arma.ma_backward_input`)
-    compose into one small kernel ``P[:, :, t, s]`` per channel pair.  The
-    absolute maps ``U @ P[:, :, t, s] @ U.T`` (``U`` holding rolled copies
-    of ``u``) are summed over channel pairs and normalized.
+    and the moving-average adjoints (:func:`armakit.arma.ma_backward_input`,
+    each one product with ``W_hat^H`` on the small field that holds the
+    composed footprint) compose into one small kernel ``P[:, :, t, s]`` per
+    channel pair.  The absolute maps ``U @ P[:, :, t, s] @ U.T`` (``U``
+    holding rolled copies of ``u``) are summed over channel pairs and
+    normalized.
 
     ``channels`` applies to the random mode; the uniform idealization is
     single-channel by construction.

@@ -21,14 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arma import (
-    ar_backward,
-    ar_forward,
-    ar_reparam_gradients,
-    ma_backward_input,
-    ma_backward_kernel,
-    ma_forward,
-)
+from .arma import ar_reparam_gradients, layer_backward, layer_forward, ma_forward
 from .filters import Length3Filter, SeparableArKernel, is_stable
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
@@ -232,13 +225,12 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         ]
         mean_ar_sum = float(np.mean(ar_sums))
 
-        # each layer's input and cache, kept for its backward pass
-        inputs, caches = [], []
+        # each layer's cache (its input spectrum included) for its backward pass
+        caches = []
         y = FieldTensor(task.inputs)
         try:
             for ma, ar in kernels:
-                inputs.append(y)
-                y, cache = ar_forward(ma_forward(y, ma), ar)
+                y, cache = layer_forward(y, ma, ar)
                 caches.append(cache)
         except SingularSpectrumError:
             # raw taps left the stable region and zeroed a spectral mode
@@ -261,14 +253,10 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         grads = []
         grad = FieldTensor(residual / n)
         for index in reversed(range(len(kernels))):
-            ma, ar = kernels[index]
-            d_t, d_f, d_g = ar_backward(grad, caches[index])
-            d_w = ma_backward_kernel(d_t, inputs[index], ma)
-            if index > 0:
-                # nothing reads the first layer's input gradient
-                grad = ma_backward_input(d_t, ma)
+            # nothing reads the first layer's input gradient
+            grad, d_w, d_f, d_g = layer_backward(grad, caches[index], input_gradient=index > 0)
             if config.mode == "reparam":
-                ab = ar_reparam_gradients(ar, d_f, d_g)
+                ab = ar_reparam_gradients(caches[index].ar, d_f, d_g)
                 d_f = np.stack([ab.alpha_f, ab.beta_f], axis=-1)
                 d_g = np.stack([ab.alpha_g, ab.beta_g], axis=-1)
             else:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from armakit.arma import (
     ArmaLayerParams,
@@ -10,6 +10,7 @@ from armakit.arma import (
     arma_backward,
     arma_forward,
     dense_circulant_matrix,
+    layer_backward,
     ma_backward_input,
     ma_backward_kernel,
     ma_forward,
@@ -20,6 +21,7 @@ from armakit.filters import (
     materialize_2d,
 )
 from armakit.numerics import FieldTensor, MaKernel, SingularSpectrumError
+from conftest import naive_circular_conv2
 
 
 def field_1x4(values):
@@ -400,6 +402,26 @@ class TestArmaLayer:
         y, cache = arma_forward(x, p1)
         with pytest.raises(ValueError, match="cache"):
             arma_backward(y, x, p2, cache)
+        # the same AR kernel with another MA kernel: dW would be p1's
+        with pytest.raises(ValueError, match="cache"):
+            arma_backward(y, x, ArmaLayerParams(ma=p2.ma, ar=p1.ar), cache)
+
+    def test_layer_backward_needs_a_moving_average_stage(self):
+        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
+        with pytest.raises(ValueError, match="ar_backward"):
+            layer_backward(field_1x4([1, 0, 0, 0]), cache)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 1), (2, 6, 6, 1)])
+    def test_input_of_other_shape_rejected(self, shape):
+        # dW comes from the forward's input spectrum in the cache, so an x of
+        # another shape cannot be the input it was built from
+        rng = np.random.default_rng(38)
+        x = FieldTensor(rng.standard_normal((6, 6, 1)))
+        params = random_params(rng, 1, 1, 1)
+        y, cache = arma_forward(x, params)
+        with pytest.raises(ValueError) as info:
+            arma_backward(y, FieldTensor(rng.standard_normal(shape)), params, cache)
+        assert str(shape) in str(info.value) and str((6, 6, 1)) in str(info.value)
 
 
 class TestRawTapGradients:
@@ -457,7 +479,7 @@ ADJOINT_CASES = [
 
 
 class TestAdjointIdentities:
-    """``<L x, y> = <x, L^T y>`` for the shared MA loop and the AR adjoint."""
+    """``<L x, y> = <x, L^T y>`` for the spectral MA stage and the AR adjoint."""
 
     @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
     def test_ma_input_adjoint(self, h, w, s, t, taps, dilation):
@@ -492,6 +514,101 @@ class TestAdjointIdentities:
         forward, cache = ar_forward(t, kernel)
         adjoint, _, _ = ar_backward(y, cache)
         assert inner(forward.data, y.data) == pytest.approx(inner(t.data, adjoint.data), rel=1e-10)
+
+
+@st.composite
+def layer_cases(draw):
+    """``(batch, height, width, S, T, (kh, kw), dilation, depth, seed)`` on grids
+    of at most 64 pixels: every dilated MA footprint fits the field, and so
+    does the AR kernel's along the columns (along the rows only if it fits)."""
+    height = draw(st.integers(1, 8))
+    width = draw(st.integers(3, 64 // height))
+    dilation = draw(st.integers(1, 3))
+    kh = draw(st.sampled_from([k for k in (1, 3) if dilation * (k - 1) < height]))
+    kw = draw(st.sampled_from([k for k in (1, 3, 5) if dilation * (k - 1) < width]))
+    depth = draw(st.integers(1, min(2, (width - 1) // 2)))
+    channels = st.integers(1, 3)
+    return (
+        draw(st.integers(1, 3)), height, width, draw(channels), draw(channels),
+        (kh, kw), dilation, depth, draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def samples(a):
+    # the fields of a batch, or the one field of a rank-3 array
+    return a.reshape((-1,) + a.shape[-3:])
+
+
+def naive_ma(x, w):
+    # the multi-channel convolution from conftest's direct summation, per sample
+    out = np.zeros(x.shape[:-1] + (w.out_channels,))
+    for sample, field in zip(samples(out), samples(x)):
+        for t in range(w.out_channels):
+            for s in range(w.in_channels):
+                sample[:, :, t] += naive_circular_conv2(field[:, :, s], w.data[:, :, t, s], w.dilation)
+    return out
+
+
+def draw_layer(case):
+    batch, height, width, s, t, taps, dilation, depth, seed = case
+    rng = np.random.default_rng(seed)
+    lead = () if batch == 1 else (batch,)
+    x = FieldTensor(rng.standard_normal(lead + (height, width, s)))
+    d_t = FieldTensor(rng.standard_normal(lead + (height, width, t)))
+    w = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
+    ar = random_stable_kernel(rng, t, depth, rows=2 * depth < height)
+    return x, d_t, w, ar
+
+
+# (batch, height, width, S, T, taps, dilation, depth, seed): one-row fields
+# of odd and even width, and a dilation-3 kernel whose footprint just fits
+SPECTRAL_EXAMPLES = [
+    (2, 1, 7, 2, 3, (1, 3), 3, 2, 0),
+    (1, 1, 8, 1, 2, (1, 5), 1, 1, 1),
+    (3, 7, 7, 3, 1, (3, 3), 3, 1, 2),
+]
+
+
+def with_examples(test):
+    for case in SPECTRAL_EXAMPLES:
+        test = example(case=case)(test)
+    return test
+
+
+class TestSpectralMaProperties:
+    """The spectral MA stage and the fused layer against the direct oracles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=layer_cases())
+    @with_examples
+    def test_forward_matches_naive_convolution(self, case):
+        x, _, w, _ = draw_layer(case)
+        want = naive_ma(x.data, w)
+        assert np.max(np.abs(ma_forward(x, w).data - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=layer_cases())
+    @with_examples
+    def test_adjoint_identities(self, case):
+        # <W*x, dT> = <x, W^T dT> = <W, dW>, to roundoff of |W*x| |dT|
+        x, d_t, w, _ = draw_layer(case)
+        forward = ma_forward(x, w).data
+        lhs = inner(forward, d_t.data)
+        scale = 1e-12 * np.linalg.norm(forward) * np.linalg.norm(d_t.data)
+        assert abs(lhs - inner(x.data, ma_backward_input(d_t, w).data)) <= scale
+        assert abs(lhs - inner(w.data, ma_backward_kernel(d_t, x, w))) <= scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=layer_cases())
+    @with_examples
+    def test_fused_layer_matches_dense_solve(self, case):
+        x, _, w, ar = draw_layer(case)
+        y, _ = arma_forward(x, ArmaLayerParams(ma=w, ar=ar))
+        pre = naive_ma(x.data, w)
+        taps = [materialize_2d(ar, c) for c in range(ar.channels)]
+        for got, field in zip(samples(y.data), samples(pre)):
+            dense = ar_forward_dense(FieldTensor(field), taps)
+            assert np.max(np.abs(got - dense.data)) < 1e-8
 
 
 class TestBatchAxis:

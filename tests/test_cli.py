@@ -275,6 +275,17 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed AR config") and "depth" in err
 
+    @pytest.mark.parametrize("spec", [[1, 2], "x", 3])
+    def test_ar_config_must_be_json_object(self, capsys, tmp_path, spec):
+        field = tmp_path / "x.csv"
+        field.write_text("1,2\n3,4\n")
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed AR config") and str(ar) in err
+        assert "JSON object" in err
+
     def test_identity_depth_up_to_field_side_echoes_input(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
         field.write_text("1,2,3\n4,5,6\n")

@@ -120,17 +120,19 @@ class TestTrain:
 
     def test_first_layer_input_gradient_is_skipped(self, monkeypatch):
         # three layers need two input gradients per step, not three
-        calls = []
-        original = training.ma_backward_input
+        input_gradients = []
+        original = training.layer_backward
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            input_gradients.append(result[0] is not None)
+            return result
 
-        monkeypatch.setattr(training, "ma_backward_input", counted)
+        monkeypatch.setattr(training, "layer_backward", counted)
         task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)
         train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
-        assert len(calls) == 3 * 2
+        assert len(input_gradients) == 3 * 3
+        assert sum(input_gradients) == 3 * 2
 
     def test_kernel_larger_than_field_raises(self):
         # a kernel that does not fit the field is a setup error, not divergence
