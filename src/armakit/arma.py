@@ -42,20 +42,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .filters import (
-    Length3Filter,
-    SeparableArKernel,
-    compose_1d,
-    is_stable,
-    reparam_gradient,
-)
+from .filters import SeparableArKernel, compose_1d, reparam_gradient
 from .numerics import (
     DEFAULT_EPSILON,
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
     _check_footprint,
-    embed_taps,
     guard_spectrum,
 )
 
@@ -70,7 +63,8 @@ class ArmaLayerParams:
 
     Requires a stability-certified autoregressive kernel, i.e. one whose
     every materialized factor passes :func:`armakit.filters.is_stable`
-    (anything built through the re-parameterization qualifies).
+    (anything built through the re-parameterization qualifies).  A refusal
+    names the first unstable factor.
     """
 
     ma: MaKernel
@@ -82,13 +76,9 @@ class ArmaLayerParams:
                 f"kernel channel mismatch: moving-average has {self.ma.out_channels} "
                 f"output channels, autoregressive has {self.ar.channels}"
             )
-        for rows in (self.ar.f_filters, self.ar.g_filters):
-            for row in rows:
-                for f in row:
-                    if not is_stable(f):
-                        raise ValueError(
-                            f"autoregressive factor {f} violates |fm1 + fp1| < f0"
-                        )
+        unstable = self.ar.unstable_factor()
+        if unstable is not None:
+            raise ValueError(f"autoregressive {unstable} violates |fm1 + fp1| < f0")
 
     @property
     def in_channels(self) -> int:
@@ -253,28 +243,20 @@ def ar_spectra(
     """Per-channel half spectra of the embedded autoregressive kernels, ``(I1, I2//2+1, T)``.
 
     The kernel is ``outer(g, f)``, so its spectrum is ``G_hat[k1] * F_hat[k2]``:
-    the length-``I1`` DFT of the embedded ``g`` taps times the length-``I2``
-    real DFT of the embedded ``f`` taps.  The spectrum is guarded once, here:
+    the length-``I1`` DFT of the composed ``g`` taps times the length-``I2``
+    real DFT of the composed ``f`` taps, each a product with the phase
+    matrix at the tap offsets ``-Q..Q`` (wrapped, as on the grid).  The
+    spectrum is guarded once, here:
     every entry magnitude is at least ``epsilon``, so both the forward solve
     and its adjoint may divide by it (or its conjugate) without checking
     again.  Raises :class:`armakit.numerics.SingularSpectrumError` otherwise.
     """
-    out = np.empty((height, width // 2 + 1, ar.channels), dtype=np.complex128)
-    for t in range(ar.channels):
-        g = embed_taps(compose_1d(ar.g_filters[t])[:, None], height, 1)[:, 0]
-        f = embed_taps(compose_1d(ar.f_filters[t])[None, :], 1, width)[0]
-        out[:, :, t] = np.outer(np.fft.fft(g), np.fft.rfft(f))
+    offsets = np.arange(-ar.depth, ar.depth + 1)
+    g_hat = _phases(height, offsets, height) @ compose_1d(ar.g_filters).T
+    f_hat = _phases(width // 2 + 1, offsets, width) @ compose_1d(ar.f_filters).T
+    out = g_hat[:, None, :] * f_hat[None, :, :]
     guard_spectrum(out, epsilon)
     return out
-
-
-def _nonzero_halfwidth(taps: np.ndarray) -> int:
-    # largest |offset| carrying a nonzero tap; identity factors contribute 0
-    half = (taps.size - 1) // 2
-    nonzero = np.flatnonzero(taps)
-    if nonzero.size == 0:
-        return 0
-    return int(max(abs(nonzero.min() - half), abs(nonzero.max() - half)))
 
 
 def layer_forward(
@@ -300,14 +282,19 @@ def layer_forward(
         raise ValueError(
             f"field has {stage_channels} channels but kernel has {ar.channels}"
         )
-    for ch in range(ar.channels):
-        g_half = _nonzero_halfwidth(compose_1d(ar.g_filters[ch]))
-        f_half = _nonzero_halfwidth(compose_1d(ar.f_filters[ch]))
-        if 2 * g_half >= x.height or 2 * f_half >= x.width:
-            raise ValueError(
-                f"autoregressive footprint ({2 * g_half + 1}, {2 * f_half + 1}) "
-                f"of channel {ch} does not fit a {x.height}x{x.width} field"
-            )
+    # per channel, the largest |offset| of a nonzero composed tap (identity factors add none)
+    offsets = np.abs(np.arange(-ar.depth, ar.depth + 1))
+    g_half, f_half = (
+        np.max(np.where(compose_1d(taps) != 0, offsets, 0), axis=-1)
+        for taps in (ar.g_filters, ar.f_filters)
+    )
+    too_wide = (2 * g_half >= x.height) | (2 * f_half >= x.width)
+    if too_wide.any():
+        ch = int(np.argmax(too_wide))
+        raise ValueError(
+            f"autoregressive footprint ({2 * g_half[ch] + 1}, {2 * f_half[ch] + 1}) "
+            f"of channel {ch} does not fit a {x.height}x{x.width} field"
+        )
     a_hat = ar_spectra(ar, x.height, x.width, epsilon)
     x_hat = _rfft2(x)
     if ma is None:
@@ -338,16 +325,21 @@ def _ar_adjoint(
     cross = np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat))
     offsets = np.arange(-ar.depth, ar.depth + 1)
     d_a_taps = -_read_taps(cross, offsets, offsets, d_y.width)
-    d_f = np.zeros((ar.channels, ar.depth, 3))
-    d_g = np.zeros((ar.channels, ar.depth, 3))
-    for t in range(ar.channels):
-        # the composed kernel is outer(G, F): rows follow g, columns follow f
-        d_f_comp = compose_1d(ar.g_filters[t]) @ d_a_taps[:, :, t]
-        d_g_comp = d_a_taps[:, :, t] @ compose_1d(ar.f_filters[t])
-        for q in range(ar.depth):
-            d_f[t, q] = _factor_gradient(d_f_comp, ar.f_filters[t], q)
-            d_g[t, q] = _factor_gradient(d_g_comp, ar.g_filters[t], q)
-    return d_t_hat, d_f, d_g
+    # the composed kernel is outer(G, F): rows follow g, columns follow f;
+    # f and g are stacked on a leading axis from here on
+    factors = np.stack([ar.f_filters, ar.g_filters])
+    f_comp, g_comp = compose_1d(factors)
+    d_comp = np.stack([np.einsum("tp,pqt->tq", g_comp, d_a_taps),
+                       np.einsum("pqt,tq->tp", d_a_taps, f_comp)])
+    # d(c_1 * ... * c_Q)/d(c_q) correlates the composition gradient with the
+    # convolution of the other factors, leaving exactly 3 taps
+    windows = d_comp[..., np.arange(3)[:, None] + np.arange(2 * ar.depth - 1)]
+    d_factors = np.empty(factors.shape)
+    for q in range(ar.depth):
+        rest = (compose_1d(np.delete(factors, q, axis=-2)) if ar.depth > 1
+                else np.ones(factors.shape[:-2] + (1,)))
+        d_factors[..., q, :] = np.einsum("...jk,...k->...j", windows, rest)
+    return d_t_hat, d_factors[0], d_factors[1]
 
 
 def layer_backward(
@@ -418,16 +410,6 @@ def ar_backward(
     """
     d_t_hat, d_f, d_g = _ar_adjoint(d_y, cache)
     return _irfft2(d_t_hat, d_y.height, d_y.width), d_f, d_g
-
-
-def _factor_gradient(d_composition: np.ndarray, factors: Sequence[Length3Filter], q: int):
-    # d(c_1 * ... * c_Q)/d(c_q) correlates the composition gradient with the
-    # convolution of the remaining factors, leaving exactly 3 taps.
-    rest = [f for j, f in enumerate(factors) if j != q]
-    if not rest:
-        return d_composition.copy()
-    rest_taps = compose_1d(rest)
-    return np.correlate(d_composition, rest_taps, mode="valid")
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:
@@ -522,19 +504,7 @@ def ar_reparam_gradients(
     """
     if not ar.is_reparam:
         raise ValueError("kernel carries no (alpha, beta) parameters")
-    t_channels, depth = ar.channels, ar.depth
-    grads = ArGradients(
-        alpha_f=np.zeros((t_channels, depth)),
-        beta_f=np.zeros((t_channels, depth)),
-        alpha_g=np.zeros((t_channels, depth)),
-        beta_g=np.zeros((t_channels, depth)),
+    return ArGradients(
+        *reparam_gradient(ar.f_params, d_f[..., ::2]),
+        *reparam_gradient(ar.g_params, d_g[..., ::2]),
     )
-    for t in range(t_channels):
-        for q in range(depth):
-            grads.alpha_f[t, q], grads.beta_f[t, q] = reparam_gradient(
-                ar.f_params[t][q], (d_f[t, q, 0], d_f[t, q, 2])
-            )
-            grads.alpha_g[t, q], grads.beta_g[t, q] = reparam_gradient(
-                ar.g_params[t][q], (d_g[t, q, 0], d_g[t, q, 2])
-            )
-    return grads

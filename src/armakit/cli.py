@@ -297,8 +297,8 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 # ---------------------------------------------------------- stability ----
 
 
-# --scan draws this many points at most: each costs a Python-level
-# materialize and zero test, and the points are held in one (N, 2) array
+# --scan draws this many points at most: each costs a Python-level zero
+# test, and the points and their taps are held in (N, 2) and (N, 3) arrays
 SCAN_LIMIT = 10**6
 
 
@@ -341,10 +341,10 @@ def cmd_stability(args) -> int:
         raise UsageError(f"scan count must be between 1 and {SCAN_LIMIT}, got {count}")
     rng = np.random.default_rng(opts["seed"])
     points = rng.uniform(-10.0, 10.0, size=(count, 2))
+    taps = filters.materialize(points)
     bad = []
-    for alpha, beta in points:
-        f = filters.materialize(filters.ReparamFilter(alpha, beta))
-        if not (filters.is_stable(f) and filters.zeros_of(f).straddle_unit_circle()):
+    for (alpha, beta), f, stable in zip(points, taps, filters.stable_factors(taps)):
+        if not (stable and filters.zeros_of(filters.Length3Filter(*f)).straddle_unit_circle()):
             bad.append((alpha, beta))
     print(json.dumps({"scanned": count, "all_stable": not bad, "failures": len(bad)}))
     if bad:
@@ -380,10 +380,7 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
                 spec["alpha_f"], spec["beta_f"], spec["alpha_g"], spec["beta_g"]
             )
         if mode == "raw":
-            to_filters = lambda rows: tuple(
-                tuple(filters.Length3Filter(*taps) for taps in row) for row in rows
-            )
-            return filters.SeparableArKernel(to_filters(spec["f"]), to_filters(spec["g"]))
+            return filters.SeparableArKernel(spec["f"], spec["g"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed AR config {path}: {exc}") from exc
     raise UsageError(f"unknown AR config mode {mode!r}")

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .arma import ma_backward_input
-from .filters import Length3Filter, SeparableArKernel, compose_1d
+from .filters import SeparableArKernel, compose_1d
 from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, embed_taps, guard_spectrum
 
 #: Mass threshold for truncating the geometric inverse filter.
@@ -283,15 +283,9 @@ def _layer_kernels(
             bound = math.sqrt(6.0 / (fan + fan))
             data = rng.uniform(-bound, bound, size=(size, size, channels, channels))
         ma = MaKernel(data, dilation=layer.dilation)
-        causal = Length3Filter(0.0, 1.0, -layer.ar_coeff)
-        width = data.shape[2]
-        ar = SeparableArKernel(
-            f_filters=((causal,),) * width,
-            g_filters=((causal,),) * width,
-        )
-        # empirical_erf_2d relies on one causal factor per channel and axis
-        assert set(ar.f_filters + ar.g_filters) == {(causal,)}
-        layers.append((ma, ar))
+        # one causal factor per channel and axis, which empirical_erf_2d relies on
+        causal = np.tile([0.0, 1.0, -layer.ar_coeff], (data.shape[2], 1, 1))
+        layers.append((ma, SeparableArKernel(causal, causal)))
     return layers
 
 

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Length3Filter:
+class Length3Filter(NamedTuple):
     """Three-tap 1D autoregressive factor.
 
     ``fm1``/``fp1`` are the taps at offsets -1/+1 and ``f0`` the center tap,
-    which is expected to be positive.
+    which is expected to be positive.  As a tuple it reads as the taps in
+    offset order, so a nested sequence of factors is a ``(..., 3)`` tap array.
     """
 
     fm1: float
@@ -40,11 +40,7 @@ class Length3Filter:
 
     def taps(self) -> np.ndarray:
         """Taps ordered by offset: ``[-1, 0, +1]``."""
-        return np.array([self.fm1, self.f0, self.fp1], dtype=np.float64)
-
-    @property
-    def tap_sum(self) -> float:
-        return self.fm1 + self.fp1
+        return np.array(self, dtype=np.float64)
 
 
 IDENTITY_FILTER = Length3Filter(0.0, 1.0, 0.0)
@@ -63,42 +59,80 @@ class ReparamFilter:
     f0: float = 1.0
 
 
-def materialize(p: ReparamFilter) -> Length3Filter:
+# math.tanh elementwise: np.tanh rounds to 1.0 from beta ~ 18.99, while
+# math.tanh stays below 1 up to beta ~ 19.06, the float64 edge of stability
+_TANH = np.frompyfunc(math.tanh, 1, 1)
+
+
+def _coordinates(p):
+    # (alpha, tanh(beta), f0) of one ReparamFilter, or of a (..., 2) array of
+    # (alpha, beta) pairs with f0 = 1
+    if isinstance(p, ReparamFilter):
+        return p.alpha, math.tanh(p.beta), p.f0
+    p = np.asarray(p, dtype=np.float64)
+    return p[..., 0], np.array(_TANH(p[..., 1]), dtype=np.float64), 1.0
+
+
+def materialize(p):
     """Map unconstrained ``(alpha, beta)`` onto a stable filter.
 
     ``fm1 = (f0/2) * (tanh(beta) - alpha)`` and
     ``fp1 = (f0/2) * (tanh(beta) + alpha)``, hence
     ``fm1 + fp1 = f0 * tanh(beta)`` with magnitude strictly below ``f0`` for
-    every finite ``beta``: the result always passes :func:`is_stable`.
+    every finite ``beta`` whose float64 ``tanh`` is below 1 (``|beta|`` up
+    to about 19): the result then passes :func:`is_stable`.
+
+    ``p`` is one :class:`ReparamFilter`, giving a :class:`Length3Filter`, or
+    a ``(..., 2)`` array of ``(alpha, beta)`` pairs with ``f0 = 1``, giving
+    the ``(..., 3)`` taps ``[fm1, f0, fp1]``.
     """
-    bounded_sum = p.f0 * math.tanh(p.beta)
-    free_diff = p.f0 * p.alpha
-    return Length3Filter(
-        0.5 * (bounded_sum - free_diff), p.f0, 0.5 * (bounded_sum + free_diff)
-    )
+    alpha, tanh_beta, f0 = _coordinates(p)
+    bounded_sum = f0 * tanh_beta
+    free_diff = f0 * alpha
+    fm1, fp1 = 0.5 * (bounded_sum - free_diff), 0.5 * (bounded_sum + free_diff)
+    if isinstance(p, ReparamFilter):
+        return Length3Filter(fm1, f0, fp1)
+    return np.stack([fm1, np.full_like(fm1, f0), fp1], axis=-1)
 
 
-def reparam_gradient(p: ReparamFilter, d_taps: Tuple[float, float]) -> Tuple[float, float]:
+def reparam_gradient(p, d_taps):
     """Chain a gradient w.r.t. ``(fm1, fp1)`` back to ``(alpha, beta)``.
 
-    ``d_taps`` is ``(d_fm1, d_fp1)``.  Note ``d_beta`` carries the ``tanh``
-    saturation factor ``1 - tanh(beta)^2`` and vanishes for large ``|beta|``.
+    ``d_taps`` is ``(d_fm1, d_fp1)``, or a ``(..., 2)`` array of such pairs
+    when ``p`` is an array as :func:`materialize` takes it; the result is
+    ``(d_alpha, d_beta)``, floats or arrays to match.  Note ``d_beta``
+    carries the ``tanh`` saturation factor ``1 - tanh(beta)^2`` and
+    vanishes for large ``|beta|``.
     """
-    d_fm1, d_fp1 = d_taps
-    d_alpha = 0.5 * p.f0 * (d_fp1 - d_fm1)
-    d_beta = 0.5 * p.f0 * (1.0 - math.tanh(p.beta) ** 2) * (d_fm1 + d_fp1)
+    _, tanh_beta, f0 = _coordinates(p)
+    d_taps = np.asarray(d_taps, dtype=np.float64)
+    d_fm1, d_fp1 = d_taps[..., 0], d_taps[..., 1]
+    d_alpha = 0.5 * f0 * (d_fp1 - d_fm1)
+    d_beta = 0.5 * f0 * (1.0 - tanh_beta**2) * (d_fm1 + d_fp1)
     return d_alpha, d_beta
 
 
-def is_stable(f: Length3Filter) -> bool:
+def stable_factors(taps) -> np.ndarray:
+    """``|fm1 + fp1| < f0`` per factor of a ``(..., 3)`` tap array.
+
+    Raises ``ValueError`` if any center tap is not positive.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    f0 = taps[..., 1]
+    if np.any(f0 <= 0):
+        raise ValueError(f"center tap must be positive, got f0={float(f0[f0 <= 0][0])}")
+    return np.abs(taps[..., 0] + taps[..., 2]) < f0
+
+
+def is_stable(f) -> bool:
     """Strict stability test ``|fm1 + fp1| < f0``.
 
     Equivalent to the zeros of ``fm1*z^2 + f0*z + fp1`` straddling the unit
     circle, so the inverse filter's region of convergence contains it.
+    ``f`` is one :class:`Length3Filter` or a ``(..., 3)`` tap array; the
+    result is True iff every factor passes.
     """
-    if f.f0 <= 0:
-        raise ValueError(f"center tap must be positive, got f0={f.f0}")
-    return abs(f.fm1 + f.fp1) < f.f0
+    return bool(np.all(stable_factors(f)))
 
 
 @dataclass(frozen=True)
@@ -137,17 +171,32 @@ def zeros_of(f: Length3Filter) -> FilterZeros:
     return FilterZeros(complex(z1), complex(z2))
 
 
-def compose_1d(filters: Sequence[Length3Filter]) -> np.ndarray:
+def compose_1d(filters) -> np.ndarray:
     """Convolve a cascade of length-3 factors into one tap array.
 
-    Returns ``2Q + 1`` taps indexed from offset ``-Q`` to ``+Q``.
+    ``filters`` is a ``(..., Q, 3)`` tap array (or a sequence of ``Q``
+    :class:`Length3Filter`); every cascade along the leading axes is
+    composed at once.  Returns ``(..., 2Q + 1)`` taps indexed from offset
+    ``-Q`` to ``+Q``.
     """
-    if len(filters) < 1:
-        raise ValueError("need at least one factor")
-    taps = np.array([1.0])
-    for f in filters:
-        taps = np.convolve(taps, f.taps())
+    factors = np.asarray(filters, dtype=np.float64)
+    if factors.ndim < 2 or factors.shape[-2] < 1 or factors.shape[-1] != 3:
+        raise ValueError(f"need a (..., depth >= 1, 3) tap array, got shape {factors.shape}")
+    taps = factors[..., 0, :]
+    for q in range(1, factors.shape[-2]):
+        n = taps.shape[-1]
+        product = np.zeros(taps.shape[:-1] + (n + 2,))
+        for j in (2, 1, 0):
+            product[..., j:j + n] += taps * factors[..., q, j, None]
+        taps = product
     return taps
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        index = tuple(np.argwhere(~np.isfinite(array))[0])
+        position = "".join(f"[{i}]" for i in index)
+        raise ValueError(f"{name}{position} is {array[index]}, not a finite number")
 
 
 @dataclass(eq=False)
@@ -155,71 +204,67 @@ class SeparableArKernel:
     """Per-channel separable autoregressive kernel.
 
     Each channel's 2D kernel is the outer product of two composed 1D cascades
-    (``Q`` length-3 factors along each axis).  When built through
-    :meth:`from_reparam` the generating ``(alpha, beta)`` parameters are kept
-    alongside the materialized factors so gradients can be chained back to
-    them; kernels built from raw factors carry no parameters and no stability
-    guarantee.
+    (``Q`` length-3 factors along each axis).  ``f_filters`` and
+    ``g_filters`` are ``(channels, Q, 3)`` arrays of taps ``[fm1, f0, fp1]``;
+    any nested sequence of that shape, :class:`Length3Filter` rows included,
+    is accepted and copied, and every tap must be finite.  When built through
+    :meth:`from_arrays` the generating ``(alpha, beta)`` pairs are kept as
+    ``(channels, Q, 2)`` arrays ``f_params``/``g_params`` so gradients can be
+    chained back to them; kernels built from raw factors carry no parameters
+    and no stability guarantee.
     """
 
-    f_filters: Tuple[Tuple[Length3Filter, ...], ...]
-    g_filters: Tuple[Tuple[Length3Filter, ...], ...]
-    f_params: Optional[Tuple[Tuple[ReparamFilter, ...], ...]] = None
-    g_params: Optional[Tuple[Tuple[ReparamFilter, ...], ...]] = None
+    f_filters: np.ndarray
+    g_filters: np.ndarray
+    f_params: Optional[np.ndarray] = None
+    g_params: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.f_filters = tuple(tuple(row) for row in self.f_filters)
-        self.g_filters = tuple(tuple(row) for row in self.g_filters)
-        if len(self.f_filters) != len(self.g_filters):
-            raise ValueError("f and g must have the same channel count")
-        if len(self.f_filters) < 1:
-            raise ValueError("kernel needs at least one channel")
-        depths = {len(row) for row in self.f_filters} | {len(row) for row in self.g_filters}
-        if len(depths) != 1 or min(depths) < 1:
-            raise ValueError(f"all channels must share one cascade depth >= 1, got {depths}")
+        self.f_filters = np.array(self.f_filters, dtype=np.float64)
+        self.g_filters = np.array(self.g_filters, dtype=np.float64)
+        shape = self.f_filters.shape
+        if shape != self.g_filters.shape or len(shape) != 3 or shape[2] != 3 or min(shape) < 1:
+            raise ValueError(
+                f"f and g must be (channels, depth, 3) tap arrays with channels and depth "
+                f">= 1, got shapes {shape} and {self.g_filters.shape}"
+            )
+        _check_finite("f", self.f_filters)
+        _check_finite("g", self.g_filters)
 
     @property
     def channels(self) -> int:
-        return len(self.f_filters)
+        return self.f_filters.shape[0]
 
     @property
     def depth(self) -> int:
-        return len(self.f_filters[0])
+        return self.f_filters.shape[1]
 
     @property
     def is_reparam(self) -> bool:
         return self.f_params is not None
 
-    @classmethod
-    def from_reparam(cls, f_params, g_params) -> "SeparableArKernel":
-        """Build from per-channel sequences of :class:`ReparamFilter`."""
-        f_params = tuple(tuple(row) for row in f_params)
-        g_params = tuple(tuple(row) for row in g_params)
-        return cls(
-            f_filters=tuple(tuple(materialize(p) for p in row) for row in f_params),
-            g_filters=tuple(tuple(materialize(p) for p in row) for row in g_params),
-            f_params=f_params,
-            g_params=g_params,
-        )
+    def unstable_factor(self) -> Optional[str]:
+        """Axis, channel, cascade index and taps of the first factor, ``f``
+        before ``g``, failing :func:`is_stable`; ``None`` if all pass."""
+        factors = np.stack([self.f_filters, self.g_filters])
+        unstable = ~stable_factors(factors)
+        if not unstable.any():
+            return None
+        axis, t, q = np.argwhere(unstable)[0]
+        return f"{'fg'[axis]} factor {q} of channel {t} with taps {factors[axis, t, q].tolist()}"
 
     @classmethod
     def from_arrays(cls, alpha_f, beta_f, alpha_g, beta_g) -> "SeparableArKernel":
-        """Build from four ``(channels, depth)`` arrays of reparam coordinates."""
-        alpha_f, beta_f, alpha_g, beta_g = (
-            np.atleast_2d(np.asarray(a, dtype=np.float64))
-            for a in (alpha_f, beta_f, alpha_g, beta_g)
-        )
-        if not (alpha_f.shape == beta_f.shape == alpha_g.shape == beta_g.shape):
+        """Build from four ``(channels, depth)`` arrays of finite reparam coordinates."""
+        arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in
+                  (alpha_f, beta_f, alpha_g, beta_g)]
+        if len({a.shape for a in arrays}) != 1:
             raise ValueError("parameter arrays must share one (channels, depth) shape")
-        f_params = [
-            [ReparamFilter(alpha_f[t, q], beta_f[t, q]) for q in range(alpha_f.shape[1])]
-            for t in range(alpha_f.shape[0])
-        ]
-        g_params = [
-            [ReparamFilter(alpha_g[t, q], beta_g[t, q]) for q in range(alpha_g.shape[1])]
-            for t in range(alpha_g.shape[0])
-        ]
-        return cls.from_reparam(f_params, g_params)
+        for name, a in zip(("alpha_f", "beta_f", "alpha_g", "beta_g"), arrays):
+            _check_finite(name, a)
+        f_params = np.stack(arrays[:2], axis=-1)
+        g_params = np.stack(arrays[2:], axis=-1)
+        return cls(materialize(f_params), materialize(g_params), f_params, g_params)
 
     @classmethod
     def identity(cls, channels: int, depth: int = 1) -> "SeparableArKernel":
@@ -241,6 +286,4 @@ def materialize_2d(kernel: SeparableArKernel, channel: int) -> np.ndarray:
     """
     if not 0 <= channel < kernel.channels:
         raise ValueError(f"channel {channel} out of range [0, {kernel.channels})")
-    f_taps = compose_1d(kernel.f_filters[channel])
-    g_taps = compose_1d(kernel.g_filters[channel])
-    return np.outer(g_taps, f_taps)
+    return np.outer(compose_1d(kernel.g_filters[channel]), compose_1d(kernel.f_filters[channel]))

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arma import ar_reparam_gradients, layer_backward, layer_forward, ma_forward
-from .filters import Length3Filter, SeparableArKernel, is_stable
+from .filters import SeparableArKernel
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
 DIVERGENCE_OUTPUT_LIMIT = 1e6
@@ -140,12 +140,9 @@ class LayerState:
                 self.ar_f[:, :, 0], self.ar_f[:, :, 1],
                 self.ar_g[:, :, 0], self.ar_g[:, :, 1],
             )
-        make = lambda taps: Length3Filter(taps[0], 1.0, taps[1])
+        # (fm1, fp1) -> (fm1, 1, fp1)
         return SeparableArKernel(
-            f_filters=tuple(tuple(make(self.ar_f[t, q]) for q in range(self.ar_f.shape[1]))
-                            for t in range(self.ar_f.shape[0])),
-            g_filters=tuple(tuple(make(self.ar_g[t, q]) for q in range(self.ar_g.shape[1]))
-                            for t in range(self.ar_g.shape[0])),
+            np.insert(self.ar_f, 1, 1.0, axis=-1), np.insert(self.ar_g, 1, 1.0, axis=-1)
         )
 
 
@@ -218,12 +215,11 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     for step in range(config.steps):
         kernels = [(MaKernel(layer.w), layer.ar_kernel()) for layer in layers]
         ar_sums = [
-            abs(f.tap_sum)
+            np.abs(taps[..., 0] + taps[..., 2]).ravel()
             for _, ar in kernels
-            for row in (ar.f_filters + ar.g_filters)
-            for f in row
+            for taps in (ar.f_filters, ar.g_filters)
         ]
-        mean_ar_sum = float(np.mean(ar_sums))
+        mean_ar_sum = float(np.mean(np.concatenate(ar_sums)))
 
         # each layer's cache (its input spectrum included) for its backward pass
         caches = []
@@ -275,13 +271,9 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
         if config.mode == "reparam":
             for layer in layers:
-                kernel = layer.ar_kernel()
-                for row in kernel.f_filters + kernel.g_filters:
-                    for f in row:
-                        if not is_stable(f):
-                            raise AssertionError(
-                                f"re-parameterized factor {f} left the stable region"
-                            )
+                unstable = layer.ar_kernel().unstable_factor()
+                if unstable is not None:
+                    raise AssertionError(f"re-parameterized {unstable} left the stable region")
     return trace
 
 

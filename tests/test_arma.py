@@ -243,7 +243,7 @@ class TestArBackward:
             energy = -float((y.data[..., t] ** 2).sum())
             for q in range(depth):
                 for grads, factor in ((d_f, kernel.f_filters), (d_g, kernel.g_filters)):
-                    got = float(grads[t, q] @ factor[t][q].taps())
+                    got = float(grads[t, q] @ factor[t][q])
                     assert got == pytest.approx(energy, rel=1e-10)
 
 
@@ -382,6 +382,29 @@ class TestArmaLayer:
                 ma=MaKernel(rng.standard_normal((3, 3, 1, 1))),
                 ar=SeparableArKernel(f_filters=((unstable,),), g_filters=((unstable,),)),
             )
+
+    def test_params_refusal_names_first_unstable_factor(self):
+        stable, unstable = Length3Filter(0.2, 1.0, 0.3), Length3Filter(0.6, 1.0, 0.6)
+        kernel = SeparableArKernel(
+            f_filters=((stable, stable), (stable, stable)),
+            g_filters=((stable, stable), (stable, unstable)),
+        )
+        with pytest.raises(ValueError) as refusal:
+            ArmaLayerParams(ma=delta_ma(2), ar=kernel)
+        message = str(refusal.value)
+        assert "g factor 1 of channel 1" in message
+        assert "[0.6, 1.0, 0.6]" in message
+
+    @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
+    def test_params_at_float64_tanh_edge(self, beta, stable):
+        # math.tanh(19) < 1 while math.tanh(20) rounds to 1, the boundary
+        zero = np.zeros((1, 1))
+        kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
+        if stable:
+            ArmaLayerParams(ma=delta_ma(), ar=kernel)
+        else:
+            with pytest.raises(ValueError, match="f factor 0 of channel 0"):
+                ArmaLayerParams(ma=delta_ma(), ar=kernel)
 
     def test_raw_kernel_backward_rejected_without_params(self):
         # a raw stable kernel is a valid layer, but it has no (alpha, beta)

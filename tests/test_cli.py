@@ -202,6 +202,14 @@ class TestStabilityCommand:
         assert run(capsys, "stability")[0] == 1
         assert run(capsys, "stability", "--filter", "0,1,0", "--scan", "5")[0] == 1
 
+    @pytest.mark.parametrize("beta, stable", [("19", True), ("20", False)])
+    def test_reparam_at_float64_tanh_edge(self, capsys, beta, stable):
+        code, out, _ = run(capsys, "stability", "--reparam", "0," + beta)
+        assert code == 0
+        report = json.loads(out)
+        assert report["stable"] is stable
+        assert (report["sum"] < 1.0) is stable
+
     def test_nonpositive_center_tap_is_usage_error(self, capsys):
         assert run(capsys, "stability", "--filter", "0.3,0,0.5")[0] == 1
 
@@ -285,6 +293,23 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed AR config") and str(ar) in err
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("spec, entry", [
+        ({"mode": "raw", "f": [[[0, 1, None]]], "g": [[[0, 1, 0]]]}, "f[0][0][2]"),
+        ({"mode": "reparam", "alpha_f": [[None]], "beta_f": [[0]],
+          "alpha_g": [[0]], "beta_g": [[0]]}, "alpha_f[0][0]"),
+    ], ids=["raw", "reparam"])
+    def test_non_finite_ar_entry_is_usage_error(self, capsys, tmp_path, spec, entry):
+        # a JSON null reads as NaN; it is refused when the kernel is built,
+        # before any solve can warn or divide by it
+        field = tmp_path / "x.csv"
+        field.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: malformed AR config {ar}: ")
+        assert entry in err and "not a finite number" in err
 
     def test_identity_depth_up_to_field_side_echoes_input(self, capsys, tmp_path):
         field = tmp_path / "x.csv"

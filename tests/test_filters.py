@@ -39,6 +39,17 @@ class TestMaterialize:
         assert f.fm1 + f.fp1 == pytest.approx(0.995055, abs=1e-6)
         assert f.fm1 + f.fp1 < 1.0
 
+    @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
+    def test_float64_tanh_edge(self, beta, stable):
+        # np.tanh(19) already rounds to 1.0; materialize keeps math.tanh's
+        # values, which stay below 1 up to beta ~ 19.06
+        f = materialize(ReparamFilter(0.0, beta))
+        assert f.fm1 + f.fp1 == math.tanh(beta)
+        assert is_stable(f) is stable
+        taps = materialize(np.array([[0.0, beta], [0.3, -beta]]))
+        assert np.array_equal(taps[0], f)
+        assert is_stable(taps) is stable
+
     def test_custom_center_tap_scales(self):
         f = materialize(ReparamFilter(1.0, -0.5, f0=2.0))
         assert f.f0 == 2.0
@@ -179,6 +190,19 @@ class TestCompose:
         b = compose_1d(fs[::-1])
         assert np.max(np.abs(a - b)) < 1e-12
 
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_batched_cascades_match_per_row_convolve(self, channels, depth):
+        rng = np.random.default_rng(100 * channels + depth)
+        factors = rng.uniform(-1, 1, (channels, depth, 3))
+        composed = compose_1d(factors)
+        assert composed.shape == (channels, 2 * depth + 1)
+        for row, cascade in zip(composed, factors):
+            expected = np.array([1.0])
+            for taps in cascade:
+                expected = np.convolve(expected, taps)
+            assert np.max(np.abs(row - expected)) < 1e-14
+
     def test_empty_cascade_rejected(self):
         with pytest.raises(ValueError):
             compose_1d([])
@@ -275,8 +299,8 @@ class TestSeparableArKernel:
         kernel = SeparableArKernel.from_arrays([[0.5]], [[1.0]], [[-0.5]], [[2.0]])
         assert kernel.is_reparam
         assert kernel.channels == 1 and kernel.depth == 1
-        assert kernel.f_params[0][0].alpha == 0.5
-        assert kernel.f_filters[0][0] == materialize(ReparamFilter(0.5, 1.0))
+        assert tuple(kernel.f_params[0][0]) == (0.5, 1.0)
+        assert tuple(kernel.f_filters[0][0]) == materialize(ReparamFilter(0.5, 1.0))
 
     def test_zeros_container(self):
         z = FilterZeros(complex(0.5), complex(np.inf))
