@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .arma import ma_backward_input
+from .arma import _ma_spectrum, _phases
 from .filters import SeparableArKernel, compose_1d
-from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, embed_taps, guard_spectrum
+from .numerics import DEFAULT_EPSILON, MaKernel, guard_spectrum
 
 #: Mass threshold for truncating the geometric inverse filter.
 DEFAULT_TRUNCATION = 1e-12
@@ -344,7 +345,6 @@ def empirical_erf_2d(
     seed: Optional[int] = None,
     kernel_mode: str = "uniform",
     epsilon: float = DEFAULT_TRUNCATION,
-    wrap_tolerance: float = DEFAULT_WRAP_TOLERANCE,
 ) -> ErfMap:
     """Empirical 2D ERF of the network applied separably on both axes.
 
@@ -356,11 +356,13 @@ def empirical_erf_2d(
     Circular convolutions commute and every layer applies one causal factor
     to each channel along both axes, so the adjoint autoregressive part is
     one rank-1 filter ``outer(u, u)``, ``u = irfft(prod_l 1/conj(F_hat_l))``,
-    and the moving-average adjoints (:func:`armakit.arma.ma_backward_input`,
-    each one product with ``W_hat^H`` on the small field that holds the
-    composed footprint) compose into one small kernel ``P[:, :, t, s]`` per
-    channel pair.  The absolute maps ``U @ P[:, :, t, s] @ U.T`` (``U``
-    holding rolled copies of ``u``) are summed over channel pairs and
+    with each ``F_hat_l`` taken from the phase matrix as
+    :func:`armakit.arma.ar_spectra` takes it.  The moving-average adjoints
+    compose into one small kernel ``P[:, :, s, t]`` per channel pair: on the
+    field that holds the composed footprint, the layers' adjoint spectra
+    multiply per frequency, ``P_hat = W_1_hat^H @ .. @ W_L_hat^H``, and one
+    ``irfft2`` inverts them.  The absolute maps ``U @ P[:, :, s, t] @ U.T``
+    (``U`` holding rolled copies of ``u``) are summed over channel pairs and
     normalized.
 
     ``channels`` applies to the random mode; the uniform idealization is
@@ -378,7 +380,7 @@ def empirical_erf_2d(
             raise ValueError("xavier kernel mode needs a seed")
     else:
         raise ValueError(f"unknown kernel mode {kernel_mode!r}")
-    w0 = _select_window(spec, grid, kernel_mode, epsilon, wrap_tolerance)
+    w0 = _select_window(spec, grid, kernel_mode, epsilon, DEFAULT_WRAP_TOLERANCE)
 
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
     layers = _layer_kernels(spec, channels, kernel_mode, rng)
@@ -389,28 +391,25 @@ def empirical_erf_2d(
             )
     u_hat = np.ones(grid // 2 + 1, dtype=np.complex128)
     for _, ar in layers:
-        f_hat = np.fft.rfft(embed_taps(compose_1d(ar.f_filters[0])[None, :], 1, grid)[0])
+        f_hat = _phases(grid // 2 + 1, np.arange(-1, 2), grid) @ compose_1d(ar.f_filters[0])
         # ar_spectra's guard: |outer(G_hat, F_hat)| is |outer(F_hat, F_hat)| mirrored
         guard_spectrum(np.outer(f_hat, f_hat)[:, :, None], DEFAULT_EPSILON)
         u_hat /= np.conj(f_hat)
     u = np.fft.irfft(u_hat, grid)
 
+    # P[:, :, s, t] over the offsets [-half, half], offset 0 shifted to the center
+    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma, _ in layers)
+    n = 2 * half + 1
+    p_hat = reduce(np.matmul, (_ma_spectrum(ma, n, n, adjoint=True) for ma, _ in layers))
+    kernels = np.fft.fftshift(np.fft.irfft2(p_hat, s=(n, n), axes=(0, 1)), axes=(0, 1))
+
     # the map is read in the offset window [q_low, -w0] directly: row x of U
     # holds u at ERF offset q_low + x minus P's offset i - half, wrapped
-    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma, _ in layers)
-    taps = np.arange(2 * half + 1)
     q_low = -(w0 + grid - 1)
-    rolled_u = u[(np.arange(grid)[:, None] + q_low + half - taps) % grid]
+    rolled_u = u[(np.arange(grid)[:, None] + q_low + half - np.arange(n)) % grid]
     window = np.zeros((grid, grid))
     for out_channel in range(channels):
-        # P[:, :, t, s] over the offsets [-half, half], one output channel at
-        # a time: memory grows as channels * taps**2, not channels**2 * taps**2
-        delta = np.zeros((taps.size, taps.size, channels))
-        delta[half, half, out_channel] = 1.0
-        kernels = FieldTensor(delta)
-        for ma, _ in reversed(layers):
-            kernels = ma_backward_input(kernels, ma)
-        left = np.tensordot(rolled_u, kernels.data, axes=(1, 0))
+        left = np.tensordot(rolled_u, kernels[:, :, :, out_channel], axes=(1, 0))
         for in_channel in range(channels):
             window += np.abs(left[:, :, in_channel] @ rolled_u.T)
     return ErfMap(window / window.sum(), origin=(-q_low, -q_low))

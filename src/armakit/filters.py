@@ -171,6 +171,27 @@ def zeros_of(f: Length3Filter) -> FilterZeros:
     return FilterZeros(complex(z1), complex(z2))
 
 
+def straddles_unit_circle(taps) -> np.ndarray:
+    """:func:`zeros_of`'s straddle test for every row of an ``(N, 3)`` tap array.
+
+    The zeros of rows with ``fm1 != 0`` are the eigenvalues of their companion
+    matrices ``[[-f0/fm1, -fp1/fm1], [1, 0]]``, the matrix ``np.roots``
+    builds, found in one call; rows with ``fm1 == 0`` take the linear case.
+    """
+    fm1, f0, fp1 = np.asarray(taps, dtype=np.float64).T
+    if np.any((fm1 == 0.0) & (f0 == 0.0)):
+        raise ValueError("filter with fm1 = f0 = 0 has no zeros")
+    quadratic, linear = fm1 != 0.0, fm1 == 0.0
+    companion = np.zeros((int(quadratic.sum()), 2, 2))
+    companion[:, 0] = -np.stack([f0, fp1], axis=-1)[quadratic] / fm1[quadratic, None]
+    companion[:, 1, 0] = 1.0
+    moduli = np.abs(np.linalg.eigvals(companion))
+    out = np.empty(fm1.shape, dtype=bool)
+    out[quadratic] = (moduli.min(axis=1) < 1.0) & (moduli.max(axis=1) > 1.0)
+    out[linear] = np.abs(fp1[linear] / f0[linear]) < 1.0  # the other zero is infinite
+    return out
+
+
 def compose_1d(filters) -> np.ndarray:
     """Convolve a cascade of length-3 factors into one tap array.
 

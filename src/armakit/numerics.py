@@ -1,4 +1,4 @@
-"""Field and kernel tensors, tap embedding, and the spectral singularity guard.
+"""Field and kernel tensors and the spectral singularity guard.
 
 Conventions used throughout the package:
 
@@ -133,34 +133,6 @@ def _check_footprint(tap_height, tap_width, height, width, dilation):
             f"dilated kernel footprint {dilation}*({tap_height - 1}, {tap_width - 1}) "
             f"does not fit a {height}x{width} field"
         )
-
-
-def _tap_offsets(tap_count):
-    # taps are centered: index k holds the tap at offset k - (K-1)//2
-    half = (tap_count - 1) // 2
-    return range(-half, half + 1)
-
-
-def embed_taps(taps, height: int, width: int, dilation: int = 1) -> np.ndarray:
-    """Place centered kernel taps on a full-size grid, wrapping negative offsets.
-
-    The tap at offset ``(p1, p2)`` lands at index
-    ``((d*p1) % I1, (d*p2) % I2)``; all other entries are zero.  Convolving
-    with the kernel is then an element-wise product with the embedded grid's
-    spectrum.
-
-    Performs no footprint check: taps landing on the same wrapped grid cell
-    accumulate, which matches circular-convolution semantics for kernels
-    whose zero padding overhangs a small grid.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    grid = np.zeros((height, width))
-    rows = [(dilation * p) % height for p in _tap_offsets(taps.shape[0])]
-    cols = [(dilation * p) % width for p in _tap_offsets(taps.shape[1])]
-    for k1, r in enumerate(rows):
-        for k2, c in enumerate(cols):
-            grid[r, c] += taps[k1, k2]
-    return grid
 
 
 def guard_spectrum(spectrum: np.ndarray, epsilon: float) -> None:

@@ -214,6 +214,9 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
     for step in range(config.steps):
         kernels = [(MaKernel(layer.w), layer.ar_kernel()) for layer in layers]
+        if config.mode == "reparam":
+            # the last update's result, checked on the kernels this step solves with
+            _check_stable([ar for _, ar in kernels])
         ar_sums = [
             np.abs(taps[..., 0] + taps[..., 2]).ravel()
             for _, ar in kernels
@@ -269,12 +272,17 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             layer.ar_f -= config.learning_rate * scale * d_f
             layer.ar_g -= config.learning_rate * scale * d_g
 
-        if config.mode == "reparam":
-            for layer in layers:
-                unstable = layer.ar_kernel().unstable_factor()
-                if unstable is not None:
-                    raise AssertionError(f"re-parameterized {unstable} left the stable region")
+    if config.mode == "reparam":
+        _check_stable([layer.ar_kernel() for layer in layers])
     return trace
+
+
+def _check_stable(kernels: Sequence[SeparableArKernel]) -> None:
+    # the re-parameterization's guarantee; a failure is a bug, not divergence
+    for ar in kernels:
+        unstable = ar.unstable_factor()
+        if unstable is not None:
+            raise AssertionError(f"re-parameterized {unstable} left the stable region")
 
 
 def finite_diff_grad(

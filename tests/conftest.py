@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own transform and solver code paths:
-the DFT oracles are direct summations and the convolution oracle is explicit
-index arithmetic, so agreement is evidence rather than tautology.
+the DFT oracles are direct summations, and the convolution oracle and the
+tap embedding are explicit index arithmetic, so agreement is evidence rather
+than tautology.
 """
 
 import numpy as np
@@ -51,3 +52,31 @@ def naive_circular_conv2(plane, taps, dilation=1):
                     total += taps[k1, k2] * plane[(a - p1) % i1, (b - p2) % i2]
             out[a, b] = total
     return out
+
+
+def _tap_offsets(tap_count):
+    # taps are centered: index k holds the tap at offset k - (K-1)//2
+    half = (tap_count - 1) // 2
+    return range(-half, half + 1)
+
+
+def embed_taps(taps, height, width, dilation=1):
+    """Place centered kernel taps on a full-size grid, wrapping negative offsets.
+
+    The tap at offset ``(p1, p2)`` lands at index
+    ``((d*p1) % I1, (d*p2) % I2)``; all other entries are zero.  Convolving
+    with the kernel is then an element-wise product with the embedded grid's
+    spectrum.
+
+    Performs no footprint check: taps landing on the same wrapped grid cell
+    accumulate, which matches circular-convolution semantics for kernels
+    whose zero padding overhangs a small grid.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    grid = np.zeros((height, width))
+    rows = [(dilation * p) % height for p in _tap_offsets(taps.shape[0])]
+    cols = [(dilation * p) % width for p in _tap_offsets(taps.shape[1])]
+    for k1, r in enumerate(rows):
+        for k2, c in enumerate(cols):
+            grid[r, c] += taps[k1, k2]
+    return grid

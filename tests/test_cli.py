@@ -186,6 +186,19 @@ class TestStabilityCommand:
         assert code == 0
         assert json.loads(out)["all_stable"] is True
 
+    def test_scan_reports_failures(self, capsys, monkeypatch):
+        # no reparam point fails, so a zero test that refuses every third row
+        # stands in for one; the first ten failing points go to stderr
+        monkeypatch.setattr(
+            cli.filters, "straddles_unit_circle", lambda taps: np.arange(len(taps)) % 3 != 0
+        )
+        code, out, err = run(capsys, "stability", "--scan", "40", "--seed", "11")
+        assert code == cli.EXIT_NUMERIC
+        assert json.loads(out) == {"scanned": 40, "all_stable": False, "failures": 14}
+        lines = err.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("unstable materialization at alpha=") for line in lines)
+
     def test_scan_count_above_cap_rejected_before_allocation(self, capsys):
         # the points of a cap+1 scan would take 16 MB; the check comes first
         tracemalloc.start()

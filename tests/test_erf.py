@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from armakit import erf
 from armakit.arma import ar_backward, ar_forward, ma_backward_input
@@ -260,6 +261,31 @@ class TestEmpirical2d:
     def test_matches_backward_pass_oracle(self, spec, grid, channels, kernel_mode):
         want, origin = backward_pass_erf_2d(spec, grid, channels, seed=5, kernel_mode=kernel_mode)
         m = empirical_erf_2d(spec, grid, channels=channels, seed=5, kernel_mode=kernel_mode)
+        assert m.origin == origin
+        assert np.abs(m.weights - want).max() <= 1e-13 * want.max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        layers=st.lists(
+            st.tuples(
+                st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]),
+                st.floats(0.0, 0.6, allow_nan=False),
+            ),
+            min_size=1, max_size=3,
+        ),
+        channels=st.integers(1, 3),
+        grid=st.integers(24, 48),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_backward_pass_oracle_property(self, layers, channels, grid, seed):
+        # distinct layers and channel counts cover the order of the adjoint
+        # spectra's matrix product
+        spec = net(*layers)
+        try:
+            want, origin = backward_pass_erf_2d(spec, grid, channels, seed=seed, kernel_mode="xavier")
+        except WraparoundError:
+            assume(False)
+        m = empirical_erf_2d(spec, grid, channels=channels, seed=seed, kernel_mode="xavier")
         assert m.origin == origin
         assert np.abs(m.weights - want).max() <= 1e-13 * want.max()
 

@@ -14,9 +14,10 @@ from armakit.filters import (
     materialize,
     materialize_2d,
     reparam_gradient,
+    straddles_unit_circle,
     zeros_of,
 )
-from armakit.numerics import embed_taps
+from conftest import embed_taps
 
 
 class TestMaterialize:
@@ -134,6 +135,29 @@ class TestStabilityEquivalence:
         for _ in range(500):
             f = Length3Filter(rng.uniform(-3, 3), rng.uniform(0.01, 3), rng.uniform(-3, 3))
             assert is_stable(f) == zeros_of(f).straddle_unit_circle()
+
+
+class TestStraddleArray:
+    """``straddles_unit_circle`` against :func:`zeros_of`, row by row."""
+
+    def test_matches_zeros_of(self):
+        rng = np.random.default_rng(16)
+        rows = rng.uniform(-3, 3, (2000, 3))
+        rows[:200, 0] = 0.0  # linear case
+        rows[200:400, 2] = 0.0  # np.roots strips the trailing zero
+        rows[400:450, 0] = rows[400:450, 2] = 0.0
+        edge = [[1, 2, 1], [0.75, 1, 0.75], [1, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 1],
+                [0, 1, -1], [0, -1, 0.5], [1, -2, 1], [0.5, 1, 0]]
+        rows = np.concatenate([rows, edge])
+        want = [zeros_of(Length3Filter(*row)).straddle_unit_circle() for row in rows]
+        got = straddles_unit_circle(rows)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == want
+        assert 0 < got.sum() < len(rows)
+
+    def test_rejects_row_without_zeros(self):
+        with pytest.raises(ValueError, match="no zeros"):
+            straddles_unit_circle([[0.5, 1.0, 0.5], [0.0, 0.0, 1.0]])
 
 
 class TestReparamTotality:

@@ -13,10 +13,9 @@ from armakit.numerics import (
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    embed_taps,
     guard_spectrum,
 )
-from conftest import naive_circular_conv2, naive_dft1, naive_dft2
+from conftest import embed_taps, naive_circular_conv2, naive_dft1, naive_dft2
 
 
 def random_field(shape, seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from armakit import training
-from armakit.filters import is_stable
+from armakit.filters import SeparableArKernel, is_stable
 from armakit.training import (
     ToyTask,
     TrainConfig,
@@ -132,6 +132,30 @@ class TestTrain:
         train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
         assert len(input_gradients) == 3 * 3
         assert sum(input_gradients) == 3 * 2
+
+    def test_reparam_kernels_built_once_per_step(self, monkeypatch):
+        # the stability check reads the kernels each step solves with, plus
+        # one check after the last update: steps * layers + layers builds
+        built = []
+        original = SeparableArKernel.from_arrays.__func__
+
+        def counted(cls, *args):
+            built.append(1)
+            return original(cls, *args)
+
+        monkeypatch.setattr(SeparableArKernel, "from_arrays", classmethod(counted))
+        task = ToyTask.wide_blur(samples=1, size=16, sigma=2.0, seed=5)
+        train(task, small_config(steps=3))
+        assert len(built) == 3 * 2 + 2
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_reparam_left_stable_region_is_a_bug(self, steps):
+        # a huge rate saturates tanh(beta) to 1 in the first update, caught
+        # after the last update (1 step) or at the top of the next (3 steps);
+        # either way it raises rather than reporting divergence
+        task = ToyTask.wide_blur(samples=2, size=32, sigma=2.0)
+        with pytest.raises(AssertionError, match="left the stable region"):
+            train(task, small_config(steps=steps, learning_rate=100))
 
     def test_kernel_larger_than_field_raises(self):
         # a kernel that does not fit the field is a setup error, not divergence
