@@ -16,7 +16,6 @@ from .numerics import (
     guard_spectrum,
 )
 from .filters import (
-    FilterZeros,
     Length3Filter,
     ReparamFilter,
     SeparableArKernel,
@@ -31,13 +30,11 @@ from .arma import (
     ArGradients,
     ArmaLayerParams,
     LayerCache,
-    ar_backward,
-    ar_forward,
     ar_forward_dense,
     arma_backward,
     arma_forward,
-    ma_backward_input,
-    ma_backward_kernel,
+    layer_backward,
+    layer_forward,
     ma_forward,
 )
 from .erf import (

@@ -28,11 +28,9 @@ gradient, ``dT_hat = dY_hat / conj(A_hat)`` stays in the frequency domain,
 kernel gradients are batch-summed cross spectra read only at the kernel's
 tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW`` and
 ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
-over the offset rows, then an ``irfft`` at the offset columns.  The stage
-functions (``ma_forward``, ``ar_forward`` and their backward passes) are
-thin wrappers over the same helpers.  Correctness of every gradient here is
-pinned by finite differences in the test suite rather than by the algebra
-alone.
+over the offset rows, then an ``irfft`` at the offset columns.
+Correctness of every gradient here is pinned by finite differences in the
+test suite rather than by the algebra alone.
 """
 
 from __future__ import annotations
@@ -93,12 +91,12 @@ class ArmaLayerParams:
 class LayerCache:
     """Forward-pass quantities reused by the backward pass."""
 
-    ar: SeparableArKernel  # the kernel the forward pass solved with
+    ma: MaKernel  # the kernels the forward pass solved with
+    ar: SeparableArKernel
+    input_spectrum: np.ndarray  # ([N,] I1, I2//2+1, S) complex, half X_hat
     ar_spectrum: np.ndarray  # (I1, I2//2+1, T) complex, per-channel half A_hat
     output_spectrum: np.ndarray  # ([N,] I1, I2//2+1, T) complex, half Y_hat
     shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward output's shape
-    ma: Optional[MaKernel] = None  # the moving-average kernel, None for ar_forward
-    input_spectrum: Optional[np.ndarray] = None  # ([N,] I1, I2//2+1, S), half X_hat with ma
 
 
 @dataclass(eq=False)
@@ -197,46 +195,6 @@ def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
     return _irfft2(_ma_product(_rfft2(x), w_hat), x.height, x.width)
 
 
-def ma_backward_input(d_t: FieldTensor, w: MaKernel) -> FieldTensor:
-    """Input gradient of :func:`ma_forward`: ``dX[:,:,s] = sum_t W~[:,:,t,s] * dT[:,:,t]``.
-
-    ``W~`` is the coordinate reversal of ``W`` (the adjoint of a circular
-    convolution is convolution with the reversed kernel), so
-    ``dX_hat = W_hat^H . dT_hat``.
-    """
-    if d_t.channels != w.out_channels:
-        raise ValueError(
-            f"gradient has {d_t.channels} channels but kernel produces {w.out_channels}"
-        )
-    w_hat = _ma_spectrum(w, d_t.height, d_t.width, adjoint=True)
-    return _irfft2(_ma_product(_rfft2(d_t), w_hat), d_t.height, d_t.width)
-
-
-def _ma_kernel_gradient(
-    d_t_hat: np.ndarray, x_hat: np.ndarray, w: MaKernel, width: int
-) -> np.ndarray:
-    # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), summed over the
-    # batch and read at the dilated tap offsets; one input channel at a time
-    # keeps the cross spectrum at the size of dT_hat
-    rows, cols = _dilated_offsets(w)
-    d_t_hat, x_hat = _samples(d_t_hat), _samples(x_hat)
-    d_w = np.empty_like(w.data)
-    for s in range(w.in_channels):
-        cross = np.einsum("nijt,nij->ijt", d_t_hat, np.conj(x_hat[..., s]))
-        d_w[:, :, :, s] = _read_taps(cross, rows, cols, width)
-    return d_w
-
-
-def ma_backward_kernel(d_t: FieldTensor, x: FieldTensor, w: MaKernel) -> np.ndarray:
-    """Kernel gradient of :func:`ma_forward`.
-
-    ``dW[p1, p2, t, s]`` is the circular cross-correlation of ``X`` channel
-    ``s`` with ``dT`` channel ``t`` read at the dilated offset
-    ``(d*p1, d*p2)``, summed over the samples of a batch.
-    """
-    return _ma_kernel_gradient(_rfft2(d_t), _rfft2(x), w, x.width)
-
-
 def ar_spectra(
     ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
@@ -250,6 +208,11 @@ def ar_spectra(
     every entry magnitude is at least ``epsilon``, so both the forward solve
     and its adjoint may divide by it (or its conjugate) without checking
     again.  Raises :class:`armakit.numerics.SingularSpectrumError` otherwise.
+    Kernels materialized from the re-parameterization can trigger it too,
+    although :func:`armakit.filters.is_stable` passes them: a factor's
+    spectrum falls to ``1 - tanh|beta|`` at frequency 0 or pi, below the
+    default epsilon once ``|beta|`` exceeds about 9.56 (measured on an 8x8
+    field, e.g. ``beta = 9.7`` or ``10``).  See ROADMAP item I.
     """
     offsets = np.arange(-ar.depth, ar.depth + 1)
     g_hat = _phases(height, offsets, height) @ compose_1d(ar.g_filters).T
@@ -260,27 +223,24 @@ def ar_spectra(
 
 
 def layer_forward(
-    x: FieldTensor,
-    ma: Optional[MaKernel],
-    ar: SeparableArKernel,
-    epsilon: float = DEFAULT_EPSILON,
+    x: FieldTensor, ma: MaKernel, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
 ) -> Tuple[FieldTensor, LayerCache]:
     """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / A_hat``.
 
     One ``rfft2`` of the input, one ``(T x S)`` product per frequency with
-    the moving-average spectrum (skipped when ``ma`` is ``None``, the
-    autoregressive stage alone), the per-channel division by ``A_hat`` and
-    one ``irfft2``.  Checks shapes and footprints but not the stability of
-    ``ar``'s factors, so the trainer's raw mode can run unstable ones.
-    Raises :class:`armakit.numerics.SingularSpectrumError` as
-    :func:`ar_spectra` does.
+    the moving-average spectrum, the per-channel division by ``A_hat`` and
+    one ``irfft2``.  The autoregressive stage alone is the layer with a 1x1
+    identity moving-average kernel, ``MaKernel(np.eye(T)[None, None])``.
+    Checks shapes and footprints (identity factors widen none) but not the
+    stability of ``ar``'s factors, so the trainer's raw mode can run
+    unstable ones.  Raises :class:`armakit.numerics.SingularSpectrumError`
+    as :func:`ar_spectra` does.
     """
-    if ma is not None:
-        _check_ma(x, ma)
-    stage_channels = x.channels if ma is None else ma.out_channels
-    if stage_channels != ar.channels:
+    _check_ma(x, ma)
+    if ma.out_channels != ar.channels:
         raise ValueError(
-            f"field has {stage_channels} channels but kernel has {ar.channels}"
+            f"moving-average kernel produces {ma.out_channels} channels "
+            f"but autoregressive kernel has {ar.channels}"
         )
     # per channel, the largest |offset| of a nonzero composed tap (identity factors add none)
     offsets = np.abs(np.arange(-ar.depth, ar.depth + 1))
@@ -297,34 +257,49 @@ def layer_forward(
         )
     a_hat = ar_spectra(ar, x.height, x.width, epsilon)
     x_hat = _rfft2(x)
-    if ma is None:
-        y_hat, x_hat = x_hat, None  # divided in place: no kernel gradient reads it
-    else:
-        y_hat = _ma_product(x_hat, _ma_spectrum(ma, x.height, x.width))
+    y_hat = _ma_product(x_hat, _ma_spectrum(ma, x.height, x.width))
     y_hat /= a_hat
     shape = x.data.shape[:-1] + (ar.channels,)
-    cache = LayerCache(
-        ar=ar, ar_spectrum=a_hat, output_spectrum=y_hat, shape=shape,
-        ma=ma, input_spectrum=x_hat,
-    )
+    cache = LayerCache(ma=ma, ar=ar, input_spectrum=x_hat, ar_spectrum=a_hat,
+                       output_spectrum=y_hat, shape=shape)
     return _irfft2(y_hat, x.height, x.width), cache
 
 
-def _ar_adjoint(
-    d_y: FieldTensor, cache: LayerCache
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (dT_hat, dF, dG): the adjoint solve, kept in the frequency domain, and
-    # the factor tap gradients read from the cross spectrum -conj(Y_hat).dT_hat
+def layer_backward(
+    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
+) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
+    """Backward pass of :func:`layer_forward`.
+
+    Returns ``(dX, dW, dF, dG)``: the input gradient (``None`` unless
+    ``input_gradient``), the moving-average kernel gradient, and the
+    gradients of every length-3 factor's taps at offsets (-1, 0, +1), arrays
+    of shape ``(channels, depth, 3)``; kernel gradients sum over the samples
+    of a batch.  In the frequency domain:
+
+        dT_hat = dY_hat / conj(A_hat)
+        dX_hat = W_hat^H . dT_hat
+        dA_hat = -conj(Y_hat) . dT_hat
+
+    ``dT_hat`` never leaves the frequency domain: ``dX_hat`` is inverted by
+    one ``irfft2``, and ``dW`` and ``dA`` are the batch-summed cross spectra
+    ``dT_hat . conj(X_hat)`` (from the forward's input spectrum) and
+    ``dA_hat``, read only at the kernels' tap offsets.  ``dA`` is then
+    chained through the outer product and the cascade to the factor taps.
+    """
     if d_y.data.shape != cache.shape:
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
-    ar = cache.ar
+    ma, ar = cache.ma, cache.ar
+    height, width = d_y.height, d_y.width
     d_t_hat = _rfft2(d_y)
     d_t_hat /= np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
-    cross = np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat))
+    # spectra are dropped once read, so that at most one cross spectrum is alive
     offsets = np.arange(-ar.depth, ar.depth + 1)
-    d_a_taps = -_read_taps(cross, offsets, offsets, d_y.width)
+    d_a_taps = -_read_taps(
+        np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat)),
+        offsets, offsets, width,
+    )
     # the composed kernel is outer(G, F): rows follow g, columns follow f;
     # f and g are stacked on a leading axis from here on
     factors = np.stack([ar.f_filters, ar.g_filters])
@@ -339,81 +314,24 @@ def _ar_adjoint(
         rest = (compose_1d(np.delete(factors, q, axis=-2)) if ar.depth > 1
                 else np.ones(factors.shape[:-2] + (1,)))
         d_factors[..., q, :] = np.einsum("...jk,...k->...j", windows, rest)
-    return d_t_hat, d_factors[0], d_factors[1]
-
-
-def layer_backward(
-    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
-) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass of :func:`layer_forward` with a moving-average kernel.
-
-    Returns ``(dX, dW, dF, dG)``; ``dX`` is ``None`` unless
-    ``input_gradient``.  ``dT_hat = dY_hat / conj(A_hat)`` never leaves the
-    frequency domain: ``dX_hat = W_hat^H . dT_hat`` is inverted by one
-    ``irfft2``, and ``dW`` and ``dA`` are the batch-summed cross spectra
-    ``dT_hat . conj(X_hat)`` and ``-conj(Y_hat) . dT_hat`` read only at the
-    kernels' tap offsets.  ``dW`` comes from the forward's input spectrum.
-    """
-    ma = cache.ma
-    if ma is None:
-        raise ValueError("cache holds no moving-average stage; use ar_backward")
-    height, width = d_y.height, d_y.width
-    d_t_hat, d_f, d_g = _ar_adjoint(d_y, cache)
     d_x = None
     if input_gradient:
         w_hat = _ma_spectrum(ma, height, width, adjoint=True)
         d_x = _irfft2(_ma_product(d_t_hat, w_hat), height, width)
-    d_w = _ma_kernel_gradient(d_t_hat, cache.input_spectrum, ma, width)
-    return d_x, d_w, d_f, d_g
-
-
-def ar_forward(
-    t: FieldTensor, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
-) -> Tuple[FieldTensor, LayerCache]:
-    """Solve ``A[:,:,c] * Y[:,:,c] = T[:,:,c]`` per channel by spectral division.
-
-    The materialized kernel footprint (nonzero tap extent per axis, so
-    identity factors cost nothing) must fit the grid.  Returns the output
-    together with a :class:`LayerCache` for the backward pass.  Raises
-    :class:`armakit.numerics.SingularSpectrumError` for degenerate kernels
-    (``epsilon`` is the guard :func:`ar_spectra` applies).  Kernels
-    materialized from the re-parameterization can trigger it too, although
-    :func:`armakit.filters.is_stable` passes them: a factor's spectrum
-    falls to ``1 - tanh|beta|`` at frequency 0 or pi, below the default
-    epsilon once ``|beta|`` exceeds about 9.56 (measured on an 8x8 field,
-    e.g. ``beta = 9.7`` or ``10``).  See ROADMAP item I.
-    """
-    return layer_forward(t, None, ar, epsilon)
-
-
-def ar_backward(
-    d_y: FieldTensor, cache: LayerCache
-) -> Tuple[FieldTensor, np.ndarray, np.ndarray]:
-    """Backward pass of the autoregressive stage.
-
-    Returns ``(dT, dF, dG)``: the gradient of the stage's input, and the
-    gradients of every length-3 factor's taps at offsets (-1, 0, +1) for the
-    kernel ``cache.ar``, arrays of shape ``(channels, depth, 3)`` summed over
-    the samples of a batch.  In the frequency domain:
-
-        dT_hat = dY_hat / conj(A_hat)
-        dA_hat = -conj(Y_hat) * dY_hat / conj(A_hat)
-
-    ``dA`` is the gradient w.r.t. the embedded kernel grid, which carries tap
-    ``(p1, p2)`` at grid index ``(p1 % I1, p2 % I2)``.  Taps sit only at
-    offsets ``|p1|, |p2| <= depth``, so ``dA`` is read there alone, as
-    :func:`layer_backward` reads ``dW``.  It is then factored through the
-    outer product (``dF[p2] = sum_p1 G[p1] * dA[p1, p2]``, symmetrically for
-    ``dG``) and through the cascade (the gradient of one factor is the
-    correlation of the composition gradient with the remaining factors'
-    composition).
-    """
-    d_t_hat, d_f, d_g = _ar_adjoint(d_y, cache)
-    return _irfft2(d_t_hat, d_y.height, d_y.width), d_f, d_g
+        del w_hat
+    # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), read one input
+    # channel at a time, which keeps it at the size of dT_hat
+    rows, cols = _dilated_offsets(ma)
+    x_hat = _samples(cache.input_spectrum)
+    d_w = np.empty_like(ma.data)
+    for s in range(ma.in_channels):
+        cross = np.einsum("nijt,nij->ijt", _samples(d_t_hat), np.conj(x_hat[..., s]))
+        d_w[:, :, :, s] = _read_taps(cross, rows, cols, width)
+    return d_x, d_w, d_factors[0], d_factors[1]
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:
-    """Dense-solver oracle for :func:`ar_forward`.
+    """Dense-solver oracle for the autoregressive stage of :func:`layer_forward`.
 
     Assembles the full ``(I1*I2) x (I1*I2)`` circulant system per channel and
     solves it by LU decomposition with partial pivoting.  Quadratic memory and
@@ -481,7 +399,7 @@ def arma_backward(
     if not params.ar.is_reparam:
         raise ValueError(
             "autoregressive kernel carries no (alpha, beta) parameters; "
-            "use ar_backward for the taps of raw kernels"
+            "use layer_backward for the taps of raw kernels"
         )
     if cache.ar is not params.ar or cache.ma is not params.ma:
         raise ValueError("cache was not built by arma_forward with these params")

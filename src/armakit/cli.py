@@ -303,12 +303,12 @@ SCAN_LIMIT = 10**6
 
 
 def _filter_report(f: filters.Length3Filter) -> dict:
-    zeros = filters.zeros_of(f)
-    pairs = [[zeros.z1.real, zeros.z1.imag]]
-    moduli = [abs(zeros.z1)]
-    if np.isfinite(zeros.z2.real):
-        pairs.append([zeros.z2.real, zeros.z2.imag])
-        moduli.append(abs(zeros.z2))
+    z1, z2 = filters.zeros_of(f)
+    pairs = [[z1.real, z1.imag]]
+    moduli = [abs(z1)]
+    if np.isfinite(z2.real):
+        pairs.append([z2.real, z2.imag])
+        moduli.append(abs(z2))
     return {
         "stable": filters.is_stable(f),
         "sum": f.fm1 + f.fp1,
@@ -345,7 +345,7 @@ def cmd_stability(args) -> int:
     bad = points[~(filters.stable_factors(taps) & filters.straddles_unit_circle(taps))]
     print(json.dumps({"scanned": count, "all_stable": not len(bad), "failures": len(bad)}))
     if len(bad):
-        for alpha, beta in bad[:10]:
+        for alpha, beta in bad[:10].tolist():  # Python floats, so !r prints bare numbers
             print(f"unstable materialization at alpha={alpha!r} beta={beta!r}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -405,10 +405,11 @@ def cmd_solve(args) -> int:
         # --timing and --oracle run the autoregressive stage alone, on its input
         pre = arma.ma_forward(field, ma)
     if opts["timing"]:
+        identity = MaKernel(np.ones((1, 1, 1, 1)))  # the layer is then its AR stage
         best = float("inf")
         for _ in range(opts["repeats"]):
             begin = time.perf_counter()
-            arma.ar_forward(pre, ar)
+            arma.layer_forward(pre, identity, ar)
             best = min(best, time.perf_counter() - begin)
         summary["ar_seconds"] = best
     if opts["oracle"]:

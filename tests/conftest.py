@@ -8,6 +8,13 @@ than tautology.
 
 import numpy as np
 
+from armakit.numerics import MaKernel
+
+
+def identity_ma(channels=1):
+    """The 1x1 identity moving-average kernel: a layer with it is its autoregressive stage."""
+    return MaKernel(np.eye(channels)[None, None])
+
 
 def naive_dft1(x):
     """O(N^2) direct-summation DFT."""

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from armakit import cli, erf
-from armakit.arma import ar_forward, ar_forward_dense
+from armakit.arma import ar_forward_dense, layer_forward
 from armakit.cli import gradcheck_report
 from armakit.filters import SeparableArKernel, materialize_2d
 from armakit.numerics import FieldTensor
+from conftest import identity_ma
 
 
 def _report(number, name, elapsed, budget):
@@ -91,7 +92,7 @@ def test_criterion_3_fft_solve_vs_dense_lu():
             rng.uniform(-2, 2, (channels, depth)), rng.uniform(-2, 2, (channels, depth)),
         )
         field = FieldTensor(rng.standard_normal((height, width, channels)))
-        via_fft, _ = ar_forward(field, kernel)
+        via_fft, _ = layer_forward(field, identity_ma(channels), kernel)
         via_lu = ar_forward_dense(
             field, [materialize_2d(kernel, c) for c in range(channels)]
         )

@@ -4,15 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from armakit.arma import (
     ArmaLayerParams,
-    ar_backward,
-    ar_forward,
     ar_forward_dense,
     arma_backward,
     arma_forward,
     dense_circulant_matrix,
     layer_backward,
-    ma_backward_input,
-    ma_backward_kernel,
+    layer_forward,
     ma_forward,
 )
 from armakit.filters import (
@@ -21,7 +18,7 @@ from armakit.filters import (
     materialize_2d,
 )
 from armakit.numerics import FieldTensor, MaKernel, SingularSpectrumError
-from conftest import naive_circular_conv2
+from conftest import identity_ma, naive_circular_conv2
 
 
 def field_1x4(values):
@@ -46,18 +43,11 @@ def random_stable_kernel(rng, channels, depth=1, rows=True):
     return SeparableArKernel.from_arrays(alpha_f, beta_f, alpha_g, beta_g)
 
 
-def delta_ma(channels=1):
-    data = np.zeros((1, 1, channels, channels))
-    for c in range(channels):
-        data[0, 0, c, c] = 1.0
-    return MaKernel(data)
-
-
 class TestMaForward:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(20)
         x = FieldTensor(rng.standard_normal((5, 6, 1)))
-        assert np.allclose(ma_forward(x, delta_ma()).data, x.data)
+        assert np.allclose(ma_forward(x, identity_ma()).data, x.data)
 
     def test_1d_fixture(self):
         w = np.zeros((1, 3, 1, 1))
@@ -82,18 +72,18 @@ class TestMaForward:
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            ma_forward(field_1x4([1, 2, 3, 4]), delta_ma(channels=2))
+            ma_forward(field_1x4([1, 2, 3, 4]), identity_ma(channels=2))
 
 
 class TestArForward:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(22)
         x = FieldTensor(rng.standard_normal((4, 4, 2)))
-        out, _ = ar_forward(x, SeparableArKernel.identity(2))
+        out, _ = layer_forward(x, identity_ma(2), SeparableArKernel.identity(2))
         assert np.max(np.abs(out.data - x.data)) < 1e-12
 
     def test_geometric_fixture(self):
-        out, _ = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
+        out, _ = layer_forward(field_1x4([1, 0, 0, 0]), identity_ma(), causal_kernel(-0.5))
         assert np.allclose(
             out.data.ravel(), [1.06667, 0.53333, 0.26667, 0.13333], atol=1e-5
         )
@@ -102,7 +92,7 @@ class TestArForward:
         rng = np.random.default_rng(23)
         t = FieldTensor(rng.standard_normal((8, 8, 2)))
         kernel = random_stable_kernel(rng, channels=2)
-        fft_out, _ = ar_forward(t, kernel)
+        fft_out, _ = layer_forward(t, identity_ma(t.channels), kernel)
         taps = [materialize_2d(kernel, c) for c in range(2)]
         dense_out = ar_forward_dense(t, taps)
         assert np.max(np.abs(fft_out.data - dense_out.data)) < 1e-8
@@ -114,7 +104,7 @@ class TestArForward:
         rng = np.random.default_rng(sum(shape))
         kernel = random_stable_kernel(rng, channels=2, rows=shape[0] > 1)
         t = FieldTensor(rng.standard_normal(shape + (2,)))
-        fft_out, _ = ar_forward(t, kernel)
+        fft_out, _ = layer_forward(t, identity_ma(t.channels), kernel)
         dense_out = ar_forward_dense(t, [materialize_2d(kernel, c) for c in range(2)])
         assert np.max(np.abs(fft_out.data - dense_out.data)) < 1e-8
 
@@ -123,7 +113,7 @@ class TestArForward:
         rng = np.random.default_rng(sum(shape) + 1)
         kernel = random_stable_kernel(rng, channels=2, rows=shape[0] > 1)
         t = FieldTensor(rng.standard_normal((2,) + shape + (2,)))
-        fft_out, _ = ar_forward(t, kernel)
+        fft_out, _ = layer_forward(t, identity_ma(t.channels), kernel)
         taps = [materialize_2d(kernel, c) for c in range(2)]
         for sample in range(2):
             dense_out = ar_forward_dense(FieldTensor(t.data[sample]), taps)
@@ -134,7 +124,7 @@ class TestArForward:
         bad = Length3Filter(-0.5, 1.0, -0.5)
         kernel = SeparableArKernel(f_filters=((bad,),), g_filters=((Length3Filter(0, 1, 0),),))
         with pytest.raises(SingularSpectrumError):
-            ar_forward(FieldTensor(np.ones((4, 4, 1))), kernel)
+            layer_forward(FieldTensor(np.ones((4, 4, 1))), identity_ma(), kernel)
 
 
 class TestArForwardDense:
@@ -164,7 +154,7 @@ class TestArForwardDense:
             w = int(rng.integers(5, 13))
             t = FieldTensor(rng.standard_normal((h, w, channels)))
             kernel = random_stable_kernel(rng, channels)
-            fft_out, _ = ar_forward(t, kernel)
+            fft_out, _ = layer_forward(t, identity_ma(t.channels), kernel)
             dense_out = ar_forward_dense(t, [materialize_2d(kernel, c) for c in range(channels)])
             assert np.max(np.abs(fft_out.data - dense_out.data)) < 1e-8
 
@@ -175,9 +165,9 @@ class TestArBackward:
         # factors read dF off row 0 of dA and dG off its column 0
         rng = np.random.default_rng(26)
         t = FieldTensor(rng.standard_normal((5, 4, 1)))
-        y, cache = ar_forward(t, SeparableArKernel.identity(1))
+        y, cache = layer_forward(t, identity_ma(), SeparableArKernel.identity(1))
         d_y = FieldTensor(rng.standard_normal((5, 4, 1)))
-        d_t, d_f, d_g = ar_backward(d_y, cache)
+        d_t, _, d_f, d_g = layer_backward(d_y, cache)
         assert np.max(np.abs(d_t.data - d_y.data)) < 1e-12
         expected = np.zeros((5, 4))
         for q1 in range(5):
@@ -192,33 +182,33 @@ class TestArBackward:
         assert np.max(np.abs(d_g[0, 0] - expected[offsets % 5, 0])) < 1e-10
 
     def test_transposed_geometric_fixture(self):
-        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
-        d_t, _, _ = ar_backward(field_1x4([1, 0, 0, 0]), cache)
+        _, cache = layer_forward(field_1x4([1, 0, 0, 0]), identity_ma(), causal_kernel(-0.5))
+        d_t = layer_backward(field_1x4([1, 0, 0, 0]), cache)[0]
         assert np.allclose(
             d_t.data.ravel(), [1.06667, 0.13333, 0.26667, 0.53333], atol=1e-5
         )
 
     def test_shape_guard(self):
-        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
+        _, cache = layer_forward(field_1x4([1, 0, 0, 0]), identity_ma(), causal_kernel(-0.5))
         with pytest.raises(ValueError):
-            ar_backward(FieldTensor(np.zeros((2, 2, 1))), cache)
+            layer_backward(FieldTensor(np.zeros((2, 2, 1))), cache)
 
     def test_refuses_gradient_one_column_wider(self):
         # widths 4 and 5 share the 3 columns of the half spectrum
-        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
+        _, cache = layer_forward(field_1x4([1, 0, 0, 0]), identity_ma(), causal_kernel(-0.5))
         with pytest.raises(ValueError):
-            ar_backward(FieldTensor(np.zeros((1, 5, 1))), cache)
+            layer_backward(FieldTensor(np.zeros((1, 5, 1))), cache)
 
     def test_backward_honours_forward_epsilon(self):
         # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
         near = Length3Filter(0.4999999998, 1.0, 0.4999999998)
         kernel = SeparableArKernel(f_filters=((near,),), g_filters=((Length3Filter(0, 1, 0),),))
         t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
-        y, cache = ar_forward(t, kernel, epsilon=1e-12)
-        d_t, _, _ = ar_backward(y, cache)
+        y, cache = layer_forward(t, identity_ma(), kernel, epsilon=1e-12)
+        d_t = layer_backward(y, cache)[0]
         assert np.all(np.isfinite(d_t.data))
         with pytest.raises(SingularSpectrumError) as info:
-            ar_forward(t, kernel)
+            layer_forward(t, identity_ma(), kernel)
         assert info.value.index == (0, 4, 0)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -237,8 +227,9 @@ class TestArBackward:
         height, width = 2 * depth + 1 + extra_height, 2 * depth + 1 + extra_width
         shape = (height, width, channels) if batch == 1 else (batch, height, width, channels)
         kernel = random_stable_kernel(rng, channels, depth)
-        y, cache = ar_forward(FieldTensor(rng.standard_normal(shape)), kernel)
-        _, d_f, d_g = ar_backward(y, cache)
+        x = FieldTensor(rng.standard_normal(shape))
+        y, cache = layer_forward(x, identity_ma(channels), kernel)
+        _, _, d_f, d_g = layer_backward(y, cache)
         for t in range(channels):
             energy = -float((y.data[..., t] ** 2).sum())
             for q in range(depth):
@@ -252,8 +243,8 @@ class TestMaBackward:
         rng = np.random.default_rng(27)
         x = FieldTensor(rng.standard_normal((4, 4, 1)))
         d_t = FieldTensor(rng.standard_normal((4, 4, 1)))
-        d_x = ma_backward_input(d_t, delta_ma())
-        d_w = ma_backward_kernel(d_t, x, delta_ma())
+        _, cache = layer_forward(x, identity_ma(), SeparableArKernel.identity(1))
+        d_x, d_w, _, _ = layer_backward(d_t, cache)
         assert np.allclose(d_x.data, d_t.data)
         assert d_w.shape == (1, 1, 1, 1)
 
@@ -261,7 +252,9 @@ class TestMaBackward:
         w = np.zeros((1, 3, 1, 1))
         w[0, 1, 0, 0] = 1.0
         w[0, 2, 0, 0] = 1.0
-        d_x = ma_backward_input(field_1x4([1, 0, 0, 0]), MaKernel(w))
+        zeros = field_1x4([0, 0, 0, 0])
+        _, cache = layer_forward(zeros, MaKernel(w), SeparableArKernel.identity(1))
+        d_x = layer_backward(field_1x4([1, 0, 0, 0]), cache)[0]
         assert np.allclose(d_x.data.ravel(), [1, 0, 0, 1])
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -279,8 +272,8 @@ class TestMaBackward:
             return float((out.data * d_y).sum())
 
         kernel = MaKernel(w0, dilation=dilation)
-        d_x = ma_backward_input(FieldTensor(d_y), kernel)
-        d_w = ma_backward_kernel(FieldTensor(d_y), FieldTensor(x0), kernel)
+        _, cache = layer_forward(FieldTensor(x0), kernel, SeparableArKernel.identity(2))
+        d_x, d_w, _, _ = layer_backward(FieldTensor(d_y), cache)
         h = 1e-6
         for i in rng.choice(x0.size, 20, replace=False):
             bump = x0.ravel().copy()
@@ -321,7 +314,7 @@ class TestArmaLayer:
     def test_identity_layer_passes_through_gradient(self):
         rng = np.random.default_rng(31)
         x = FieldTensor(rng.standard_normal((5, 5, 1)))
-        params = ArmaLayerParams(ma=delta_ma(), ar=SeparableArKernel.identity(1))
+        params = ArmaLayerParams(ma=identity_ma(), ar=SeparableArKernel.identity(1))
         y, cache = arma_forward(x, params)
         assert np.allclose(y.data, x.data)
         d_y = FieldTensor(rng.standard_normal((5, 5, 1)))
@@ -353,7 +346,7 @@ class TestArmaLayer:
             channels = int(rng.integers(1, 3))
             t = FieldTensor(rng.standard_normal((size, size, channels)))
             kernel = random_stable_kernel(rng, channels)
-            fft_out, _ = ar_forward(t, kernel)
+            fft_out, _ = layer_forward(t, identity_ma(t.channels), kernel)
             dense_out = ar_forward_dense(
                 t, [materialize_2d(kernel, c) for c in range(channels)]
             )
@@ -390,7 +383,7 @@ class TestArmaLayer:
             g_filters=((stable, stable), (stable, unstable)),
         )
         with pytest.raises(ValueError) as refusal:
-            ArmaLayerParams(ma=delta_ma(2), ar=kernel)
+            ArmaLayerParams(ma=identity_ma(2), ar=kernel)
         message = str(refusal.value)
         assert "g factor 1 of channel 1" in message
         assert "[0.6, 1.0, 0.6]" in message
@@ -401,17 +394,17 @@ class TestArmaLayer:
         zero = np.zeros((1, 1))
         kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
         if stable:
-            ArmaLayerParams(ma=delta_ma(), ar=kernel)
+            ArmaLayerParams(ma=identity_ma(), ar=kernel)
         else:
             with pytest.raises(ValueError, match="f factor 0 of channel 0"):
-                ArmaLayerParams(ma=delta_ma(), ar=kernel)
+                ArmaLayerParams(ma=identity_ma(), ar=kernel)
 
     def test_raw_kernel_backward_rejected_without_params(self):
         # a raw stable kernel is a valid layer, but it has no (alpha, beta)
         # coordinates for arma_backward to differentiate
         rng = np.random.default_rng(36)
         x = FieldTensor(rng.standard_normal((5, 5, 1)))
-        params = ArmaLayerParams(ma=delta_ma(), ar=causal_kernel(-0.5))
+        params = ArmaLayerParams(ma=identity_ma(), ar=causal_kernel(-0.5))
         y, cache = arma_forward(x, params)
         with pytest.raises(ValueError):
             arma_backward(y, x, params, cache)
@@ -428,11 +421,6 @@ class TestArmaLayer:
         # the same AR kernel with another MA kernel: dW would be p1's
         with pytest.raises(ValueError, match="cache"):
             arma_backward(y, x, ArmaLayerParams(ma=p2.ma, ar=p1.ar), cache)
-
-    def test_layer_backward_needs_a_moving_average_stage(self):
-        _, cache = ar_forward(field_1x4([1, 0, 0, 0]), causal_kernel(-0.5))
-        with pytest.raises(ValueError, match="ar_backward"):
-            layer_backward(field_1x4([1, 0, 0, 0]), cache)
 
     @pytest.mark.parametrize("shape", [(6, 7, 1), (2, 6, 6, 1)])
     def test_input_of_other_shape_rejected(self, shape):
@@ -465,11 +453,11 @@ class TestRawTapGradients:
             pre = ma_forward(x, w)
 
             def loss(taps):
-                y, _ = ar_forward(pre, kernel_from(taps))
+                y, _ = layer_forward(pre, identity_ma(), kernel_from(taps))
                 return 0.5 * float((y.data**2).sum())
 
-            y, cache = ar_forward(pre, kernel_from(taps0))
-            _, d_f, d_g = ar_backward(y, cache)
+            y, cache = layer_forward(pre, identity_ma(), kernel_from(taps0))
+            _, _, d_f, d_g = layer_backward(y, cache)
             analytic = np.array([d_f[0, 0, 0], d_f[0, 0, 2], d_g[0, 0, 0], d_g[0, 0, 2]])
             h = 1e-6
             for i in range(4):
@@ -511,7 +499,8 @@ class TestAdjointIdentities:
         y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
         lhs = inner(ma_forward(x, kernel).data, y.data)
-        rhs = inner(x.data, ma_backward_input(y, kernel).data)
+        _, cache = layer_forward(x, kernel, SeparableArKernel.identity(t))
+        rhs = inner(x.data, layer_backward(y, cache)[0].data)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
@@ -521,7 +510,7 @@ class TestAdjointIdentities:
         x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
-        d_w = ma_backward_kernel(y, x, kernel)
+        d_w = layer_backward(y, layer_forward(x, kernel, SeparableArKernel.identity(t))[1])[1]
         lhs = inner(ma_forward(x, kernel).data, y.data)
         assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
 
@@ -534,8 +523,8 @@ class TestAdjointIdentities:
         kernel = random_stable_kernel(rng, channels, depth)
         t = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, channels)))
-        forward, cache = ar_forward(t, kernel)
-        adjoint, _, _ = ar_backward(y, cache)
+        forward, cache = layer_forward(t, identity_ma(channels), kernel)
+        adjoint = layer_backward(y, cache)[0]
         assert inner(forward.data, y.data) == pytest.approx(inner(t.data, adjoint.data), rel=1e-10)
 
 
@@ -618,8 +607,10 @@ class TestSpectralMaProperties:
         forward = ma_forward(x, w).data
         lhs = inner(forward, d_t.data)
         scale = 1e-12 * np.linalg.norm(forward) * np.linalg.norm(d_t.data)
-        assert abs(lhs - inner(x.data, ma_backward_input(d_t, w).data)) <= scale
-        assert abs(lhs - inner(w.data, ma_backward_kernel(d_t, x, w))) <= scale
+        _, cache = layer_forward(x, w, SeparableArKernel.identity(w.out_channels))
+        d_x, d_w, _, _ = layer_backward(d_t, cache)
+        assert abs(lhs - inner(x.data, d_x.data)) <= scale
+        assert abs(lhs - inner(w.data, d_w)) <= scale
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=layer_cases())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from armakit import cli
+from conftest import identity_ma
 
 
 def run(capsys, *argv):
@@ -192,12 +193,18 @@ class TestStabilityCommand:
         monkeypatch.setattr(
             cli.filters, "straddles_unit_circle", lambda taps: np.arange(len(taps)) % 3 != 0
         )
+        drawn = []
+        materialize = cli.filters.materialize
+        monkeypatch.setattr(cli.filters, "materialize", lambda p: drawn.append(p) or materialize(p))
         code, out, err = run(capsys, "stability", "--scan", "40", "--seed", "11")
         assert code == cli.EXIT_NUMERIC
         assert json.loads(out) == {"scanned": 40, "all_stable": False, "failures": 14}
         lines = err.splitlines()
         assert len(lines) == 10
         assert all(line.startswith("unstable materialization at alpha=") for line in lines)
+        assert not any("np.float64" in line for line in lines)
+        printed = [[float(field.split("=")[1]) for field in line.split()[-2:]] for line in lines]
+        assert printed == drawn[0][::3][:10].tolist()
 
     def test_scan_count_above_cap_rejected_before_allocation(self, capsys):
         # the points of a cap+1 scan would take 16 MB; the check comes first
@@ -353,11 +360,11 @@ class TestSolveCommand:
             "--out", str(out_path),
         )
         assert code == 0
-        from armakit import FieldTensor, SeparableArKernel, ar_forward
+        from armakit import FieldTensor, SeparableArKernel, layer_forward
 
         kernel = SeparableArKernel.from_arrays([[0.1]], [[0.9]], [[0.0]], [[-1.2]])
         x = FieldTensor(np.loadtxt(field, delimiter=",")[:, :, None])
-        want, _ = ar_forward(x, kernel)
+        want, _ = layer_forward(x, identity_ma(), kernel)
         got = np.loadtxt(out_path, delimiter=",")
         assert np.array_equal(got, want.plane())  # 17 digits reproduce doubles
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from armakit import erf
-from armakit.arma import ar_backward, ar_forward, ma_backward_input
+from armakit.arma import layer_backward, layer_forward
 from armakit.erf import (
     MAX_FILTER_TAPS,
     ErfMap,
@@ -32,23 +32,23 @@ def stack(layer, depth):
 def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform"):
     """Oracle for :func:`empirical_erf_2d`: one real backward pass per output channel.
 
-    Runs each layer's adjoints, last layer first: ``ar_backward``'s input
-    gradient on a cache from ``ar_forward``, then ``ma_backward_input``.
+    Runs each layer's adjoint, last layer first: the input gradient of
+    ``layer_backward`` on the layer's cache from ``layer_forward``.
     Returns the unwrapped map and its origin, like the library.
     """
     w0 = erf._select_window(spec, grid, kernel_mode, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
     layers = erf._layer_kernels(spec, channels, kernel_mode, rng)
     zeros = FieldTensor(np.zeros((grid, grid, channels)))
-    adjoints = [(ma, ar_forward(zeros, ar)[1]) for ma, ar in reversed(layers)]
+    caches = [layer_forward(zeros, ma, ar)[1] for ma, ar in reversed(layers)]
     center = grid // 2
     accumulated = np.zeros((grid, grid))
     for out_channel in range(channels):
         seed_grad = np.zeros((grid, grid, channels))
         seed_grad[center, center, out_channel] = 1.0
         grad = FieldTensor(seed_grad)
-        for ma, cache in adjoints:
-            grad = ma_backward_input(ar_backward(grad, cache)[0], ma)
+        for cache in caches:
+            grad = layer_backward(grad, cache)[0]
         accumulated += np.abs(grad.data).sum(axis=2)
     accumulated /= accumulated.sum()
     q_low = -(w0 + grid - 1)

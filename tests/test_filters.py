@@ -5,7 +5,6 @@ import pytest
 
 from armakit.filters import (
     IDENTITY_FILTER,
-    FilterZeros,
     Length3Filter,
     ReparamFilter,
     SeparableArKernel,
@@ -28,10 +27,10 @@ class TestMaterialize:
     def test_pure_alpha_straddles(self):
         f = materialize(ReparamFilter(2.0, 0.0))
         assert (f.fm1, f.f0, f.fp1) == (-1.0, 1.0, 1.0)
-        z = zeros_of(f)
-        assert abs(z.z1) == pytest.approx(0.618034, abs=1e-6)
-        assert abs(z.z2) == pytest.approx(1.618034, abs=1e-6)
-        assert z.straddle_unit_circle()
+        z1, z2 = zeros_of(f)
+        assert abs(z1) == pytest.approx(0.618034, abs=1e-6)
+        assert abs(z2) == pytest.approx(1.618034, abs=1e-6)
+        assert straddles_unit_circle(f)
 
     def test_pure_beta_approaches_bound(self):
         f = materialize(ReparamFilter(0.0, 3.0))
@@ -76,22 +75,24 @@ class TestIsStable:
 
 class TestZeros:
     def test_real_pair(self):
-        z = zeros_of(Length3Filter(0.3, 1.0, 0.5))
-        assert z.z1 == pytest.approx(-0.612574, abs=1e-6)
-        assert z.z2 == pytest.approx(-2.720760, abs=1e-6)
+        z1, z2 = zeros_of(Length3Filter(0.3, 1.0, 0.5))
+        assert z1 == pytest.approx(-0.612574, abs=1e-6)
+        assert z2 == pytest.approx(-2.720760, abs=1e-6)
 
     def test_complex_pair_on_unit_circle(self):
-        z = zeros_of(Length3Filter(0.75, 1.0, 0.75))
-        assert abs(z.z1.imag) > 0
-        assert abs(z.z1) == pytest.approx(1.0, abs=1e-12)
-        assert abs(z.z2) == pytest.approx(1.0, abs=1e-12)
-        assert not z.straddle_unit_circle()
+        f = Length3Filter(0.75, 1.0, 0.75)
+        z1, z2 = zeros_of(f)
+        assert abs(z1.imag) > 0
+        assert abs(z1) == pytest.approx(1.0, abs=1e-12)
+        assert abs(z2) == pytest.approx(1.0, abs=1e-12)
+        assert not straddles_unit_circle(f)
 
     def test_degenerate_linear_case(self):
-        z = zeros_of(Length3Filter(0.0, 1.0, -0.5))
-        assert z.z1 == pytest.approx(0.5)
-        assert not np.isfinite(z.z2.real)
-        assert z.straddle_unit_circle()
+        f = Length3Filter(0.0, 1.0, -0.5)
+        z1, z2 = zeros_of(f)
+        assert z1 == pytest.approx(0.5)
+        assert not np.isfinite(z2.real)
+        assert straddles_unit_circle(f)
 
     def test_vieta_relations(self):
         rng = np.random.default_rng(12)
@@ -100,9 +101,9 @@ class TestZeros:
             if abs(fm1) < 1e-3:
                 continue
             f = Length3Filter(fm1, rng.uniform(0.1, 3), rng.uniform(-3, 3))
-            z = zeros_of(f)
-            assert z.z1 * z.z2 == pytest.approx(f.fp1 / f.fm1, rel=1e-9, abs=1e-9)
-            assert z.z1 + z.z2 == pytest.approx(-f.f0 / f.fm1, rel=1e-9, abs=1e-9)
+            z1, z2 = zeros_of(f)
+            assert z1 * z2 == pytest.approx(f.fp1 / f.fm1, rel=1e-9, abs=1e-9)
+            assert z1 + z2 == pytest.approx(-f.f0 / f.fm1, rel=1e-9, abs=1e-9)
 
 
 def quadratic_root_moduli(fm1, f0, fp1):
@@ -134,26 +135,34 @@ class TestStabilityEquivalence:
         rng = np.random.default_rng(14)
         for _ in range(500):
             f = Length3Filter(rng.uniform(-3, 3), rng.uniform(0.01, 3), rng.uniform(-3, 3))
-            assert is_stable(f) == zeros_of(f).straddle_unit_circle()
+            assert is_stable(f) == straddles_unit_circle(f)
 
 
 class TestStraddleArray:
-    """``straddles_unit_circle`` against :func:`zeros_of`, row by row."""
+    """``straddles_unit_circle`` against the closed-form root moduli, row by row."""
 
     def test_matches_zeros_of(self):
         rng = np.random.default_rng(16)
         rows = rng.uniform(-3, 3, (2000, 3))
         rows[:200, 0] = 0.0  # linear case
-        rows[200:400, 2] = 0.0  # np.roots strips the trailing zero
+        rows[200:400, 2] = 0.0  # a zero root
         rows[400:450, 0] = rows[400:450, 2] = 0.0
         edge = [[1, 2, 1], [0.75, 1, 0.75], [1, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 1],
                 [0, 1, -1], [0, -1, 0.5], [1, -2, 1], [0.5, 1, 0]]
         rows = np.concatenate([rows, edge])
-        want = [zeros_of(Length3Filter(*row)).straddle_unit_circle() for row in rows]
+        fm1, f0, fp1 = rows.T
+        quadratic = fm1 != 0.0
+        lo, hi = quadratic_root_moduli(fm1[quadratic], f0[quadratic], fp1[quadratic])
+        # a linear row's one zero is -fp1/f0; the other is infinite
+        want = np.abs(fp1) < np.abs(f0)
+        want[quadratic] = (lo < 1.0) & (hi > 1.0)
         got = straddles_unit_circle(rows)
         assert got.dtype == bool and got.shape == (len(rows),)
-        assert got.tolist() == want
+        assert got.tolist() == want.tolist()
         assert 0 < got.sum() < len(rows)
+        moduli = np.abs(zeros_of(rows))
+        assert moduli.shape == (len(rows), 2) and np.all(moduli[:, 0] <= moduli[:, 1])
+        assert np.allclose(moduli[quadratic], np.stack([lo, hi], axis=-1), rtol=1e-9, atol=1e-12)
 
     def test_rejects_row_without_zeros(self):
         with pytest.raises(ValueError, match="no zeros"):
@@ -170,7 +179,7 @@ class TestReparamTotality:
         for a, b in zip(alpha[:300], beta[:300]):
             f = materialize(ReparamFilter(a, b))
             assert is_stable(f)
-            assert zeros_of(f).straddle_unit_circle()
+            assert straddles_unit_circle(f)
 
 
 class TestSpectrumLowerBound:
@@ -325,7 +334,3 @@ class TestSeparableArKernel:
         assert kernel.channels == 1 and kernel.depth == 1
         assert tuple(kernel.f_params[0][0]) == (0.5, 1.0)
         assert tuple(kernel.f_filters[0][0]) == materialize(ReparamFilter(0.5, 1.0))
-
-    def test_zeros_container(self):
-        z = FilterZeros(complex(0.5), complex(np.inf))
-        assert z.moduli()[0] == 0.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armakit.arma import ar_backward, ar_forward, ar_spectra, ma_forward
+from armakit.arma import ar_spectra, layer_backward, layer_forward, ma_forward
 from armakit.filters import (
     IDENTITY_FILTER as IDENTITY,
     Length3Filter,
@@ -15,7 +15,7 @@ from armakit.numerics import (
     SingularSpectrumError,
     guard_spectrum,
 )
-from conftest import embed_taps, naive_circular_conv2, naive_dft1, naive_dft2
+from conftest import embed_taps, identity_ma, naive_circular_conv2, naive_dft1, naive_dft2
 
 
 def random_field(shape, seed):
@@ -122,13 +122,13 @@ class TestDft1:
         # solving then re-convolving with the kernel returns the input
         x = FieldTensor(np.array([0.3, -1.2, 4.5]).reshape(1, 3, 1))
         kernel = row_kernel(Length3Filter(0.2, 1.0, -0.3))
-        y, _ = ar_forward(x, kernel)
+        y, _ = layer_forward(x, identity_ma(), kernel)
         assert np.allclose(reconvolve(y, row_taps(kernel)), x.data, atol=1e-12)
 
     def test_length_mismatch_is_usage_error(self):
-        _, cache = ar_forward(FieldTensor(np.zeros((1, 4, 1))), row_kernel(IDENTITY))
+        _, cache = layer_forward(FieldTensor(np.zeros((1, 4, 1))), identity_ma(), row_kernel(IDENTITY))
         with pytest.raises(ValueError):
-            ar_backward(FieldTensor(np.ones((1, 3, 1))), cache)
+            layer_backward(FieldTensor(np.ones((1, 3, 1))), cache)
 
     @pytest.mark.parametrize("n", [3, 5, 16, 31, 97, 1000, 4096])
     def test_plan_round_trip_tolerance(self, n):
@@ -136,7 +136,7 @@ class TestDft1:
         rng = np.random.default_rng(n)
         x = FieldTensor(rng.standard_normal((1, n, 1)))
         kernel = row_kernel(Length3Filter(0.3, 1.0, -0.45))
-        y, _ = ar_forward(x, kernel)
+        y, _ = layer_forward(x, identity_ma(), kernel)
         back = reconvolve(y, row_taps(kernel))
         assert np.max(np.abs(back - x.data)) / np.max(np.abs(x.data)) < 1e-12
 
@@ -164,7 +164,7 @@ class TestDft2:
         # the kernel's tap sum
         rng = np.random.default_rng(12)
         kernel = random_kernel(rng, channels=1)
-        y, _ = ar_forward(FieldTensor(np.full((5, 3, 1), 2.5)), kernel)
+        y, _ = layer_forward(FieldTensor(np.full((5, 3, 1), 2.5)), identity_ma(), kernel)
         assert np.allclose(y.data, 2.5 / materialize_2d(kernel, 0).sum(), atol=1e-10)
 
     def test_matches_naive_double_sum(self):
@@ -180,7 +180,7 @@ class TestDft2:
         rng = np.random.default_rng(n)
         kernel = random_kernel(rng, channels=2)
         field = FieldTensor(rng.standard_normal((n, n, 2)))
-        y, _ = ar_forward(field, kernel)
+        y, _ = layer_forward(field, identity_ma(field.channels), kernel)
         assert np.max(np.abs(reconvolve(y, kernel_taps(kernel)) - field.data)) < 1e-10
 
     @pytest.mark.parametrize("shape", [(3, 31), (12, 5), (7, 16)])
@@ -188,7 +188,7 @@ class TestDft2:
         rng = np.random.default_rng(sum(shape))
         kernel = random_kernel(rng, channels=1)
         field = FieldTensor(rng.standard_normal(shape + (1,)))
-        y, _ = ar_forward(field, kernel)
+        y, _ = layer_forward(field, identity_ma(field.channels), kernel)
         assert np.max(np.abs(reconvolve(y, kernel_taps(kernel)) - field.data)) < 1e-10
 
     def test_conjugate_symmetry(self):
@@ -221,8 +221,9 @@ class TestDft2:
         x = random_field((6, 6, 2), seed=5)
         y = random_field((6, 6, 2), seed=6)
         a, b = 1.7, -0.4
-        lhs, _ = ar_forward(FieldTensor(a * x.data + b * y.data), kernel)
-        rhs = a * ar_forward(x, kernel)[0].data + b * ar_forward(y, kernel)[0].data
+        ma = identity_ma(2)
+        lhs, _ = layer_forward(FieldTensor(a * x.data + b * y.data), ma, kernel)
+        rhs = a * layer_forward(x, ma, kernel)[0].data + b * layer_forward(y, ma, kernel)[0].data
         assert np.max(np.abs(lhs.data - rhs)) < 1e-10
 
 
@@ -295,7 +296,7 @@ class TestEmbedKernel:
         # the solve refuses a kernel that would alias when embedded
         kernel = row_kernel(Length3Filter(0.2, 1.0, 0.1), Length3Filter(0.1, 1.0, 0.2))
         with pytest.raises(ValueError):
-            ar_forward(FieldTensor(np.ones((4, 4, 1))), kernel)
+            layer_forward(FieldTensor(np.ones((4, 4, 1))), identity_ma(), kernel)
 
     def test_aliasing_accumulates_in_raw_embed(self):
         # the unchecked array variant wraps overlapping taps additively
@@ -309,17 +310,17 @@ class TestSpectralDivide:
     def test_unit_denominator(self):
         d_y = random_field((3, 4, 2), seed=11)
         identity = SeparableArKernel.identity(2)
-        _, cache = ar_forward(FieldTensor(np.zeros((3, 4, 2))), identity)
+        _, cache = layer_forward(FieldTensor(np.zeros((3, 4, 2))), identity_ma(2), identity)
         assert np.array_equal(cache.ar_spectrum, np.ones((3, 4 // 2 + 1, 2), dtype=complex))
         guard_spectrum(cache.ar_spectrum, 1e-8)
-        assert np.allclose(ar_backward(d_y, cache)[0].data, d_y.data)
+        assert np.allclose(layer_backward(d_y, cache)[0].data, d_y.data)
 
     def test_geometric_solve(self):
         # the transposed geometric fixture: a~ * dT = delta for a = (1, -0.5)
         kernel = row_kernel(Length3Filter(0.0, 1.0, -0.5))
-        _, cache = ar_forward(FieldTensor(np.zeros((1, 4, 1))), kernel)
+        _, cache = layer_forward(FieldTensor(np.zeros((1, 4, 1))), identity_ma(), kernel)
         impulse = FieldTensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1))
-        out = ar_backward(impulse, cache)[0].data.ravel()
+        out = layer_backward(impulse, cache)[0].data.ravel()
         expected = 0.5 ** np.arange(4) / (1 - 0.5**4)
         assert np.allclose(out, expected[[0, 3, 2, 1]], atol=1e-12)
         assert np.allclose(out, [1.0667, 0.1333, 0.2667, 0.5333], atol=1e-4)
@@ -342,6 +343,8 @@ class TestSpectralDivide:
         assert info.value.index == (0, 4, 1)
 
     def test_shape_mismatch(self):
-        _, cache = ar_forward(FieldTensor(np.zeros((2, 2, 2))), SeparableArKernel.identity(2))
+        _, cache = layer_forward(
+            FieldTensor(np.zeros((2, 2, 2))), identity_ma(2), SeparableArKernel.identity(2)
+        )
         with pytest.raises(ValueError):
-            ar_backward(FieldTensor(np.ones((2, 2, 1))), cache)
+            layer_backward(FieldTensor(np.ones((2, 2, 1))), cache)

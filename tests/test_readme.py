@@ -1,7 +1,12 @@
-"""The README's library example runs as documented."""
+"""The README's library example and CLI examples run as documented."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from armakit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +21,18 @@ def test_library_example_runs():
     assert y.data.shape == (32, 32, 8)
     assert d_x.data.shape == namespace["x"].data.shape
     assert d_w.shape == namespace["params"].ma.data.shape
+
+
+def cli_examples(*commands):
+    # the README's `armakit <command> ...` lines for commands that need no input file
+    prefixes = tuple(f"armakit {command} " for command in commands)
+    lines = README.read_text().splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith(prefixes)]
+
+
+@pytest.mark.parametrize("argv", cli_examples("erf", "stability"), ids=" ".join)
+def test_cli_example_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    if "empirical-2d" in argv:
+        assert (tmp_path / "heat.json").is_file()
