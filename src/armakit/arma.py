@@ -8,29 +8,34 @@ kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
     A[:, :, t] * Y[:, :, t] = sum_s W[:, :, t, s] * X[:, :, s]
 
 with ``*`` denoting circular convolution.  Every convolution is diagonal in
-the frequency domain, so the layer is one fused spectral solve:
+the frequency domain, so the layer is one spectral solve:
 
     Y_hat[k, t] = sum_s W_hat[k, t, s] * X_hat[k, s] / A_hat[k, t]
 
-one ``rfft2`` of the input, a ``(T x S)`` product per frequency, the
-division and one ``irfft2``.  Every field is real, so every spectrum is a
-half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is built from two small
-phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at the dilated tap
-offsets ``d*p``.  The kernel ``A = outer(g, f)`` is separable, so its
-spectrum is the outer product of two 1D DFTs.  Neither needs a 2D
-transform.  Fields may carry a leading sample axis ``(N, I1, I2, C)``; the
-kernels and spectra are shared by all samples, so kernel gradients sum over
-the batch.
+a ``(T x S)`` product per frequency and the division.  Every field is real,
+so every spectrum is a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is
+built from two small phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at
+the dilated tap offsets ``d*p``.  The kernel ``A = outer(g, f)`` is
+separable, so its spectrum is the outer product of two 1D DFTs.  Neither
+needs a 2D transform.  Fields may carry a leading sample axis
+``(N, I1, I2, C)``; the kernels and spectra are shared by all samples, so
+kernel gradients sum over the batch.
 
-The backward pass is the spectral adjoint.  With ``dY`` the incoming
-gradient, ``dT_hat = dY_hat / conj(A_hat)`` stays in the frequency domain,
-``dX_hat = W_hat^H . dT_hat`` is inverted by one ``irfft2``, and both
-kernel gradients are batch-summed cross spectra read only at the kernel's
-tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW`` and
+The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
+gradient's spectrum, ``dT_hat = dY_hat / conj(A_hat)``, the input
+gradient's spectrum is ``dX_hat = W_hat^H . dT_hat``, and both kernel
+gradients are batch-summed cross spectra read only at the kernel's tap
+offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW`` and
 ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
 over the offset rows, then an ``irfft`` at the offset columns.
-Correctness of every gradient here is pinned by finite differences in the
-test suite rather than by the algebra alone.
+
+The layer is linear, so this core takes spectra in and gives spectra out
+(:func:`spectral_forward`, :func:`spectral_backward`): one layer's output
+spectrum is the next one's input spectrum, and a stack of layers needs no 2D
+transform between them.  :func:`layer_forward` and :func:`layer_backward`
+are the same core between field edges, one ``rfft2`` in and one ``irfft2``
+out.  Correctness of every gradient here is pinned by finite differences in
+the test suite rather than by the algebra alone.
 """
 
 from __future__ import annotations
@@ -167,12 +172,18 @@ def _samples(spectrum: np.ndarray) -> np.ndarray:
     return spectrum.reshape((-1,) + spectrum.shape[-3:])
 
 
-def _check_ma(x: FieldTensor, w: MaKernel) -> None:
-    if x.channels != w.in_channels:
+def _check_ma(shape: Tuple[int, ...], w: MaKernel) -> None:
+    # shape is the input field's, ([N,] I1, I2, S)
+    if shape[-1] != w.in_channels:
         raise ValueError(
-            f"input has {x.channels} channels but kernel expects {w.in_channels}"
+            f"input has {shape[-1]} channels but kernel expects {w.in_channels}"
         )
-    _check_footprint(w.tap_height, w.tap_width, x.height, x.width, w.dilation)
+    _check_footprint(w.tap_height, w.tap_width, shape[-3], shape[-2], w.dilation)
+
+
+def _half_shape(shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    # the half spectrum's shape of a real field of this shape
+    return shape[:-2] + (shape[-2] // 2 + 1, shape[-1])
 
 
 def _rfft2(field: FieldTensor) -> np.ndarray:
@@ -190,7 +201,7 @@ def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
     Kernel offsets are scaled by ``w.dilation``.  Computed as
     ``T_hat = W_hat . X_hat``, one ``(T x S)`` product per frequency.
     """
-    _check_ma(x, w)
+    _check_ma(x.data.shape, w)
     w_hat = _ma_spectrum(w, x.height, x.width)
     return _irfft2(_ma_product(_rfft2(x), w_hat), x.height, x.width)
 
@@ -222,79 +233,94 @@ def ar_spectra(
     return out
 
 
-def layer_forward(
-    x: FieldTensor, ma: MaKernel, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
-) -> Tuple[FieldTensor, LayerCache]:
+def spectral_forward(
+    x_hat: np.ndarray,
+    shape: Tuple[int, ...],
+    ma: MaKernel,
+    ar: SeparableArKernel,
+    epsilon: float = DEFAULT_EPSILON,
+) -> Tuple[np.ndarray, LayerCache]:
     """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / A_hat``.
 
-    One ``rfft2`` of the input, one ``(T x S)`` product per frequency with
-    the moving-average spectrum, the per-channel division by ``A_hat`` and
-    one ``irfft2``.  The autoregressive stage alone is the layer with a 1x1
-    identity moving-average kernel, ``MaKernel(np.eye(T)[None, None])``.
-    Checks shapes and footprints (identity factors widen none) but not the
+    ``x_hat`` is the half spectrum ``([N,] I1, I2//2+1, S)`` of a real input
+    field of shape ``shape``, ``([N,] I1, I2, S)``; the width is needed
+    because the half spectrum cannot tell ``I2`` from ``I2 + 1``.  One
+    ``(T x S)`` product per frequency with the moving-average spectrum,
+    then the per-channel division by ``A_hat``.  Returns the output half
+    spectrum and the cache, whose ``shape`` is the output field's.  The
+    autoregressive stage alone is the layer with a 1x1 identity
+    moving-average kernel, ``MaKernel(np.eye(T)[None, None])``.  Checks
+    shapes and footprints (identity factors widen none) but not the
     stability of ``ar``'s factors, so the trainer's raw mode can run
     unstable ones.  Raises :class:`armakit.numerics.SingularSpectrumError`
     as :func:`ar_spectra` does.
     """
-    _check_ma(x, ma)
+    shape = tuple(shape)
+    if x_hat.shape != _half_shape(shape):
+        raise ValueError(
+            f"spectrum shape {x_hat.shape} is not the half spectrum of a {shape} field"
+        )
+    _check_ma(shape, ma)
     if ma.out_channels != ar.channels:
         raise ValueError(
             f"moving-average kernel produces {ma.out_channels} channels "
             f"but autoregressive kernel has {ar.channels}"
         )
+    height, width = shape[-3:-1]
     # per channel, the largest |offset| of a nonzero composed tap (identity factors add none)
     offsets = np.abs(np.arange(-ar.depth, ar.depth + 1))
     g_half, f_half = (
         np.max(np.where(compose_1d(taps) != 0, offsets, 0), axis=-1)
         for taps in (ar.g_filters, ar.f_filters)
     )
-    too_wide = (2 * g_half >= x.height) | (2 * f_half >= x.width)
+    too_wide = (2 * g_half >= height) | (2 * f_half >= width)
     if too_wide.any():
         ch = int(np.argmax(too_wide))
         raise ValueError(
             f"autoregressive footprint ({2 * g_half[ch] + 1}, {2 * f_half[ch] + 1}) "
-            f"of channel {ch} does not fit a {x.height}x{x.width} field"
+            f"of channel {ch} does not fit a {height}x{width} field"
         )
-    a_hat = ar_spectra(ar, x.height, x.width, epsilon)
-    x_hat = _rfft2(x)
-    y_hat = _ma_product(x_hat, _ma_spectrum(ma, x.height, x.width))
+    a_hat = ar_spectra(ar, height, width, epsilon)
+    y_hat = _ma_product(x_hat, _ma_spectrum(ma, height, width))
     y_hat /= a_hat
-    shape = x.data.shape[:-1] + (ar.channels,)
     cache = LayerCache(ma=ma, ar=ar, input_spectrum=x_hat, ar_spectrum=a_hat,
-                       output_spectrum=y_hat, shape=shape)
-    return _irfft2(y_hat, x.height, x.width), cache
+                       output_spectrum=y_hat, shape=shape[:-1] + (ar.channels,))
+    return y_hat, cache
 
 
-def layer_backward(
-    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
-) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass of :func:`layer_forward`.
+def spectral_backward(
+    d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool = True
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Backward pass of :func:`spectral_forward`, spectrum in and spectrum out.
 
-    Returns ``(dX, dW, dF, dG)``: the input gradient (``None`` unless
-    ``input_gradient``), the moving-average kernel gradient, and the
-    gradients of every length-3 factor's taps at offsets (-1, 0, +1), arrays
-    of shape ``(channels, depth, 3)``; kernel gradients sum over the samples
-    of a batch.  In the frequency domain:
+    ``d_y_hat`` is the half spectrum of the gradient with respect to the
+    forward output.  Returns ``(dX_hat, dW, dF, dG)``: the half spectrum of
+    the input gradient (``None`` unless ``input_gradient``), the
+    moving-average kernel gradient, and the gradients of every length-3
+    factor's taps at offsets (-1, 0, +1), arrays of shape
+    ``(channels, depth, 3)``; kernel gradients sum over the samples of a
+    batch.  In the frequency domain:
 
         dT_hat = dY_hat / conj(A_hat)
         dX_hat = W_hat^H . dT_hat
         dA_hat = -conj(Y_hat) . dT_hat
 
-    ``dT_hat`` never leaves the frequency domain: ``dX_hat`` is inverted by
-    one ``irfft2``, and ``dW`` and ``dA`` are the batch-summed cross spectra
-    ``dT_hat . conj(X_hat)`` (from the forward's input spectrum) and
-    ``dA_hat``, read only at the kernels' tap offsets.  ``dA`` is then
-    chained through the outer product and the cascade to the factor taps.
+    ``dW`` and ``dA`` are the batch-summed cross spectra ``dT_hat .
+    conj(X_hat)`` (from the forward's input spectrum) and ``dA_hat``, read
+    only at the kernels' tap offsets.  ``dA`` is then chained through the
+    outer product and the cascade to the factor taps.
     """
-    if d_y.data.shape != cache.shape:
+    if d_y_hat.shape != _half_shape(cache.shape):
         raise ValueError(
-            f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
+            f"gradient spectrum shape {d_y_hat.shape} does not match the forward "
+            f"output's half spectrum {_half_shape(cache.shape)}"
         )
     ma, ar = cache.ma, cache.ar
-    height, width = d_y.height, d_y.width
-    d_t_hat = _rfft2(d_y)
-    d_t_hat /= np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
-    # spectra are dropped once read, so that at most one cross spectrum is alive
+    height, width = cache.shape[-3:-1]
+    d_t_hat = d_y_hat / np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
+    # spectra are dropped once read, so that at most one cross spectrum is
+    # alive; dY_hat too, when the caller keeps no reference (the field edge)
+    del d_y_hat
     offsets = np.arange(-ar.depth, ar.depth + 1)
     d_a_taps = -_read_taps(
         np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat)),
@@ -314,11 +340,9 @@ def layer_backward(
         rest = (compose_1d(np.delete(factors, q, axis=-2)) if ar.depth > 1
                 else np.ones(factors.shape[:-2] + (1,)))
         d_factors[..., q, :] = np.einsum("...jk,...k->...j", windows, rest)
-    d_x = None
+    d_x_hat = None
     if input_gradient:
-        w_hat = _ma_spectrum(ma, height, width, adjoint=True)
-        d_x = _irfft2(_ma_product(d_t_hat, w_hat), height, width)
-        del w_hat
+        d_x_hat = _ma_product(d_t_hat, _ma_spectrum(ma, height, width, adjoint=True))
     # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), read one input
     # channel at a time, which keeps it at the size of dT_hat
     rows, cols = _dilated_offsets(ma)
@@ -327,7 +351,36 @@ def layer_backward(
     for s in range(ma.in_channels):
         cross = np.einsum("nijt,nij->ijt", _samples(d_t_hat), np.conj(x_hat[..., s]))
         d_w[:, :, :, s] = _read_taps(cross, rows, cols, width)
-    return d_x, d_w, d_factors[0], d_factors[1]
+    return d_x_hat, d_w, d_factors[0], d_factors[1]
+
+
+def layer_forward(
+    x: FieldTensor, ma: MaKernel, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
+) -> Tuple[FieldTensor, LayerCache]:
+    """:func:`spectral_forward` on a field: one ``rfft2`` of ``x`` in, one
+    ``irfft2`` of ``Y_hat`` out.  Returns the output field and the cache."""
+    y_hat, cache = spectral_forward(_rfft2(x), x.data.shape, ma, ar, epsilon)
+    return _irfft2(y_hat, x.height, x.width), cache
+
+
+def layer_backward(
+    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
+) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`spectral_backward` on a field: one ``rfft2`` of ``dY`` in, one
+    ``irfft2`` of ``dX_hat`` out.
+
+    Returns ``(dX, dW, dF, dG)``: the input gradient (``None`` unless
+    ``input_gradient``), the moving-average kernel gradient, and the
+    ``(channels, depth, 3)`` gradients of every length-3 factor's taps.
+    """
+    # checked on the field: widths I2 and I2 + 1 share one half spectrum
+    if d_y.data.shape != cache.shape:
+        raise ValueError(
+            f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
+        )
+    d_x_hat, d_w, d_f, d_g = spectral_backward(_rfft2(d_y), cache, input_gradient)
+    d_x = None if d_x_hat is None else _irfft2(d_x_hat, d_y.height, d_y.width)
+    return d_x, d_w, d_f, d_g
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:

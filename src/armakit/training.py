@@ -4,7 +4,13 @@ Trains small stacks with plain SGD plus gradient clipping on a synthetic
 wide-context regression task (targets are a Gaussian blur of the inputs whose
 footprint far exceeds any single moving-average kernel, so the layers can only
 fit it by learning nonzero autoregressive coefficients).  The whole batch
-runs through each layer in one call, as an ``(N, H, W, C)`` field.  Two modes:
+runs through each layer in one call, as an ``(N, H, W, C)`` field.  The stack
+has no nonlinearity, so it runs on the layer's spectral core
+(:func:`armakit.arma.spectral_forward`/:func:`~armakit.arma.spectral_backward`)
+with one layer's output spectrum as the next one's input: the inputs are
+transformed once per run, and each step takes two 2D transforms, an
+``irfft2`` of the last layer's output for the loss and an ``rfft2`` of the
+residual for the backward pass.  Two modes:
 
 * ``reparam``: autoregressive factors live in unconstrained ``(alpha, beta)``
   coordinates and are provably stable at every step;
@@ -21,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arma import ar_reparam_gradients, layer_backward, layer_forward, ma_forward
+from .arma import ar_reparam_gradients, ma_forward, spectral_backward, spectral_forward
 from .filters import SeparableArKernel
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
@@ -211,6 +217,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     layers = initial_layers(config, rng)
     trace = TrainTrace(layers=layers)
     n = task.samples
+    grid = task.inputs.shape[1:3]
+    inputs_hat = np.fft.rfft2(FieldTensor(task.inputs).data, axes=(1, 2))
 
     for step in range(config.steps):
         kernels = [(MaKernel(layer.w), layer.ar_kernel()) for layer in layers]
@@ -226,10 +234,11 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
         # each layer's cache (its input spectrum included) for its backward pass
         caches = []
-        y = FieldTensor(task.inputs)
+        y_hat, shape = inputs_hat, task.inputs.shape
         try:
             for ma, ar in kernels:
-                y, cache = layer_forward(y, ma, ar)
+                y_hat, cache = spectral_forward(y_hat, shape, ma, ar)
+                shape = cache.shape
                 caches.append(cache)
         except SingularSpectrumError:
             # raw taps left the stable region and zeroed a spectral mode
@@ -237,11 +246,12 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             trace.diverged = True
             trace.divergence_step = step
             return trace
-        residual = y.data - task.targets
+        y = np.fft.irfft2(y_hat, s=grid, axes=(1, 2))
+        residual = y - task.targets
         # total squared error per sample, averaged over the batch; the
         # large pixel sums are what make the gradient clip meaningful
         loss = float((residual**2).sum() / (2.0 * n))
-        max_out = float(np.max(np.abs(y.data)))
+        max_out = float(np.max(np.abs(y)))
 
         trace.rows.append((step, loss, max_out, mean_ar_sum))
         if not math.isfinite(loss) or max_out > DIVERGENCE_OUTPUT_LIMIT:
@@ -250,10 +260,10 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             return trace
 
         grads = []
-        grad = FieldTensor(residual / n)
+        grad = np.fft.rfft2(residual / n, axes=(1, 2))
         for index in reversed(range(len(kernels))):
             # nothing reads the first layer's input gradient
-            grad, d_w, d_f, d_g = layer_backward(grad, caches[index], input_gradient=index > 0)
+            grad, d_w, d_f, d_g = spectral_backward(grad, caches[index], input_gradient=index > 0)
             if config.mode == "reparam":
                 ab = ar_reparam_gradients(caches[index].ar, d_f, d_g)
                 d_f = np.stack([ab.alpha_f, ab.beta_f], axis=-1)

@@ -11,6 +11,8 @@ from armakit.arma import (
     layer_backward,
     layer_forward,
     ma_forward,
+    spectral_backward,
+    spectral_forward,
 )
 from armakit.filters import (
     Length3Filter,
@@ -650,3 +652,49 @@ class TestBatchAxis:
         assert_close(d_w, sum(s[2] for s in singles))
         for name in ("alpha_f", "beta_f", "alpha_g", "beta_g"):
             assert_close(getattr(grads, name), sum(getattr(s[3], name) for s in singles))
+
+
+class TestSpectralCore:
+    """The spectrum-in, spectrum-out core chained with no transform between layers."""
+
+    @pytest.mark.parametrize("shape", [(6, 8, 1), (2, 7, 5, 1), (5, 6, 1)])
+    def test_chained_core_matches_chained_layers(self, shape):
+        # the Nyquist column (even widths) and odd widths never pass through
+        # an irfft2/rfft2 round trip between layers, yet must agree with it
+        rng = np.random.default_rng(sum(shape))
+        stack = [random_params(rng, s, t, depth=2) for s, t in ((1, 3), (3, 2), (2, 1))]
+        x = FieldTensor(rng.standard_normal(shape))
+        d_y = FieldTensor(rng.standard_normal(shape))
+        height, width = shape[-3:-1]
+
+        y, caches = x, []
+        for p in stack:
+            y, cache = layer_forward(y, p.ma, p.ar)
+            caches.append(cache)
+        y_hat, field_shape, spectral_caches = np.fft.rfft2(x.data, axes=(-3, -2)), shape, []
+        for p in stack:
+            y_hat, cache = spectral_forward(y_hat, field_shape, p.ma, p.ar)
+            field_shape = cache.shape
+            spectral_caches.append(cache)
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        assert_close(np.fft.irfft2(y_hat, s=(height, width), axes=(-3, -2)), y.data)
+
+        grad, grad_hat = d_y, np.fft.rfft2(d_y.data, axes=(-3, -2))
+        for cache, spectral_cache in zip(reversed(caches), reversed(spectral_caches)):
+            grad, d_w, d_f, d_g = layer_backward(grad, cache)
+            grad_hat, *kernel_grads = spectral_backward(grad_hat, spectral_cache)
+            for got, want in zip(kernel_grads, (d_w, d_f, d_g)):
+                assert_close(got, want)
+        assert_close(np.fft.irfft2(grad_hat, s=(height, width), axes=(-3, -2)), grad.data)
+
+    def test_refuses_spectrum_of_another_shape(self):
+        params = random_params(np.random.default_rng(44), 1, 2, 1)
+        x_hat = np.fft.rfft2(np.ones((6, 8, 1)), axes=(0, 1))
+        with pytest.raises(ValueError, match="half spectrum"):
+            spectral_forward(x_hat, (6, 10, 1), params.ma, params.ar)
+        _, cache = spectral_forward(x_hat, (6, 8, 1), params.ma, params.ar)
+        with pytest.raises(ValueError, match="half spectrum"):
+            spectral_backward(np.zeros((6, 5, 1), complex), cache)

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from armakit import training
+from armakit.arma import layer_forward
 from armakit.filters import SeparableArKernel, is_stable
+from armakit.numerics import FieldTensor, MaKernel
 from armakit.training import (
+    LayerState,
     ToyTask,
     TrainConfig,
     finite_diff_grad,
+    initial_layers,
     learned_coefficient_summary,
     train,
 )
@@ -120,18 +124,79 @@ class TestTrain:
     def test_first_layer_input_gradient_is_skipped(self, monkeypatch):
         # three layers need two input gradients per step, not three
         input_gradients = []
-        original = training.layer_backward
+        original = training.spectral_backward
 
         def counted(*args, **kwargs):
             result = original(*args, **kwargs)
             input_gradients.append(result[0] is not None)
             return result
 
-        monkeypatch.setattr(training, "layer_backward", counted)
+        monkeypatch.setattr(training, "spectral_backward", counted)
         task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)
         train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
         assert len(input_gradients) == 3 * 3
         assert sum(input_gradients) == 3 * 2
+
+    @pytest.mark.parametrize("channel_sizes", [(1, 1), (1, 2, 2, 1)])
+    def test_two_2d_transforms_per_step(self, monkeypatch, channel_sizes):
+        # the inputs are transformed once per run; each step inverts the last
+        # output and transforms the residual, whatever the number of layers
+        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)  # uses ma_forward
+        calls = {"rfft2": 0, "irfft2": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        steps = 3
+        train(task, small_config(steps=steps, channel_sizes=channel_sizes))
+        assert calls == {"rfft2": 1 + steps, "irfft2": steps}
+
+    @pytest.mark.parametrize("grid", [(6, 8), (7, 5)])
+    def test_stacked_gradient_matches_central_differences(self, grid):
+        # one SGD step with no clipping moves every parameter by -lr * grad;
+        # the loss of the whole stack, chained through layer_forward in the
+        # field domain, is the oracle
+        rng = np.random.default_rng(sum(grid))
+        inputs = rng.standard_normal((2,) + grid + (1,))
+        targets = rng.standard_normal((2,) + grid + (1,))
+        task = ToyTask(inputs, targets, seed=0)
+        config = small_config(steps=1, channel_sizes=(1, 2, 2, 1), learning_rate=1e-2,
+                              clip_norm=1e9, seed=8)
+        before = initial_layers(config, np.random.default_rng(config.seed))
+        after = train(task, config).layers
+        names = ("w", "ar_f", "ar_g")
+
+        def flat(layers):
+            return np.concatenate([getattr(layer, name).ravel() for layer in layers for name in names])
+
+        def unflat(theta):
+            layers, cursor = [], 0
+            for layer in before:
+                parts = []
+                for name in names:
+                    shape = getattr(layer, name).shape
+                    parts.append(theta[cursor:cursor + np.prod(shape)].reshape(shape))
+                    cursor += parts[-1].size
+                layers.append(LayerState(*parts, mode=config.mode))
+            return layers
+
+        def loss_fn(theta):
+            y = FieldTensor(inputs)
+            for layer in unflat(theta):
+                y, _ = layer_forward(y, MaKernel(layer.w), layer.ar_kernel())
+            return float(((y.data - targets) ** 2).sum() / (2.0 * len(inputs)))
+
+        analytic = (flat(before) - flat(after)) / config.learning_rate
+        numeric = finite_diff_grad(loss_fn, flat(before), h=1e-5)
+        # criterion 4's measure: relative, floored at 1
+        err = np.abs(analytic - numeric) / np.maximum.reduce(
+            [np.abs(analytic), np.abs(numeric), np.ones_like(analytic)]
+        )
+        assert err.max() < 1e-5
 
     def test_reparam_kernels_built_once_per_step(self, monkeypatch):
         # the stability check reads the kernels each step solves with, plus
