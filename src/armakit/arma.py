@@ -8,26 +8,32 @@ kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
     A[:, :, t] * Y[:, :, t] = sum_s W[:, :, t, s] * X[:, :, s]
 
 with ``*`` denoting circular convolution.  Every convolution is diagonal in
-the frequency domain, so the layer is one spectral solve:
+the frequency domain, and the kernel ``A = outer(g, f)`` is separable, so its
+spectrum is ``A_hat[k1, k2, t] = G_hat[k1, t] * F_hat[k2, t]`` and the layer
+is one spectral solve:
 
-    Y_hat[k, t] = sum_s W_hat[k, t, s] * X_hat[k, s] / A_hat[k, t]
+    Y_hat[k, t] = (sum_s W_hat[k, t, s] * X_hat[k, s]) / G_hat[k1, t] / F_hat[k2, t]
 
-a ``(T x S)`` product per frequency and the division.  Every field is real,
-so every spectrum is a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is
-built from two small phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at
-the dilated tap offsets ``d*p``.  The kernel ``A = outer(g, f)`` is
-separable, so its spectrum is the outer product of two 1D DFTs.  Neither
-needs a 2D transform.  Fields may carry a leading sample axis
-``(N, I1, I2, C)``; the kernels and spectra are shared by all samples, so
-kernel gradients sum over the batch.
+a ``(T x S)`` product per frequency, then a scaling by ``1/G_hat`` along the
+rows and by ``1/F_hat`` along the columns.  ``A_hat`` itself is never
+formed, and the singularity guard reads its margin off the two 1D spectra in
+``O(I1 + I2)`` per channel.  Every field is real, so every field spectrum is
+a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is built from two small
+phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at the dilated tap
+offsets ``d*p``; ``G_hat`` and ``F_hat`` from the same phase matrices at the
+offsets ``-Q..Q`` of the composed ``g`` and ``f`` taps.  None needs a 2D
+transform.  Fields may carry a leading sample axis ``(N, I1, I2, C)``; the
+kernels and spectra are shared by all samples, so kernel gradients sum over
+the batch.
 
 The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
-gradient's spectrum, ``dT_hat = dY_hat / conj(A_hat)``, the input
-gradient's spectrum is ``dX_hat = W_hat^H . dT_hat``, and both kernel
-gradients are batch-summed cross spectra read only at the kernel's tap
-offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW`` and
-``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
-over the offset rows, then an ``irfft`` at the offset columns.
+gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)``, again
+by broadcasting the 1D spectra, the input gradient's spectrum is ``dX_hat =
+W_hat^H . dT_hat``, and both kernel gradients are batch-summed cross spectra
+read only at the kernel's tap offsets by one primitive: ``dT_hat .
+conj(X_hat)`` gives ``dW`` and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each
+read is a small inverse DFT over the offset rows, then an ``irfft`` at the
+offset columns.
 
 The layer is linear, so this core takes spectra in and gives spectra out
 (:func:`spectral_forward`, :func:`spectral_backward`): one layer's output
@@ -99,7 +105,7 @@ class LayerCache:
     ma: MaKernel  # the kernels the forward pass solved with
     ar: SeparableArKernel
     input_spectrum: np.ndarray  # ([N,] I1, I2//2+1, S) complex, half X_hat
-    ar_spectrum: np.ndarray  # (I1, I2//2+1, T) complex, per-channel half A_hat
+    ar_spectra: Tuple[np.ndarray, np.ndarray]  # G_hat (I1, T) and F_hat (I2//2+1, T), complex
     output_spectrum: np.ndarray  # ([N,] I1, I2//2+1, T) complex, half Y_hat
     shape: Tuple[int, ...]  # ([N,] I1, I2, T), the forward output's shape
 
@@ -187,7 +193,9 @@ def _half_shape(shape: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _rfft2(field: FieldTensor) -> np.ndarray:
-    return np.fft.rfft2(field.data, axes=(-3, -2))
+    # with out=, the second axis is transformed in place, not into a new array
+    out = np.empty(_half_shape(field.data.shape), dtype=np.complex128)
+    return np.fft.rfft2(field.data, axes=(-3, -2), out=out)
 
 
 def _irfft2(spectrum: np.ndarray, height: int, width: int) -> FieldTensor:
@@ -208,29 +216,39 @@ def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
 
 def ar_spectra(
     ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
-) -> np.ndarray:
-    """Per-channel half spectra of the embedded autoregressive kernels, ``(I1, I2//2+1, T)``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two 1D spectra of the embedded autoregressive kernels, ``(G_hat, F_hat)``.
 
-    The kernel is ``outer(g, f)``, so its spectrum is ``G_hat[k1] * F_hat[k2]``:
-    the length-``I1`` DFT of the composed ``g`` taps times the length-``I2``
-    real DFT of the composed ``f`` taps, each a product with the phase
-    matrix at the tap offsets ``-Q..Q`` (wrapped, as on the grid).  The
-    spectrum is guarded once, here:
-    every entry magnitude is at least ``epsilon``, so both the forward solve
-    and its adjoint may divide by it (or its conjugate) without checking
-    again.  Raises :class:`armakit.numerics.SingularSpectrumError` otherwise.
-    Kernels materialized from the re-parameterization can trigger it too,
-    although :func:`armakit.filters.is_stable` passes them: a factor's
-    spectrum falls to ``1 - tanh|beta|`` at frequency 0 or pi, below the
-    default epsilon once ``|beta|`` exceeds about 9.56 (measured on an 8x8
-    field, e.g. ``beta = 9.7`` or ``10``).  See ROADMAP item I.
+    The kernel is ``outer(g, f)``, so its half spectrum is ``A_hat[k1, k2, t]
+    = G_hat[k1, t] * F_hat[k2, t]``: ``G_hat`` ``(I1, T)`` is the length-``I1``
+    DFT of the composed ``g`` taps and ``F_hat`` ``(I2//2+1, T)`` the
+    length-``I2`` real DFT of the composed ``f`` taps, each a product with the
+    phase matrix at the tap offsets ``-Q..Q`` (wrapped, as on the grid).
+    ``A_hat`` is not formed.  The spectrum is guarded once, here: every
+    entry magnitude ``|G_hat[k1]| * |F_hat[k2]|`` is at least ``epsilon``,
+    so both the forward solve and its adjoint may divide by the two spectra
+    (or their conjugates) without checking again.  The check takes each
+    channel's margin ``min|G_hat| * min|F_hat|``, ``O(I1 + I2)``.  Only
+    when a margin is not above ``epsilon`` by a relative ``1e-12`` is the 2D
+    magnitude built and checked, so that
+    :class:`armakit.numerics.SingularSpectrumError` names the first
+    ``(k1, k2, t)`` index below ``epsilon`` and its magnitude, as a check of
+    the full product would.  Kernels materialized from the
+    re-parameterization can trigger it too, although
+    :func:`armakit.filters.is_stable` passes them: a factor's spectrum falls
+    to ``1 - tanh|beta|`` at frequency 0 or pi, below the default epsilon once
+    ``|beta|`` exceeds about 9.56 (measured on an 8x8 field, e.g. ``beta =
+    9.7`` or ``10``).  See ROADMAP item I.
     """
     offsets = np.arange(-ar.depth, ar.depth + 1)
     g_hat = _phases(height, offsets, height) @ compose_1d(ar.g_filters).T
     f_hat = _phases(width // 2 + 1, offsets, width) @ compose_1d(ar.f_filters).T
-    out = g_hat[:, None, :] * f_hat[None, :, :]
-    guard_spectrum(out, epsilon)
-    return out
+    # |g * f| and |g| * |f| differ by a few ulps; the slack covers them, and
+    # a margin it cannot prove (NaN included) is judged on the product itself
+    margin = np.abs(g_hat).min(axis=0) * np.abs(f_hat).min(axis=0)
+    if not np.all(margin >= epsilon * (1.0 + 1e-12)):
+        guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], epsilon)
+    return g_hat, f_hat
 
 
 def spectral_forward(
@@ -240,14 +258,15 @@ def spectral_forward(
     ar: SeparableArKernel,
     epsilon: float = DEFAULT_EPSILON,
 ) -> Tuple[np.ndarray, LayerCache]:
-    """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / A_hat``.
+    """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / G_hat / F_hat``.
 
     ``x_hat`` is the half spectrum ``([N,] I1, I2//2+1, S)`` of a real input
     field of shape ``shape``, ``([N,] I1, I2, S)``; the width is needed
     because the half spectrum cannot tell ``I2`` from ``I2 + 1``.  One
     ``(T x S)`` product per frequency with the moving-average spectrum,
-    then the per-channel division by ``A_hat``.  Returns the output half
-    spectrum and the cache, whose ``shape`` is the output field's.  The
+    then per channel the scaling by ``1/G_hat`` along the rows and by
+    ``1/F_hat`` along the columns (:func:`ar_spectra`).  Returns the output
+    half spectrum and the cache, whose ``shape`` is the output field's.  The
     autoregressive stage alone is the layer with a 1x1 identity
     moving-average kernel, ``MaKernel(np.eye(T)[None, None])``.  Checks
     shapes and footprints (identity factors widen none) but not the
@@ -280,10 +299,11 @@ def spectral_forward(
             f"autoregressive footprint ({2 * g_half[ch] + 1}, {2 * f_half[ch] + 1}) "
             f"of channel {ch} does not fit a {height}x{width} field"
         )
-    a_hat = ar_spectra(ar, height, width, epsilon)
+    g_hat, f_hat = ar_spectra(ar, height, width, epsilon)
     y_hat = _ma_product(x_hat, _ma_spectrum(ma, height, width))
-    y_hat /= a_hat
-    cache = LayerCache(ma=ma, ar=ar, input_spectrum=x_hat, ar_spectrum=a_hat,
+    y_hat *= (1.0 / g_hat)[:, None, :]
+    y_hat *= 1.0 / f_hat
+    cache = LayerCache(ma=ma, ar=ar, input_spectrum=x_hat, ar_spectra=(g_hat, f_hat),
                        output_spectrum=y_hat, shape=shape[:-1] + (ar.channels,))
     return y_hat, cache
 
@@ -301,7 +321,7 @@ def spectral_backward(
     ``(channels, depth, 3)``; kernel gradients sum over the samples of a
     batch.  In the frequency domain:
 
-        dT_hat = dY_hat / conj(A_hat)
+        dT_hat = dY_hat / conj(G_hat) / conj(F_hat)
         dX_hat = W_hat^H . dT_hat
         dA_hat = -conj(Y_hat) . dT_hat
 
@@ -317,7 +337,10 @@ def spectral_backward(
         )
     ma, ar = cache.ma, cache.ar
     height, width = cache.shape[-3:-1]
-    d_t_hat = d_y_hat / np.conj(cache.ar_spectrum)  # guarded when ar_spectra built it
+    # guarded when ar_spectra built them
+    g_hat, f_hat = cache.ar_spectra
+    d_t_hat = d_y_hat * np.conj(1.0 / g_hat)[:, None, :]
+    d_t_hat *= np.conj(1.0 / f_hat)
     # spectra are dropped once read, so that at most one cross spectrum is
     # alive; dY_hat too, when the caller keeps no reference (the field edge)
     del d_y_hat

@@ -31,9 +31,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arma import _ma_spectrum, _phases
-from .filters import SeparableArKernel, compose_1d
-from .numerics import DEFAULT_EPSILON, MaKernel, guard_spectrum
+from .arma import _ma_spectrum, ar_spectra
+from .filters import SeparableArKernel
+from .numerics import MaKernel
 
 #: Mass threshold for truncating the geometric inverse filter.
 DEFAULT_TRUNCATION = 1e-12
@@ -356,10 +356,10 @@ def empirical_erf_2d(
     Circular convolutions commute and every layer applies one causal factor
     to each channel along both axes, so the adjoint autoregressive part is
     one rank-1 filter ``outer(u, u)``, ``u = irfft(prod_l 1/conj(F_hat_l))``,
-    with each ``F_hat_l`` taken from the phase matrix as
-    :func:`armakit.arma.ar_spectra` takes it.  The moving-average adjoints
-    compose into one small kernel ``P[:, :, s, t]`` per channel pair: on the
-    field that holds the composed footprint, the layers' adjoint spectra
+    with each ``F_hat_l`` taken from :func:`armakit.arma.ar_spectra`, which
+    guards it.  The moving-average adjoints compose into one small kernel
+    ``P[:, :, s, t]`` per channel pair: on the field that holds the composed
+    footprint, the layers' adjoint spectra
     multiply per frequency, ``P_hat = W_1_hat^H @ .. @ W_L_hat^H``, and one
     ``irfft2`` inverts them.  The absolute maps ``U @ P[:, :, s, t] @ U.T``
     (``U`` holding rolled copies of ``u``) are summed over channel pairs and
@@ -389,11 +389,11 @@ def empirical_erf_2d(
             raise WraparoundError(
                 f"dilated kernel footprint does not fit a {grid}x{grid} grid"
             )
+    # every channel of a layer holds the same factor, so one kernel with a
+    # channel per layer gives every F_hat_l, guarded as the layer guards it
+    causal = np.concatenate([ar.f_filters[:1] for _, ar in layers])
     u_hat = np.ones(grid // 2 + 1, dtype=np.complex128)
-    for _, ar in layers:
-        f_hat = _phases(grid // 2 + 1, np.arange(-1, 2), grid) @ compose_1d(ar.f_filters[0])
-        # ar_spectra's guard: |outer(G_hat, F_hat)| is |outer(F_hat, F_hat)| mirrored
-        guard_spectrum(np.outer(f_hat, f_hat)[:, :, None], DEFAULT_EPSILON)
+    for f_hat in ar_spectra(SeparableArKernel(causal, causal), grid, grid)[1].T:
         u_hat /= np.conj(f_hat)
     u = np.fft.irfft(u_hat, grid)
 

@@ -260,7 +260,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             return trace
 
         grads = []
-        grad = np.fft.rfft2(residual / n, axes=(1, 2))
+        # with out=, the second axis is transformed in place, not into a new array
+        grad = np.fft.rfft2(residual / n, axes=(1, 2), out=np.empty_like(y_hat))
         for index in reversed(range(len(kernels))):
             # nothing reads the first layer's input gradient
             grad, d_w, d_f, d_g = spectral_backward(grad, caches[index], input_gradient=index > 0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from armakit.arma import ar_spectra, layer_backward, layer_forward, ma_forward
 from armakit.filters import (
@@ -10,6 +11,7 @@ from armakit.filters import (
     materialize_2d,
 )
 from armakit.numerics import (
+    DEFAULT_EPSILON,
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
@@ -21,6 +23,12 @@ from conftest import embed_taps, identity_ma, naive_circular_conv2, naive_dft1, 
 def random_field(shape, seed):
     rng = np.random.default_rng(seed)
     return FieldTensor(rng.standard_normal(shape))
+
+
+def ar_spectrum_2d(kernel, height, width):
+    # the half spectrum A_hat = outer(G_hat, F_hat) per channel, which the layer never forms
+    g_hat, f_hat = ar_spectra(kernel, height, width)
+    return g_hat[:, None, :] * f_hat[None, :, :]
 
 
 def random_kernel(rng, channels, depth=1):
@@ -109,12 +117,12 @@ class TestDft1:
     """
 
     def test_impulse_is_constant(self):
-        spectrum = ar_spectra(row_kernel(IDENTITY), 1, 4)
+        spectrum = ar_spectrum_2d(row_kernel(IDENTITY), 1, 4)
         assert np.allclose(spectrum[0, :, 0], np.ones(4 // 2 + 1))
 
     def test_shifted_impulse(self):
         # a lone +1 tap is a pure shift: against the oracle and the hand value
-        spectrum = ar_spectra(row_kernel(Length3Filter(0.0, 0.0, 1.0)), 1, 4)[0, :, 0]
+        spectrum = ar_spectrum_2d(row_kernel(Length3Filter(0.0, 0.0, 1.0)), 1, 4)[0, :, 0]
         assert np.allclose(spectrum, [1, -1j, -1], atol=1e-12)
         assert np.allclose(spectrum, naive_dft1([0, 1, 0, 0])[: 4 // 2 + 1], atol=1e-12)
 
@@ -144,7 +152,7 @@ class TestDft1:
         # separability on a 7x31 grid at depth 2, per channel
         rng = np.random.default_rng(1)
         kernel = random_kernel(rng, channels=2, depth=2)
-        spectrum = ar_spectra(kernel, 7, 31)
+        spectrum = ar_spectrum_2d(kernel, 7, 31)
         for c in range(2):
             g_taps = compose_1d(kernel.g_filters[c])[:, None]
             f_taps = compose_1d(kernel.f_filters[c])[None, :]
@@ -157,7 +165,7 @@ class TestDft2:
     """2D transforms of the autoregressive stage: kernel spectra and the solve."""
 
     def test_impulse_spectrum_all_ones(self):
-        assert np.allclose(ar_spectra(SeparableArKernel.identity(2), 4, 4), 1.0)
+        assert np.allclose(ar_spectrum_2d(SeparableArKernel.identity(2), 4, 4), 1.0)
 
     def test_constant_field(self):
         # a constant field lives at frequency (0, 0): the solve divides it by
@@ -170,7 +178,7 @@ class TestDft2:
     def test_matches_naive_double_sum(self):
         rng = np.random.default_rng(2)
         kernel = random_kernel(rng, channels=3, depth=2)
-        spectrum = ar_spectra(kernel, 5, 7)
+        spectrum = ar_spectrum_2d(kernel, 5, 7)
         for c in range(3):
             grid = embed_taps(materialize_2d(kernel, c), 5, 7)
             assert np.allclose(spectrum[:, :, c], naive_dft2(grid)[:, : 7 // 2 + 1], atol=1e-9)
@@ -195,7 +203,7 @@ class TestDft2:
         # real kernels have Hermitian spectra, so the half spectrum holds all
         # of it: its Hermitian inverse is the embedded real kernel grid
         kernel = random_kernel(np.random.default_rng(3), channels=2)
-        s = ar_spectra(kernel, 6, 9)
+        s = ar_spectrum_2d(kernel, 6, 9)
         for c in range(2):
             grid = embed_taps(materialize_2d(kernel, c), 6, 9)
             back = np.fft.irfft2(s[:, :, c], s=(6, 9))
@@ -206,7 +214,7 @@ class TestDft2:
         # image too; column 0 and an even width's Nyquist column do not
         kernel = random_kernel(np.random.default_rng(4), channels=3)
         for width in (5, 6):
-            spectrum = ar_spectra(kernel, 7, width)
+            spectrum = ar_spectrum_2d(kernel, 7, width)
             weights = np.full(width // 2 + 1, 2.0)
             weights[0] = 1.0
             if width % 2 == 0:
@@ -305,14 +313,16 @@ class TestEmbedKernel:
 
 
 class TestSpectralDivide:
-    """The guard on ``|A_hat|`` and the adjoint division by ``conj(A_hat)``."""
+    """The guard on ``|A_hat|`` and the adjoint division by ``conj(G_hat)``, ``conj(F_hat)``."""
 
     def test_unit_denominator(self):
         d_y = random_field((3, 4, 2), seed=11)
         identity = SeparableArKernel.identity(2)
         _, cache = layer_forward(FieldTensor(np.zeros((3, 4, 2))), identity_ma(2), identity)
-        assert np.array_equal(cache.ar_spectrum, np.ones((3, 4 // 2 + 1, 2), dtype=complex))
-        guard_spectrum(cache.ar_spectrum, 1e-8)
+        g_hat, f_hat = cache.ar_spectra
+        a_hat = g_hat[:, None, :] * f_hat[None, :, :]
+        assert np.array_equal(a_hat, np.ones((3, 4 // 2 + 1, 2), dtype=complex))
+        guard_spectrum(a_hat, 1e-8)
         assert np.allclose(layer_backward(d_y, cache)[0].data, d_y.data)
 
     def test_geometric_solve(self):
@@ -348,3 +358,61 @@ class TestSpectralDivide:
         )
         with pytest.raises(ValueError):
             layer_backward(FieldTensor(np.ones((2, 2, 1))), cache)
+
+
+# length-3 factors: stable random ones, re-parameterized ones with |beta| near
+# the ~9.56 where the minimum of their spectrum, at frequency pi or 0, crosses
+# the default guard, and ones on the unit circle, |fm1 + fp1| = f0
+stable_factors = st.tuples(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45)).map(
+    lambda t: (t[0], 1.0, t[1])
+)
+near_singular_factors = st.tuples(st.floats(-3.0, 3.0), st.floats(9.3, 9.9), st.booleans()).map(
+    lambda t: tuple(SeparableArKernel.from_arrays(
+        [[t[0]]], [[t[1] if t[2] else -t[1]]], [[0.0]], [[0.0]]
+    ).f_filters[0, 0])
+)
+unit_circle_factors = st.tuples(st.floats(0.1, 0.9), st.sampled_from([1.0, -1.0])).map(
+    lambda t: (t[0] * t[1], 1.0, (1.0 - t[0]) * t[1])
+)
+
+
+class TestSeparableGuard:
+    """The 1D margin ``min|G_hat| * min|F_hat|`` raises exactly where the 2D guard does."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        height=st.integers(1, 6),
+        width=st.integers(1, 7),
+        channels=st.integers(1, 2),
+        depth=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_raises_exactly_where_naive_dft_guard_raises(
+        self, height, width, channels, depth, data
+    ):
+        # stable cascades with one or two factors replaced by edge cases
+        shape = (2, channels, depth)
+        factors = np.array(data.draw(st.lists(
+            stable_factors, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+        ))).reshape(shape + (3,))
+        for _ in range(data.draw(st.integers(1, 2))):
+            position = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+            factors[position] = data.draw(st.one_of(near_singular_factors, unit_circle_factors))
+        kernel = SeparableArKernel(*factors)
+        oracle = np.stack([
+            naive_dft2(embed_taps(materialize_2d(kernel, c), height, width))[:, : width // 2 + 1]
+            for c in range(channels)
+        ], axis=-1)
+        # where the oracle's own roundoff decides, the two cannot be compared
+        assume(not np.any(np.abs(np.abs(oracle) / DEFAULT_EPSILON - 1.0) < 1e-6))
+        try:
+            guard_spectrum(oracle, DEFAULT_EPSILON)
+            expected = None
+        except SingularSpectrumError as exc:
+            expected = exc.index
+        try:
+            ar_spectra(kernel, height, width)
+            index = None
+        except SingularSpectrumError as exc:
+            index = exc.index
+        assert index == expected
