@@ -22,7 +22,7 @@ from armakit.erf import (
     layer_moments,
     layer_variance_term,
 )
-from armakit.numerics import FieldTensor
+from armakit.numerics import FieldTensor, SingularSpectrumError
 
 
 def stack(layer, depth):
@@ -342,6 +342,18 @@ class TestEmpirical2d:
     def test_wraparound_rejection(self):
         with pytest.raises(WraparoundError):
             empirical_erf_2d(stack(LayerSpec1D(3, 1, 0.9), 2), grid=32)
+
+    def test_singular_spectrum_names_first_failing_layer(self, monkeypatch):
+        # a factor whose |F_hat| falls below sqrt(epsilon) leaks mass past any
+        # grid under ~1e5, so the window check is stubbed to reach the guard
+        monkeypatch.setattr(erf, "_select_window", lambda *args: 0)
+        near_unit = LayerSpec1D(3, 1, 1.0 - 1e-6)
+        spec = LinearNetSpec((LayerSpec1D(3, 1, 0.5), near_unit, near_unit))
+        with pytest.raises(SingularSpectrumError) as info:
+            empirical_erf_2d(spec, grid=8)
+        # frequency (0, 0) of layer 1, where |F_hat[0]|^2 = (1 - a)^2
+        assert info.value.index == (0, 0, 1)
+        assert info.value.magnitude == pytest.approx(1e-12, rel=1e-6)
 
     def test_dilated_uniform_mode(self):
         spec = stack(LayerSpec1D(3, 2, 0.25), 2)
