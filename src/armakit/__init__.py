@@ -17,7 +17,6 @@ from .numerics import (
 )
 from .filters import (
     Length3Filter,
-    ReparamFilter,
     SeparableArKernel,
     compose_1d,
     is_stable,
@@ -35,7 +34,6 @@ from .arma import (
     arma_forward,
     layer_backward,
     layer_forward,
-    ma_forward,
 )
 from .erf import (
     ErfMap,

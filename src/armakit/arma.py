@@ -1,6 +1,6 @@
-"""The ARMA layer: moving-average forward/backward, autoregressive solve by
-frequency-domain division, its analytic backward pass, and a dense solver
-used as a small-instance oracle.
+"""The ARMA layer: one spectral solve of the moving-average convolution and
+the autoregressive deconvolution, its analytic backward pass, and a dense
+solver used as a small-instance oracle.
 
 A layer with moving-average kernel ``W`` and per-channel autoregressive
 kernel ``A`` maps an input field ``X`` to the output ``Y`` satisfying
@@ -40,7 +40,8 @@ The layer is linear, so this core takes spectra in and gives spectra out
 spectrum is the next one's input spectrum, and a stack of layers needs no 2D
 transform between them.  :func:`layer_forward` and :func:`layer_backward`
 are the same core between field edges, one ``rfft2`` in and one ``irfft2``
-out.  Correctness of every gradient here is pinned by finite differences in
+out.  Either stage alone is the layer with the other stage's identity
+kernel.  Correctness of every gradient here is pinned by finite differences in
 the test suite rather than by the algebra alone.
 """
 
@@ -92,10 +93,6 @@ class ArmaLayerParams:
     @property
     def in_channels(self) -> int:
         return self.ma.in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.ma.out_channels
 
 
 @dataclass(eq=False)
@@ -203,20 +200,7 @@ def _irfft2(spectrum: np.ndarray, height: int, width: int) -> FieldTensor:
     return FieldTensor(np.fft.irfft2(spectrum, s=(height, width), axes=(-3, -2)))
 
 
-def ma_forward(x: FieldTensor, w: MaKernel) -> FieldTensor:
-    """Multi-channel circular convolution ``T[:,:,t] = sum_s W[:,:,t,s] * X[:,:,s]``.
-
-    Kernel offsets are scaled by ``w.dilation``.  Computed as
-    ``T_hat = W_hat . X_hat``, one ``(T x S)`` product per frequency.
-    """
-    _check_ma(x.data.shape, w)
-    w_hat = _ma_spectrum(w, x.height, x.width)
-    return _irfft2(_ma_product(_rfft2(x), w_hat), x.height, x.width)
-
-
-def ar_spectra(
-    ar: SeparableArKernel, height: int, width: int, epsilon: float = DEFAULT_EPSILON
-) -> Tuple[np.ndarray, np.ndarray]:
+def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
     """The two 1D spectra of the embedded autoregressive kernels, ``(G_hat, F_hat)``.
 
     The kernel is ``outer(g, f)``, so its half spectrum is ``A_hat[k1, k2, t]
@@ -225,18 +209,19 @@ def ar_spectra(
     length-``I2`` real DFT of the composed ``f`` taps, each a product with the
     phase matrix at the tap offsets ``-Q..Q`` (wrapped, as on the grid).
     ``A_hat`` is not formed.  The spectrum is guarded once, here: every
-    entry magnitude ``|G_hat[k1]| * |F_hat[k2]|`` is at least ``epsilon``,
-    so both the forward solve and its adjoint may divide by the two spectra
-    (or their conjugates) without checking again.  The check takes each
-    channel's margin ``min|G_hat| * min|F_hat|``, ``O(I1 + I2)``.  Only
-    when a margin is not above ``epsilon`` by a relative ``1e-12`` is the 2D
-    magnitude built and checked, so that
+    entry magnitude ``|G_hat[k1]| * |F_hat[k2]|`` is at least
+    ``DEFAULT_EPSILON`` (read from this module at call time), so both the
+    forward solve and its adjoint may divide by the two spectra (or their
+    conjugates) without checking again.  The check
+    takes each channel's margin ``min|G_hat| * min|F_hat|``, ``O(I1 +
+    I2)``.  Only when a margin is not above the threshold by a relative
+    ``1e-12`` is the 2D magnitude built and checked, so that
     :class:`armakit.numerics.SingularSpectrumError` names the first
-    ``(k1, k2, t)`` index below ``epsilon`` and its magnitude, as a check of
-    the full product would.  Kernels materialized from the
+    ``(k1, k2, t)`` index below the threshold and its magnitude, as a check
+    of the full product would.  Kernels materialized from the
     re-parameterization can trigger it too, although
     :func:`armakit.filters.is_stable` passes them: a factor's spectrum falls
-    to ``1 - tanh|beta|`` at frequency 0 or pi, below the default epsilon once
+    to ``1 - tanh|beta|`` at frequency 0 or pi, below the threshold once
     ``|beta|`` exceeds about 9.56 (measured on an 8x8 field, e.g. ``beta =
     9.7`` or ``10``).  See ROADMAP item I.
     """
@@ -246,8 +231,8 @@ def ar_spectra(
     # |g * f| and |g| * |f| differ by a few ulps; the slack covers them, and
     # a margin it cannot prove (NaN included) is judged on the product itself
     margin = np.abs(g_hat).min(axis=0) * np.abs(f_hat).min(axis=0)
-    if not np.all(margin >= epsilon * (1.0 + 1e-12)):
-        guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], epsilon)
+    if not np.all(margin >= DEFAULT_EPSILON * (1.0 + 1e-12)):
+        guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], DEFAULT_EPSILON)
     return g_hat, f_hat
 
 
@@ -256,7 +241,6 @@ def spectral_forward(
     shape: Tuple[int, ...],
     ma: MaKernel,
     ar: SeparableArKernel,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> Tuple[np.ndarray, LayerCache]:
     """The spectral core of every forward solve: ``Y_hat = (W_hat . X_hat) / G_hat / F_hat``.
 
@@ -268,7 +252,9 @@ def spectral_forward(
     ``1/F_hat`` along the columns (:func:`ar_spectra`).  Returns the output
     half spectrum and the cache, whose ``shape`` is the output field's.  The
     autoregressive stage alone is the layer with a 1x1 identity
-    moving-average kernel, ``MaKernel(np.eye(T)[None, None])``.  Checks
+    moving-average kernel, ``MaKernel(np.eye(T)[None, None])``, and the
+    moving-average stage alone the layer with
+    ``SeparableArKernel.identity(T)``, whose spectra are exactly 1.  Checks
     shapes and footprints (identity factors widen none) but not the
     stability of ``ar``'s factors, so the trainer's raw mode can run
     unstable ones.  Raises :class:`armakit.numerics.SingularSpectrumError`
@@ -299,7 +285,7 @@ def spectral_forward(
             f"autoregressive footprint ({2 * g_half[ch] + 1}, {2 * f_half[ch] + 1}) "
             f"of channel {ch} does not fit a {height}x{width} field"
         )
-    g_hat, f_hat = ar_spectra(ar, height, width, epsilon)
+    g_hat, f_hat = ar_spectra(ar, height, width)
     y_hat = _ma_product(x_hat, _ma_spectrum(ma, height, width))
     y_hat *= (1.0 / g_hat)[:, None, :]
     y_hat *= 1.0 / f_hat
@@ -378,32 +364,31 @@ def spectral_backward(
 
 
 def layer_forward(
-    x: FieldTensor, ma: MaKernel, ar: SeparableArKernel, epsilon: float = DEFAULT_EPSILON
+    x: FieldTensor, ma: MaKernel, ar: SeparableArKernel
 ) -> Tuple[FieldTensor, LayerCache]:
     """:func:`spectral_forward` on a field: one ``rfft2`` of ``x`` in, one
     ``irfft2`` of ``Y_hat`` out.  Returns the output field and the cache."""
-    y_hat, cache = spectral_forward(_rfft2(x), x.data.shape, ma, ar, epsilon)
+    y_hat, cache = spectral_forward(_rfft2(x), x.data.shape, ma, ar)
     return _irfft2(y_hat, x.height, x.width), cache
 
 
 def layer_backward(
-    d_y: FieldTensor, cache: LayerCache, input_gradient: bool = True
-) -> Tuple[Optional[FieldTensor], np.ndarray, np.ndarray, np.ndarray]:
+    d_y: FieldTensor, cache: LayerCache
+) -> Tuple[FieldTensor, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`spectral_backward` on a field: one ``rfft2`` of ``dY`` in, one
     ``irfft2`` of ``dX_hat`` out.
 
-    Returns ``(dX, dW, dF, dG)``: the input gradient (``None`` unless
-    ``input_gradient``), the moving-average kernel gradient, and the
-    ``(channels, depth, 3)`` gradients of every length-3 factor's taps.
+    Returns ``(dX, dW, dF, dG)``: the input gradient, the moving-average
+    kernel gradient, and the ``(channels, depth, 3)`` gradients of every
+    length-3 factor's taps.
     """
     # checked on the field: widths I2 and I2 + 1 share one half spectrum
     if d_y.data.shape != cache.shape:
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
-    d_x_hat, d_w, d_f, d_g = spectral_backward(_rfft2(d_y), cache, input_gradient)
-    d_x = None if d_x_hat is None else _irfft2(d_x_hat, d_y.height, d_y.width)
-    return d_x, d_w, d_f, d_g
+    d_x_hat, d_w, d_f, d_g = spectral_backward(_rfft2(d_y), cache)
+    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, d_f, d_g
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:
@@ -453,12 +438,10 @@ def dense_circulant_matrix(taps, height: int, width: int, dilation: int = 1) -> 
     return matrix
 
 
-def arma_forward(
-    x: FieldTensor, params: ArmaLayerParams, epsilon: float = DEFAULT_EPSILON
-) -> Tuple[FieldTensor, LayerCache]:
+def arma_forward(x: FieldTensor, params: ArmaLayerParams) -> Tuple[FieldTensor, LayerCache]:
     """Full layer: moving-average convolution followed by the deconvolution,
     fused into one spectral solve (:func:`layer_forward`)."""
-    return layer_forward(x, params.ma, params.ar, epsilon)
+    return layer_forward(x, params.ma, params.ar)
 
 
 def arma_backward(

@@ -208,15 +208,21 @@ def cmd_erf(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     opts = _resolve(args)
-    size = opts["size"]
+    size, depth = opts["size"], opts["q"]
     if size * size > arma.DENSE_SOLVE_LIMIT:
         raise UsageError(
             f"size {size} exceeds the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
         )
+    # checked before anything is built: composing a long cascade is itself slow
+    if not 1 <= depth <= (size - 1) // 2:
+        raise UsageError(
+            f"--q must be in [1, {(size - 1) // 2}], so that the autoregressive "
+            f"footprint 2q+1 fits size {size}, got {depth}"
+        )
     s, t = _parse_list(opts["channels"], int, count=2)
     report, failures = gradcheck_report(
         size=size, in_channels=s, out_channels=t,
-        depth=opts["q"], seed=opts["seed"], tol=float(opts["tol"]),
+        depth=depth, seed=opts["seed"], tol=float(opts["tol"]),
     )
     print(json.dumps(report))
     if failures:
@@ -226,64 +232,44 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+_AR_NAMES = ("alpha_f", "beta_f", "alpha_g", "beta_g")
+
+
 def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
     """Compare every analytic gradient group against central differences.
 
+    Each group (the input ``x``, the kernel ``w`` and the four ``(alpha,
+    beta)`` arrays) is differenced on its own, the others held fixed.
     Returns ``(per-group max relative error dict, failing coordinate lines)``.
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((size, size, in_channels))
-    w = rng.standard_normal((3, 3, out_channels, in_channels)) * 0.5
-    ab = {
-        name: rng.uniform(-1.0, 1.0, size=(out_channels, depth))
-        for name in ("alpha_f", "beta_f", "alpha_g", "beta_g")
+    groups = {
+        "x": rng.standard_normal((size, size, in_channels)),
+        "w": rng.standard_normal((3, 3, out_channels, in_channels)) * 0.5,
     }
+    for name in _AR_NAMES:
+        groups[name] = rng.uniform(-1.0, 1.0, size=(out_channels, depth))
 
-    sizes = {"x": x.size, "w": w.size}
-    for name, arr in ab.items():
-        sizes[name] = arr.size
+    def forward(values):
+        ar = filters.SeparableArKernel.from_arrays(*(values[name] for name in _AR_NAMES))
+        params = arma.ArmaLayerParams(ma=MaKernel(values["w"]), ar=ar)
+        field = FieldTensor(values["x"])
+        y, cache = arma.arma_forward(field, params)
+        return field, params, y, cache
 
-    def unpack(theta):
-        pieces = {}
-        cursor = 0
-        for name, count in sizes.items():
-            pieces[name] = theta[cursor : cursor + count]
-            cursor += count
-        return pieces
-
-    def build(theta):
-        p = unpack(theta)
-        ma = MaKernel(p["w"].reshape(w.shape))
-        ar = filters.SeparableArKernel.from_arrays(
-            *(p[name].reshape(out_channels, depth)
-              for name in ("alpha_f", "beta_f", "alpha_g", "beta_g"))
-        )
-        return FieldTensor(p["x"].reshape(x.shape)), arma.ArmaLayerParams(ma=ma, ar=ar)
-
-    def loss_fn(theta):
-        field, params = build(theta)
-        y, _ = arma.arma_forward(field, params)
-        return 0.5 * float((y.data**2).sum())
-
-    theta0 = np.concatenate(
-        [x.ravel(), w.ravel()] + [ab[name].ravel() for name in ab]
-    )
-    field, params = build(theta0)
-    y, cache = arma.arma_forward(field, params)
+    field, params, y, cache = forward(groups)
     d_x, d_w, ar_grads = arma.arma_backward(y, field, params, cache)
-    analytic = {
-        "x": d_x.data.ravel(),
-        "w": d_w.ravel(),
-        "alpha_f": ar_grads.alpha_f.ravel(),
-        "beta_f": ar_grads.beta_f.ravel(),
-        "alpha_g": ar_grads.alpha_g.ravel(),
-        "beta_g": ar_grads.beta_g.ravel(),
-    }
-    numeric = unpack(training.finite_diff_grad(loss_fn, theta0, h=1e-5))
+    analytic = {"x": d_x.data, "w": d_w}
+    analytic.update((name, getattr(ar_grads, name)) for name in _AR_NAMES)
 
     report, failures = {}, []
-    for name in sizes:
-        a, f = analytic[name], numeric[name]
+    for name, value in groups.items():
+        def loss_fn(bumped):
+            y = forward({**groups, name: bumped})[2]
+            return 0.5 * float((y.data**2).sum())
+
+        a = analytic[name].ravel()
+        f = training.finite_diff_grad(loss_fn, value, h=1e-5).ravel()
         err = np.abs(a - f) / np.maximum.reduce([np.abs(a), np.abs(f), np.ones_like(a)])
         report[name] = float(err.max())
         for i in np.flatnonzero(err > tol):
@@ -333,7 +319,8 @@ def cmd_stability(args) -> int:
         return EXIT_OK
     if opts["reparam"] is not None:
         alpha, beta = _parse_list(opts["reparam"], float, 2)
-        report = _filter_report(filters.materialize(filters.ReparamFilter(alpha, beta)))
+        taps = filters.materialize([alpha, beta])
+        report = _filter_report(filters.Length3Filter(*taps.tolist()))
         print(json.dumps(report))
         return EXIT_OK
     count = opts["scan"]
@@ -403,7 +390,7 @@ def cmd_solve(args) -> int:
     summary = {}
     if opts["timing"] or opts["oracle"]:
         # --timing and --oracle run the autoregressive stage alone, on its input
-        pre = arma.ma_forward(field, ma)
+        pre, _ = arma.layer_forward(field, ma, filters.SeparableArKernel.identity(1))
     if opts["timing"]:
         identity = MaKernel(np.ones((1, 1, 1, 1)))  # the layer is then its AR stage
         best = float("inf")

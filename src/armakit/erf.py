@@ -270,8 +270,8 @@ def _uniform_ma_taps_1d(layer: LayerSpec1D) -> np.ndarray:
 def _layer_kernels(
     spec: LinearNetSpec, channels: int, kernel_mode: str, rng: Optional[np.random.Generator]
 ):
-    """Materialize (MaKernel, SeparableArKernel) pairs for the 2D network."""
-    layers = []
+    """Materialize the moving-average kernel of each layer of the 2D network."""
+    kernels = []
     for layer in spec.layers:
         _check_ma_support(layer)
         if kernel_mode == "uniform":
@@ -283,11 +283,8 @@ def _layer_kernels(
             fan = size * size * channels
             bound = math.sqrt(6.0 / (fan + fan))
             data = rng.uniform(-bound, bound, size=(size, size, channels, channels))
-        ma = MaKernel(data, dilation=layer.dilation)
-        # one causal factor per channel and axis, which empirical_erf_2d relies on
-        causal = np.tile([0.0, 1.0, -layer.ar_coeff], (data.shape[2], 1, 1))
-        layers.append((ma, SeparableArKernel(causal, causal)))
-    return layers
+        kernels.append(MaKernel(data, dilation=layer.dilation))
+    return kernels
 
 
 def _axis_mass_profile(spec: LinearNetSpec, kernel_mode: str, epsilon: float):
@@ -383,24 +380,25 @@ def empirical_erf_2d(
     w0 = _select_window(spec, grid, kernel_mode, epsilon, DEFAULT_WRAP_TOLERANCE)
 
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
-    layers = _layer_kernels(spec, channels, kernel_mode, rng)
-    for ma, _ in layers:
+    ma_kernels = _layer_kernels(spec, channels, kernel_mode, rng)
+    for ma in ma_kernels:
         if ma.dilation * (ma.tap_height - 1) >= grid:
             raise WraparoundError(
                 f"dilated kernel footprint does not fit a {grid}x{grid} grid"
             )
-    # every channel of a layer holds the same factor, so one kernel with a
-    # channel per layer gives every F_hat_l, guarded as the layer guards it
-    causal = np.concatenate([ar.f_filters[:1] for _, ar in layers])
+    # a layer applies the causal factor (1, -a) to each channel along both
+    # axes, so a kernel with one channel per layer gives every F_hat_l,
+    # guarded as the layer guards it
+    causal = np.array([[[0.0, 1.0, -layer.ar_coeff]] for layer in spec.layers])
     u_hat = np.ones(grid // 2 + 1, dtype=np.complex128)
     for f_hat in ar_spectra(SeparableArKernel(causal, causal), grid, grid)[1].T:
         u_hat /= np.conj(f_hat)
     u = np.fft.irfft(u_hat, grid)
 
     # P[:, :, s, t] over the offsets [-half, half], offset 0 shifted to the center
-    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma, _ in layers)
+    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma in ma_kernels)
     n = 2 * half + 1
-    p_hat = reduce(np.matmul, (_ma_spectrum(ma, n, n, adjoint=True) for ma, _ in layers))
+    p_hat = reduce(np.matmul, (_ma_spectrum(ma, n, n, adjoint=True) for ma in ma_kernels))
     kernels = np.fft.fftshift(np.fft.irfft2(p_hat, s=(n, n), axes=(0, 1)), axes=(0, 1))
 
     # the map is read in the offset window [q_low, -w0] directly: row x of U

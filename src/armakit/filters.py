@@ -8,11 +8,11 @@ polynomial ``fm1*z^2 + f0*z + fp1`` straddle the unit circle, which for real
 taps reduces to the strict inequality ``|fm1 + fp1| < f0``.
 
 The unconstrained parameterization maps any ``(alpha, beta)`` pair into that
-open stability region by routing the constrained coordinate (the tap sum)
-through ``tanh``:
+open stability region, with the center tap fixed to ``f0 = 1``, by routing
+the constrained coordinate (the tap sum) through ``tanh``:
 
-    fm1 + fp1 = f0 * tanh(beta)        (bounded)
-    fp1 - fm1 = f0 * alpha             (free)
+    fm1 + fp1 = tanh(beta)        (bounded)
+    fp1 - fm1 = alpha             (free)
 
 so gradient descent can never step outside the stable set.
 """
@@ -38,77 +38,50 @@ class Length3Filter(NamedTuple):
     f0: float
     fp1: float
 
-    def taps(self) -> np.ndarray:
-        """Taps ordered by offset: ``[-1, 0, +1]``."""
-        return np.array(self, dtype=np.float64)
-
-
-IDENTITY_FILTER = Length3Filter(0.0, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ReparamFilter:
-    """Unconstrained ``(alpha, beta)`` coordinates of a stable length-3 factor.
-
-    ``f0`` is fixed to 1 by default; the overall scale of an ARMA layer can be
-    absorbed by its moving-average kernel.
-    """
-
-    alpha: float
-    beta: float
-    f0: float = 1.0
-
 
 # math.tanh elementwise: np.tanh rounds to 1.0 from beta ~ 18.99, while
 # math.tanh stays below 1 up to beta ~ 19.06, the float64 edge of stability
 _TANH = np.frompyfunc(math.tanh, 1, 1)
 
 
-def _coordinates(p):
-    # (alpha, tanh(beta), f0) of one ReparamFilter, or of a (..., 2) array of
-    # (alpha, beta) pairs with f0 = 1
-    if isinstance(p, ReparamFilter):
-        return p.alpha, math.tanh(p.beta), p.f0
-    p = np.asarray(p, dtype=np.float64)
-    return p[..., 0], np.array(_TANH(p[..., 1]), dtype=np.float64), 1.0
+def _tanh(beta) -> np.ndarray:
+    return np.array(_TANH(beta), dtype=np.float64)
 
 
-def materialize(p):
+def materialize(p) -> np.ndarray:
     """Map unconstrained ``(alpha, beta)`` onto a stable filter.
 
-    ``fm1 = (f0/2) * (tanh(beta) - alpha)`` and
-    ``fp1 = (f0/2) * (tanh(beta) + alpha)``, hence
-    ``fm1 + fp1 = f0 * tanh(beta)`` with magnitude strictly below ``f0`` for
+    ``p`` is a ``(..., 2)`` array of ``(alpha, beta)`` pairs; the result is
+    the ``(..., 3)`` taps ``[fm1, f0, fp1]`` with the center tap fixed to
+    ``f0 = 1`` (the overall scale of an ARMA layer can be absorbed by its
+    moving-average kernel) and
+
+        fm1 = (tanh(beta) - alpha) / 2,    fp1 = (tanh(beta) + alpha) / 2,
+
+    hence ``fm1 + fp1 = tanh(beta)``, of magnitude strictly below ``f0`` for
     every finite ``beta`` whose float64 ``tanh`` is below 1 (``|beta|`` up
     to about 19): the result then passes :func:`is_stable`.
-
-    ``p`` is one :class:`ReparamFilter`, giving a :class:`Length3Filter`, or
-    a ``(..., 2)`` array of ``(alpha, beta)`` pairs with ``f0 = 1``, giving
-    the ``(..., 3)`` taps ``[fm1, f0, fp1]``.
     """
-    alpha, tanh_beta, f0 = _coordinates(p)
-    bounded_sum = f0 * tanh_beta
-    free_diff = f0 * alpha
-    fm1, fp1 = 0.5 * (bounded_sum - free_diff), 0.5 * (bounded_sum + free_diff)
-    if isinstance(p, ReparamFilter):
-        return Length3Filter(fm1, f0, fp1)
-    return np.stack([fm1, np.full_like(fm1, f0), fp1], axis=-1)
+    p = np.asarray(p, dtype=np.float64)
+    alpha, tanh_beta = p[..., 0], _tanh(p[..., 1])
+    fm1, fp1 = 0.5 * (tanh_beta - alpha), 0.5 * (tanh_beta + alpha)
+    return np.stack([fm1, np.ones_like(fm1), fp1], axis=-1)
 
 
 def reparam_gradient(p, d_taps):
     """Chain a gradient w.r.t. ``(fm1, fp1)`` back to ``(alpha, beta)``.
 
-    ``d_taps`` is ``(d_fm1, d_fp1)``, or a ``(..., 2)`` array of such pairs
-    when ``p`` is an array as :func:`materialize` takes it; the result is
-    ``(d_alpha, d_beta)``, floats or arrays to match.  Note ``d_beta``
-    carries the ``tanh`` saturation factor ``1 - tanh(beta)^2`` and
-    vanishes for large ``|beta|``.
+    ``p`` is a ``(..., 2)`` array of ``(alpha, beta)`` pairs as
+    :func:`materialize` takes it and ``d_taps`` a ``(..., 2)`` array of
+    ``(d_fm1, d_fp1)`` pairs; the result is the pair of arrays ``(d_alpha,
+    d_beta)``.  Note ``d_beta`` carries the ``tanh`` saturation factor ``1 -
+    tanh(beta)^2`` and vanishes for large ``|beta|``.
     """
-    _, tanh_beta, f0 = _coordinates(p)
+    tanh_beta = _tanh(np.asarray(p, dtype=np.float64)[..., 1])
     d_taps = np.asarray(d_taps, dtype=np.float64)
     d_fm1, d_fp1 = d_taps[..., 0], d_taps[..., 1]
-    d_alpha = 0.5 * f0 * (d_fp1 - d_fm1)
-    d_beta = 0.5 * f0 * (1.0 - tanh_beta**2) * (d_fm1 + d_fp1)
+    d_alpha = 0.5 * (d_fp1 - d_fm1)
+    d_beta = 0.5 * (1.0 - tanh_beta**2) * (d_fm1 + d_fp1)
     return d_alpha, d_beta
 
 

@@ -27,11 +27,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arma import ar_reparam_gradients, ma_forward, spectral_backward, spectral_forward
+from .arma import ar_reparam_gradients, layer_forward, spectral_backward, spectral_forward
 from .filters import SeparableArKernel
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
 DIVERGENCE_OUTPUT_LIMIT = 1e6
+
+#: Every layer has a ``MA_TAPS x MA_TAPS`` moving-average kernel and one
+#: length-3 autoregressive factor per axis and channel.
+MA_TAPS = 3
 
 
 @dataclass(eq=False)
@@ -63,19 +67,23 @@ class ToyTask:
         footprint, so matching it requires genuinely wide receptive fields.
         The blur profile is scaled to unit energy per axis, keeping the
         targets at unit variance: predicting zero is no shortcut, the shape
-        of the blur itself has to be matched.
+        of the blur itself has to be matched.  Each axis's blur is a layer
+        with the identity autoregressive kernel.
         """
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be a finite positive number, got {sigma}")
         rng = np.random.default_rng(seed)
         inputs = rng.standard_normal((samples, size, size, 1))
-        radius = int(math.ceil(3.0 * sigma))
+        reach = 3.0 * sigma  # inf for sigma above 6e307, and ceil(inf) raises
+        radius = math.ceil(reach) if math.isfinite(reach) else reach
         if 2 * radius >= size:
             raise ValueError(f"blur radius {radius} does not fit a {size} grid")
         profile = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
         profile /= math.sqrt((profile**2).sum())
-        rows = MaKernel(profile[:, None, None, None])
-        cols = MaKernel(profile[None, :, None, None])
-        targets = ma_forward(ma_forward(FieldTensor(inputs), rows), cols).data
-        return cls(inputs, targets, seed, description=f"gaussian blur sigma={sigma}")
+        identity = SeparableArKernel.identity(1)
+        rows, _ = layer_forward(FieldTensor(inputs), MaKernel(profile[:, None, None, None]), identity)
+        targets, _ = layer_forward(rows, MaKernel(profile[None, :, None, None]), identity)
+        return cls(inputs, targets.data, seed, description=f"gaussian blur sigma={sigma}")
 
     @classmethod
     def identity_map(cls, samples: int = 4, size: int = 64, seed: int = 0):
@@ -108,14 +116,16 @@ class TrainConfig:
     clip_norm: float = 3.0
     seed: int = 0
     mode: str = "reparam"
-    ma_taps: int = 3
-    depth: int = 1
     raw_tap_sum: float = 1.1
     ma_init: str = "xavier"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
+        if not math.isfinite(self.raw_tap_sum):
+            raise ValueError(f"raw_tap_sum must be a finite number, got {self.raw_tap_sum}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.mode not in ("reparam", "raw"):
@@ -130,7 +140,7 @@ class TrainConfig:
 class LayerState:
     """Learnable parameters of one layer.
 
-    ``ar_f``/``ar_g`` have shape ``(out_channels, depth, 2)`` holding
+    ``ar_f``/``ar_g`` have shape ``(out_channels, 1, 2)`` holding
     ``(alpha, beta)`` pairs in reparam mode or raw ``(fm1, fp1)`` taps (with
     the center tap fixed at 1) in raw mode.
     """
@@ -171,21 +181,17 @@ class TrainTrace:
         ]
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path):
-        with open(path, "w") as handle:
-            handle.write(self.csv_text())
-
 
 def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerState]:
     layers = []
-    k = config.ma_taps
+    k = MA_TAPS
     for s, t in zip(config.channel_sizes[:-1], config.channel_sizes[1:]):
         if config.ma_init == "zeros":
             w = np.zeros((k, k, t, s))
         else:
             bound = math.sqrt(6.0 / (k * k * s + k * k * t))
             w = rng.uniform(-bound, bound, size=(k, k, t, s))
-        ar_shape = (t, config.depth, 2)
+        ar_shape = (t, 1, 2)
         if config.mode == "reparam":
             ar_f = np.zeros(ar_shape)
             ar_g = np.zeros(ar_shape)

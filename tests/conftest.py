@@ -8,12 +8,20 @@ than tautology.
 
 import numpy as np
 
+from armakit.arma import layer_forward
+from armakit.filters import SeparableArKernel
 from armakit.numerics import MaKernel
 
 
 def identity_ma(channels=1):
     """The 1x1 identity moving-average kernel: a layer with it is its autoregressive stage."""
     return MaKernel(np.eye(channels)[None, None])
+
+
+def ma_stage(x, w):
+    """The library's moving-average stage alone, not an oracle: the layer
+    with the identity autoregressive kernel."""
+    return layer_forward(x, w, SeparableArKernel.identity(w.out_channels))[0]
 
 
 def naive_dft1(x):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from armakit import arma
 from armakit.arma import (
     ArmaLayerParams,
     ar_forward_dense,
@@ -12,7 +13,6 @@ from armakit.arma import (
     dense_circulant_matrix,
     layer_backward,
     layer_forward,
-    ma_forward,
     spectral_backward,
     spectral_forward,
 )
@@ -22,7 +22,7 @@ from armakit.filters import (
     materialize_2d,
 )
 from armakit.numerics import FieldTensor, MaKernel, SingularSpectrumError
-from conftest import identity_ma, naive_circular_conv2
+from conftest import identity_ma, ma_stage, naive_circular_conv2
 
 
 def field_1x4(values):
@@ -48,16 +48,18 @@ def random_stable_kernel(rng, channels, depth=1, rows=True):
 
 
 class TestMaForward:
+    """The layer with the identity autoregressive kernel is the convolution."""
+
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(20)
         x = FieldTensor(rng.standard_normal((5, 6, 1)))
-        assert np.allclose(ma_forward(x, identity_ma()).data, x.data)
+        assert np.allclose(ma_stage(x, identity_ma()).data, x.data)
 
     def test_1d_fixture(self):
         w = np.zeros((1, 3, 1, 1))
         w[0, 1, 0, 0] = 1.0
         w[0, 2, 0, 0] = 1.0
-        out = ma_forward(field_1x4([1, 2, 3, 4]), MaKernel(w))
+        out = ma_stage(field_1x4([1, 2, 3, 4]), MaKernel(w))
         assert np.allclose(out.data.ravel(), [5, 3, 5, 7])
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -66,7 +68,7 @@ class TestMaForward:
         rng = np.random.default_rng(21 + dilation)
         x = FieldTensor(rng.standard_normal((6, 6, 2)))
         w = MaKernel(rng.standard_normal((3, 3, 3, 2)), dilation=dilation)
-        out = ma_forward(x, w)
+        out = ma_stage(x, w)
         for t in range(3):
             acc = np.zeros(36)
             for s in range(2):
@@ -76,7 +78,7 @@ class TestMaForward:
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
-            ma_forward(field_1x4([1, 2, 3, 4]), identity_ma(channels=2))
+            ma_stage(field_1x4([1, 2, 3, 4]), identity_ma(channels=2))
 
 
 class TestArForward:
@@ -203,12 +205,15 @@ class TestArBackward:
         with pytest.raises(ValueError):
             layer_backward(FieldTensor(np.zeros((1, 5, 1))), cache)
 
-    def test_backward_honours_forward_epsilon(self):
+    def test_backward_honours_forward_epsilon(self, monkeypatch):
         # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
         near = Length3Filter(0.4999999998, 1.0, 0.4999999998)
         kernel = SeparableArKernel(f_filters=((near,),), g_filters=((Length3Filter(0, 1, 0),),))
         t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
-        y, cache = layer_forward(t, identity_ma(), kernel, epsilon=1e-12)
+        with monkeypatch.context() as patch:
+            # the threshold is read from the module at call time
+            patch.setattr(arma, "DEFAULT_EPSILON", 1e-12)
+            y, cache = layer_forward(t, identity_ma(), kernel)
         d_t = layer_backward(y, cache)[0]
         assert np.all(np.isfinite(d_t.data))
         with pytest.raises(SingularSpectrumError) as info:
@@ -269,7 +274,7 @@ class TestMaBackward:
         d_y = rng.standard_normal((6, 6, 2))
 
         def loss(x_flat, w_flat):
-            out = ma_forward(
+            out = ma_stage(
                 FieldTensor(x_flat.reshape(x0.shape)),
                 MaKernel(w_flat.reshape(w0.shape), dilation=dilation),
             )
@@ -313,7 +318,7 @@ class TestArmaLayer:
         w = MaKernel(rng.standard_normal((3, 3, 3, 2)))
         params = ArmaLayerParams(ma=w, ar=SeparableArKernel.identity(3))
         y, _ = arma_forward(x, params)
-        assert np.max(np.abs(y.data - ma_forward(x, w).data)) < 1e-12
+        assert np.max(np.abs(y.data - naive_ma(x.data, w))) < 1e-12
 
     def test_identity_layer_passes_through_gradient(self):
         rng = np.random.default_rng(31)
@@ -454,7 +459,7 @@ class TestRawTapGradients:
         for shape in ((6, 6, 1), (5, 7, 1), (6, 8, 1), (2, 5, 8, 1)):
             x = FieldTensor(rng.standard_normal(shape))
             w = MaKernel(rng.standard_normal((3, 3, 1, 1)) * 0.5)
-            pre = ma_forward(x, w)
+            pre = ma_stage(x, w)
 
             def loss(taps):
                 y, _ = layer_forward(pre, identity_ma(), kernel_from(taps))
@@ -502,20 +507,20 @@ class TestAdjointIdentities:
         x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
-        lhs = inner(ma_forward(x, kernel).data, y.data)
+        lhs = inner(ma_stage(x, kernel).data, y.data)
         _, cache = layer_forward(x, kernel, SeparableArKernel.identity(t))
         rhs = inner(x.data, layer_backward(y, cache)[0].data)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @pytest.mark.parametrize("h, w, s, t, taps, dilation", ADJOINT_CASES)
     def test_ma_kernel_adjoint(self, h, w, s, t, taps, dilation):
-        # ma_forward is linear in W too, so <W*x, y> = <W, dW>
+        # the MA stage is linear in W too, so <W*x, y> = <W, dW>
         rng = np.random.default_rng(int(np.prod(h)) * w + dilation + 1)
         x = FieldTensor(rng.standard_normal(field_shape(h, w, s)))
         y = FieldTensor(rng.standard_normal(field_shape(h, w, t)))
         kernel = MaKernel(rng.standard_normal(taps + (t, s)), dilation=dilation)
         d_w = layer_backward(y, layer_forward(x, kernel, SeparableArKernel.identity(t))[1])[1]
-        lhs = inner(ma_forward(x, kernel).data, y.data)
+        lhs = inner(ma_stage(x, kernel).data, y.data)
         assert lhs == pytest.approx(inner(kernel.data, d_w), rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -600,7 +605,7 @@ class TestSpectralMaProperties:
     def test_forward_matches_naive_convolution(self, case):
         x, _, w, _ = draw_layer(case)
         want = naive_ma(x.data, w)
-        assert np.max(np.abs(ma_forward(x, w).data - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(ma_stage(x, w).data - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=layer_cases())
@@ -608,7 +613,7 @@ class TestSpectralMaProperties:
     def test_adjoint_identities(self, case):
         # <W*x, dT> = <x, W^T dT> = <W, dW>, to roundoff of |W*x| |dT|
         x, d_t, w, _ = draw_layer(case)
-        forward = ma_forward(x, w).data
+        forward = ma_stage(x, w).data
         lhs = inner(forward, d_t.data)
         scale = 1e-12 * np.linalg.norm(forward) * np.linalg.norm(d_t.data)
         _, cache = layer_forward(x, w, SeparableArKernel.identity(w.out_channels))

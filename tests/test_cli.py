@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestGradcheckCommand:
     def test_size_guard(self, capsys):
         code, _, _ = run(capsys, "gradcheck", "--size", "70")
         assert code == 1
+
+    @pytest.mark.parametrize("q", ["0", "3", "200000"])
+    def test_q_outside_footprint_refused_before_building(self, capsys, q):
+        # at size 6 a cascade of q factors spans 2q+1 > 6 from q = 3; q = 200000
+        # once spent over 20 s composing the cascade before the refusal
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "gradcheck", f"--q={q}")
+        assert time.perf_counter() - begin < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: --q must be in [1, 2]")
 
 
 class TestStabilityCommand:
@@ -391,6 +402,23 @@ class TestTrainCommand:
 
     def test_zero_steps_is_usage_error(self, capsys):
         assert run(capsys, "train", "--steps", "0")[0] == 1
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("clip", "-1", "clip_norm"), ("clip", "0", "clip_norm"),
+        ("clip", "nan", "clip_norm"), ("clip", "inf", "clip_norm"),
+        ("lr", "nan", "learning_rate"), ("lr", "inf", "learning_rate"),
+        ("sigma", "0", "sigma"), ("sigma", "-1", "sigma"),
+        ("sigma", "nan", "sigma"), ("sigma", "inf", "sigma"),
+        ("raw-sum", "nan", "raw_tap_sum"),
+    ])
+    def test_numbers_that_break_training_are_usage_errors(self, capsys, flag, value, name):
+        code, out, err = run(
+            capsys, "train", "--size", "40", "--samples", "1", "--sigma", "2",
+            f"--{flag}={value}",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
 
     def test_kernel_larger_than_field_is_usage_error(self, capsys):
         code, out, err = run(capsys, "train", "--task", "zero", "--size", "2")

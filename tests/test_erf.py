@@ -22,6 +22,7 @@ from armakit.erf import (
     layer_moments,
     layer_variance_term,
 )
+from armakit.filters import SeparableArKernel
 from armakit.numerics import FieldTensor, SingularSpectrumError
 
 
@@ -38,9 +39,13 @@ def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform
     """
     w0 = erf._select_window(spec, grid, kernel_mode, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
-    layers = erf._layer_kernels(spec, channels, kernel_mode, rng)
+    mas = erf._layer_kernels(spec, channels, kernel_mode, rng)
     zeros = FieldTensor(np.zeros((grid, grid, channels)))
-    caches = [layer_forward(zeros, ma, ar)[1] for ma, ar in reversed(layers)]
+    caches = []
+    for layer, ma in reversed(list(zip(spec.layers, mas))):
+        # the layer's autoregressive part: the causal factor (1, -a) per channel and axis
+        causal = np.tile([0.0, 1.0, -layer.ar_coeff], (ma.out_channels, 1, 1))
+        caches.append(layer_forward(zeros, ma, SeparableArKernel(causal, causal))[1])
     center = grid // 2
     accumulated = np.zeros((grid, grid))
     for out_channel in range(channels):

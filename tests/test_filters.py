@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from armakit.filters import (
-    IDENTITY_FILTER,
     Length3Filter,
-    ReparamFilter,
     SeparableArKernel,
     compose_1d,
     is_stable,
@@ -18,50 +16,45 @@ from armakit.filters import (
 )
 from conftest import embed_taps
 
+IDENTITY = Length3Filter(0.0, 1.0, 0.0)
+
 
 class TestMaterialize:
     def test_origin_gives_identity(self):
-        f = materialize(ReparamFilter(0.0, 0.0))
-        assert (f.fm1, f.f0, f.fp1) == (0.0, 1.0, 0.0)
+        assert materialize([0.0, 0.0]).tolist() == [0.0, 1.0, 0.0]
 
     def test_pure_alpha_straddles(self):
-        f = materialize(ReparamFilter(2.0, 0.0))
-        assert (f.fm1, f.f0, f.fp1) == (-1.0, 1.0, 1.0)
+        f = materialize([2.0, 0.0])
+        assert f.tolist() == [-1.0, 1.0, 1.0]
         z1, z2 = zeros_of(f)
         assert abs(z1) == pytest.approx(0.618034, abs=1e-6)
         assert abs(z2) == pytest.approx(1.618034, abs=1e-6)
         assert straddles_unit_circle(f)
 
     def test_pure_beta_approaches_bound(self):
-        f = materialize(ReparamFilter(0.0, 3.0))
-        assert f.fm1 == pytest.approx(math.tanh(3.0) / 2)
-        assert f.fp1 == pytest.approx(0.497527, abs=1e-6)
-        assert f.fm1 + f.fp1 == pytest.approx(0.995055, abs=1e-6)
-        assert f.fm1 + f.fp1 < 1.0
+        fm1, _, fp1 = materialize([0.0, 3.0])
+        assert fm1 == pytest.approx(math.tanh(3.0) / 2)
+        assert fp1 == pytest.approx(0.497527, abs=1e-6)
+        assert fm1 + fp1 == pytest.approx(0.995055, abs=1e-6)
+        assert fm1 + fp1 < 1.0
 
     @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
     def test_float64_tanh_edge(self, beta, stable):
         # np.tanh(19) already rounds to 1.0; materialize keeps math.tanh's
         # values, which stay below 1 up to beta ~ 19.06
-        f = materialize(ReparamFilter(0.0, beta))
-        assert f.fm1 + f.fp1 == math.tanh(beta)
+        f = materialize([0.0, beta])
+        assert f[0] + f[2] == math.tanh(beta)
         assert is_stable(f) is stable
         taps = materialize(np.array([[0.0, beta], [0.3, -beta]]))
         assert np.array_equal(taps[0], f)
         assert is_stable(taps) is stable
-
-    def test_custom_center_tap_scales(self):
-        f = materialize(ReparamFilter(1.0, -0.5, f0=2.0))
-        assert f.f0 == 2.0
-        assert f.fm1 + f.fp1 == pytest.approx(2.0 * math.tanh(-0.5))
-        assert f.fp1 - f.fm1 == pytest.approx(2.0)
 
 
 class TestIsStable:
     def test_spec_triples(self):
         assert is_stable(Length3Filter(0.3, 1.0, 0.5)) is True
         assert is_stable(Length3Filter(0.75, 1.0, 0.75)) is False
-        assert is_stable(IDENTITY_FILTER) is True
+        assert is_stable(IDENTITY) is True
 
     def test_boundary_is_excluded(self):
         assert is_stable(Length3Filter(0.5, 1.0, 0.5)) is False
@@ -177,7 +170,7 @@ class TestReparamTotality:
         sums = np.tanh(beta)
         assert np.all(np.abs(sums) < 1.0)
         for a, b in zip(alpha[:300], beta[:300]):
-            f = materialize(ReparamFilter(a, b))
+            f = materialize([a, b])
             assert is_stable(f)
             assert straddles_unit_circle(f)
 
@@ -201,7 +194,7 @@ class TestSpectrumLowerBound:
 class TestCompose:
     def test_single_filter_is_itself(self):
         f = Length3Filter(0.2, 1.0, -0.3)
-        assert np.allclose(compose_1d([f]), f.taps())
+        assert np.allclose(compose_1d([f]), f)
 
     def test_geometric_squared(self):
         f = Length3Filter(0.0, 1.0, -0.5)
@@ -210,7 +203,7 @@ class TestCompose:
 
     def test_identity_factor_is_neutral(self):
         f = Length3Filter(-1.0, 1.0, 1.0)
-        taps = compose_1d([f, IDENTITY_FILTER])
+        taps = compose_1d([f, IDENTITY])
         assert np.allclose(taps, [0, -1, 1, 1, 0])
 
     def test_order_independence(self):
@@ -284,15 +277,16 @@ class TestMaterialize2d:
 
 class TestReparamGradient:
     def test_zero_gradient_passes_through(self):
-        assert reparam_gradient(ReparamFilter(1.0, 2.0), (0.0, 0.0)) == (0.0, 0.0)
+        d_alpha, d_beta = reparam_gradient([1.0, 2.0], [0.0, 0.0])
+        assert d_alpha == 0.0 and d_beta == 0.0
 
     def test_unit_gradient_at_origin(self):
-        d_alpha, d_beta = reparam_gradient(ReparamFilter(0.0, 0.0), (1.0, 0.0))
+        d_alpha, d_beta = reparam_gradient([0.0, 0.0], [1.0, 0.0])
         assert d_alpha == pytest.approx(-0.5)
         assert d_beta == pytest.approx(0.5)
 
     def test_tanh_saturation(self):
-        _, d_beta = reparam_gradient(ReparamFilter(0.0, 20.0), (123.0, -4.0))
+        _, d_beta = reparam_gradient([0.0, 20.0], [123.0, -4.0])
         assert abs(d_beta) < 1e-16
 
     def test_matches_finite_differences(self):
@@ -303,10 +297,10 @@ class TestReparamGradient:
             w1, w2 = rng.standard_normal(2)  # loss = w1*fm1 + w2*fp1
 
             def loss(a, b):
-                f = materialize(ReparamFilter(a, b))
-                return w1 * f.fm1 + w2 * f.fp1
+                fm1, _, fp1 = materialize([a, b])
+                return w1 * fm1 + w2 * fp1
 
-            da, db = reparam_gradient(ReparamFilter(alpha, beta), (w1, w2))
+            da, db = reparam_gradient([alpha, beta], [w1, w2])
             fd_a = (loss(alpha + h, beta) - loss(alpha - h, beta)) / (2 * h)
             fd_b = (loss(alpha, beta + h) - loss(alpha, beta - h)) / (2 * h)
             assert da == pytest.approx(fd_a, abs=1e-8)
@@ -317,15 +311,15 @@ class TestSeparableArKernel:
     def test_channel_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SeparableArKernel(
-                f_filters=((IDENTITY_FILTER,),),
-                g_filters=((IDENTITY_FILTER,), (IDENTITY_FILTER,)),
+                f_filters=((IDENTITY,),),
+                g_filters=((IDENTITY,), (IDENTITY,)),
             )
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SeparableArKernel(
-                f_filters=((IDENTITY_FILTER,),),
-                g_filters=((IDENTITY_FILTER, IDENTITY_FILTER),),
+                f_filters=((IDENTITY,),),
+                g_filters=((IDENTITY, IDENTITY),),
             )
 
     def test_from_arrays_round_trip(self):
@@ -333,4 +327,4 @@ class TestSeparableArKernel:
         assert kernel.is_reparam
         assert kernel.channels == 1 and kernel.depth == 1
         assert tuple(kernel.f_params[0][0]) == (0.5, 1.0)
-        assert tuple(kernel.f_filters[0][0]) == materialize(ReparamFilter(0.5, 1.0))
+        assert np.array_equal(kernel.f_filters[0][0], materialize([0.5, 1.0]))

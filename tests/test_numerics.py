@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from armakit.arma import ar_spectra, layer_backward, layer_forward, ma_forward
+from armakit.arma import ar_spectra, layer_backward, layer_forward
 from armakit.filters import (
-    IDENTITY_FILTER as IDENTITY,
     Length3Filter,
     SeparableArKernel,
     compose_1d,
@@ -17,7 +16,16 @@ from armakit.numerics import (
     SingularSpectrumError,
     guard_spectrum,
 )
-from conftest import embed_taps, identity_ma, naive_circular_conv2, naive_dft1, naive_dft2
+from conftest import (
+    embed_taps,
+    identity_ma,
+    ma_stage,
+    naive_circular_conv2,
+    naive_dft1,
+    naive_dft2,
+)
+
+IDENTITY = Length3Filter(0.0, 1.0, 0.0)
 
 
 def random_field(shape, seed):
@@ -49,10 +57,9 @@ def single_channel(taps, dilation=1):
 
 
 def reconvolve(y, taps_per_channel):
-    """Convolve each channel of ``y`` with its own 2D taps."""
+    """Convolve each channel of ``y`` with its own 2D taps, by direct summation."""
     planes = [
-        ma_forward(FieldTensor(y.data[:, :, c : c + 1]), single_channel(taps)).plane()
-        for c, taps in enumerate(taps_per_channel)
+        naive_circular_conv2(y.data[:, :, c], taps) for c, taps in enumerate(taps_per_channel)
     ]
     return np.stack(planes, axis=2)
 
@@ -236,18 +243,18 @@ class TestDft2:
 
 
 class TestCircularConv2:
-    """Single-channel :func:`ma_forward` is a circular 2D convolution."""
+    """The single-channel moving-average stage is a circular 2D convolution."""
 
     def test_identity_kernel(self):
         x = random_field((5, 7, 1), seed=7)
         delta = np.zeros((3, 3))
         delta[1, 1] = 1.0
-        assert np.allclose(ma_forward(x, single_channel(delta)).data, x.data)
+        assert np.allclose(ma_stage(x, single_channel(delta)).data, x.data)
 
     def test_1d_fixture(self):
         # the row-axis twin of the column fixture in test_arma
         x = FieldTensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
-        out = ma_forward(x, single_channel([[0.0], [1.0], [1.0]]))  # taps {0: 1, +1: 1}
+        out = ma_stage(x, single_channel([[0.0], [1.0], [1.0]]))  # taps {0: 1, +1: 1}
         assert np.allclose(out.data.ravel(), [5, 3, 5, 7])
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -255,7 +262,7 @@ class TestCircularConv2:
         rng = np.random.default_rng(8 + dilation)
         x = FieldTensor(rng.standard_normal((6, 9, 1)))
         taps = rng.standard_normal((3, 5))
-        out = ma_forward(x, single_channel(taps, dilation))
+        out = ma_stage(x, single_channel(taps, dilation))
         assert np.allclose(out.plane(), naive_circular_conv2(x.plane(), taps, dilation), atol=1e-12)
 
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -263,7 +270,7 @@ class TestCircularConv2:
         rng = np.random.default_rng(9 + dilation)
         x = FieldTensor(rng.standard_normal((8, 8, 1)))
         taps = rng.standard_normal((3, 3))
-        spatial = ma_forward(x, single_channel(taps, dilation))
+        spatial = ma_stage(x, single_channel(taps, dilation))
         spectral = np.fft.ifft2(
             np.fft.fft2(x.plane()) * np.fft.fft2(embed_taps(taps, 8, 8, dilation))
         ).real
@@ -272,11 +279,11 @@ class TestCircularConv2:
     def test_footprint_guard(self):
         x = random_field((4, 4, 1), seed=10)
         with pytest.raises(ValueError):
-            ma_forward(x, single_channel(np.ones((3, 3)), dilation=2))
+            ma_stage(x, single_channel(np.ones((3, 3)), dilation=2))
 
     def test_rejects_multichannel(self):
         with pytest.raises(ValueError):
-            ma_forward(random_field((4, 4, 2), seed=0), single_channel(np.ones((1, 1))))
+            ma_stage(random_field((4, 4, 2), seed=0), single_channel(np.ones((1, 1))))
 
 
 class TestEmbedKernel:
@@ -295,10 +302,9 @@ class TestEmbedKernel:
         nonzero = set(zip(*np.nonzero(out)))
         assert nonzero == {(r, c) for r in (0, 2, 6) for c in (0, 2, 6)}
         # embedding is consistent with the direct convolution of an impulse
-        impulse = np.zeros((8, 8, 1))
-        impulse[0, 0, 0] = 1.0
-        conv = ma_forward(FieldTensor(impulse), single_channel(taps, dilation=2))
-        assert np.allclose(out, conv.plane())
+        impulse = np.zeros((8, 8))
+        impulse[0, 0] = 1.0
+        assert np.allclose(out, naive_circular_conv2(impulse, taps, dilation=2))
 
     def test_footprint_guard(self):
         # the solve refuses a kernel that would alias when embedded

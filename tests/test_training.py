@@ -14,6 +14,7 @@ from armakit.training import (
     learned_coefficient_summary,
     train,
 )
+from conftest import naive_circular_conv2
 
 
 class TestFiniteDiff:
@@ -46,6 +47,23 @@ class TestToyTask:
     def test_blur_radius_guard(self):
         with pytest.raises(ValueError):
             ToyTask.wide_blur(size=16, sigma=6.0)
+        # 3 sigma overflows to inf, whose ceil would raise OverflowError
+        with pytest.raises(ValueError, match="blur radius inf"):
+            ToyTask.wide_blur(size=16, sigma=1e308)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_refuses_sigma_that_is_not_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            ToyTask.wide_blur(samples=1, size=16, sigma=sigma)
+
+    def test_blur_matches_direct_summation(self):
+        # the blur is the circular convolution with outer(profile, profile)
+        sigma = 2.0
+        task = ToyTask.wide_blur(samples=1, size=16, sigma=sigma, seed=3)
+        profile = np.exp(-0.5 * (np.arange(-6, 7) / sigma) ** 2)
+        profile /= np.sqrt((profile**2).sum())
+        want = naive_circular_conv2(task.inputs[0, :, :, 0], np.outer(profile, profile))
+        assert np.max(np.abs(task.targets[0, :, :, 0] - want)) < 1e-12
 
 
 class TestConfig:
@@ -58,6 +76,17 @@ class TestConfig:
             TrainConfig(mode="projected")
         with pytest.raises(ValueError):
             TrainConfig(channel_sizes=(1,))
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", -1e-2), ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf),
+        ("raw_tap_sum", np.nan), ("raw_tap_sum", np.inf), ("raw_tap_sum", -np.inf),
+    ])
+    def test_refuses_numbers_that_break_training(self, name, value):
+        # a negative clip ascends the loss, a zero one freezes it, and the
+        # non-finite values end in a kernel or stability error mid-run
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
 
 def small_config(**overrides):
@@ -141,7 +170,7 @@ class TestTrain:
     def test_two_2d_transforms_per_step(self, monkeypatch, channel_sizes):
         # the inputs are transformed once per run; each step inverts the last
         # output and transforms the residual, whatever the number of layers
-        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)  # uses ma_forward
+        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)  # runs two layers
         calls = {"rfft2": 0, "irfft2": 0}
         for name in calls:
             original = getattr(np.fft, name)
@@ -201,6 +230,8 @@ class TestTrain:
     def test_reparam_kernels_built_once_per_step(self, monkeypatch):
         # the stability check reads the kernels each step solves with, plus
         # one check after the last update: steps * layers + layers builds
+        # (the task is built first: its blur runs layers with identity kernels)
+        task = ToyTask.wide_blur(samples=1, size=16, sigma=2.0, seed=5)
         built = []
         original = SeparableArKernel.from_arrays.__func__
 
@@ -209,7 +240,6 @@ class TestTrain:
             return original(cls, *args)
 
         monkeypatch.setattr(SeparableArKernel, "from_arrays", classmethod(counted))
-        task = ToyTask.wide_blur(samples=1, size=16, sigma=2.0, seed=5)
         train(task, small_config(steps=3))
         assert len(built) == 3 * 2 + 2
 
@@ -233,12 +263,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(task, small_config(channel_sizes=(2, 1)))
 
-    def test_trace_csv_round_trip(self, tmp_path):
+    def test_trace_csv_round_trip(self):
         task = ToyTask.wide_blur(samples=1, size=24, sigma=2.0, seed=6)
         trace = train(task, small_config(steps=4))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = trace.csv_text().strip().splitlines()
         assert lines[0] == "step,loss,max_abs_output,mean_abs_ar_sum"
         for row, line in zip(trace.rows, lines[1:]):
             cells = line.split(",")
