@@ -53,7 +53,6 @@ from .training import (
     TrainConfig,
     TrainTrace,
     finite_diff_grad,
-    learned_coefficient_summary,
     train,
 )
 

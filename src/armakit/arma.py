@@ -468,20 +468,7 @@ def arma_backward(
             f"input shape {x.data.shape} differs from the forward input's shape {forward_shape}"
         )
     d_x, d_w, d_f, d_g = layer_backward(d_y, cache)
-    return d_x, d_w, ar_reparam_gradients(params.ar, d_f, d_g)
-
-
-def ar_reparam_gradients(
-    ar: SeparableArKernel, d_f: np.ndarray, d_g: np.ndarray
-) -> ArGradients:
-    """Chain per-factor tap gradients through the re-parameterization.
-
-    ``d_f``/``d_g`` are ``(channels, depth, 3)`` arrays of tap gradients; the
-    center-tap component is dropped because ``f0`` is fixed.
-    """
-    if not ar.is_reparam:
-        raise ValueError("kernel carries no (alpha, beta) parameters")
-    return ArGradients(
-        *reparam_gradient(ar.f_params, d_f[..., ::2]),
-        *reparam_gradient(ar.g_params, d_g[..., ::2]),
-    )
+    # the center tap f0 is fixed, so only (fm1, fp1) chain to (alpha, beta)
+    d_f = reparam_gradient(params.ar.f_params, d_f[..., ::2])
+    d_g = reparam_gradient(params.ar.g_params, d_g[..., ::2])
+    return d_x, d_w, ArGradients(d_f[..., 0], d_f[..., 1], d_g[..., 0], d_g[..., 1])

@@ -80,9 +80,6 @@ class LinearNetSpec:
         if len(self.layers) < 1:
             raise ValueError("network needs at least one layer")
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
 
 @dataclass(eq=False)
 class ErfMap:

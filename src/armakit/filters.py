@@ -14,7 +14,7 @@ the constrained coordinate (the tap sum) through ``tanh``:
     fm1 + fp1 = tanh(beta)        (bounded)
     fp1 - fm1 = alpha             (free)
 
-so gradient descent can never step outside the stable set.
+so in exact arithmetic, gradient descent never steps outside the stable set.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def materialize(p) -> np.ndarray:
 
         fm1 = (tanh(beta) - alpha) / 2,    fp1 = (tanh(beta) + alpha) / 2,
 
-    hence ``fm1 + fp1 = tanh(beta)``, of magnitude strictly below ``f0`` for
-    every finite ``beta`` whose float64 ``tanh`` is below 1 (``|beta|`` up
-    to about 19): the result then passes :func:`is_stable`.
+    hence ``|fm1 + fp1| = |tanh(beta)| < f0``.  In float64 the result passes
+    :func:`is_stable` only while ``|beta|`` is below about 19 and ``|alpha|``
+    small against ``(1 - |tanh beta|) / eps``: ``(1.5, 19)`` fails, as does
+    ``|alpha|`` from about 6.7e7 at ``beta = 10`` (2.3e15 at ``beta = 1``).
     """
     p = np.asarray(p, dtype=np.float64)
     alpha, tanh_beta = p[..., 0], _tanh(p[..., 1])
@@ -73,16 +74,16 @@ def reparam_gradient(p, d_taps):
 
     ``p`` is a ``(..., 2)`` array of ``(alpha, beta)`` pairs as
     :func:`materialize` takes it and ``d_taps`` a ``(..., 2)`` array of
-    ``(d_fm1, d_fp1)`` pairs; the result is the pair of arrays ``(d_alpha,
-    d_beta)``.  Note ``d_beta`` carries the ``tanh`` saturation factor ``1 -
-    tanh(beta)^2`` and vanishes for large ``|beta|``.
+    ``(d_fm1, d_fp1)`` pairs; the result is ``(d_alpha, d_beta)`` pairs in
+    ``p``'s layout.  Note ``d_beta`` carries the ``tanh`` saturation factor
+    ``1 - tanh(beta)^2`` and vanishes for large ``|beta|``.
     """
     tanh_beta = _tanh(np.asarray(p, dtype=np.float64)[..., 1])
     d_taps = np.asarray(d_taps, dtype=np.float64)
     d_fm1, d_fp1 = d_taps[..., 0], d_taps[..., 1]
     d_alpha = 0.5 * (d_fp1 - d_fm1)
     d_beta = 0.5 * (1.0 - tanh_beta**2) * (d_fm1 + d_fp1)
-    return d_alpha, d_beta
+    return np.stack([d_alpha, d_beta], axis=-1)
 
 
 def stable_factors(taps) -> np.ndarray:

@@ -420,6 +420,14 @@ class TestTrainCommand:
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [("--clip", "1e9"), ("--steps", "3", "--lr", "1e14")])
+    def test_reparam_factor_rounded_out_of_stable_region_is_usage_error(self, capsys, argv):
+        # a huge step pushes (alpha, beta) where float64 rounds the tap sum to +-1
+        code, out, err = run(capsys, "train", "--size", "40", "--sigma", "2", "--samples", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "left the stable region" in err
+        assert "Traceback" not in err
+
     def test_kernel_larger_than_field_is_usage_error(self, capsys):
         code, out, err = run(capsys, "train", "--task", "zero", "--size", "2")
         assert code == 1

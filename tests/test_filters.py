@@ -289,6 +289,15 @@ class TestReparamGradient:
         _, d_beta = reparam_gradient([0.0, 20.0], [123.0, -4.0])
         assert abs(d_beta) < 1e-16
 
+    def test_keeps_the_layout_of_p(self):
+        # (..., 2) pairs in, (..., 2) pairs out, each pair chained on its own
+        rng = np.random.default_rng(19)
+        p, d_taps = rng.standard_normal((2, 3, 2, 2))
+        got = reparam_gradient(p, d_taps)
+        assert got.shape == p.shape
+        for index in np.ndindex(p.shape[:-1]):
+            assert np.array_equal(got[index], reparam_gradient(p[index], d_taps[index]))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(18)
         h = 1e-6

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from armakit import cli
@@ -21,6 +22,10 @@ def test_library_example_runs():
     assert y.data.shape == (32, 32, 8)
     assert d_x.data.shape == namespace["x"].data.shape
     assert d_w.shape == namespace["params"].ma.data.shape
+    ar_grads = namespace["ar_grads"]
+    for name in ("alpha_f", "beta_f", "alpha_g", "beta_g"):
+        grad = getattr(ar_grads, name)
+        assert grad.shape == (8, 1) and np.isfinite(grad).all(), name
 
 
 def cli_examples(*commands):
