@@ -29,11 +29,14 @@ the batch.
 The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
 gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)``, again
 by broadcasting the 1D spectra, the input gradient's spectrum is ``dX_hat =
-W_hat^H . dT_hat``, and both kernel gradients are batch-summed cross spectra
-read only at the kernel's tap offsets by one primitive: ``dT_hat .
-conj(X_hat)`` gives ``dW`` and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each
-read is a small inverse DFT over the offset rows, then an ``irfft`` at the
-offset columns.
+W_hat^H . dT_hat``, and both kernel gradients are cross spectra, formed
+elementwise and summed over the samples of a batch, read only at the
+kernel's tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW``
+and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
+over the offset rows, then an ``irfft`` at the offset columns.  ``dT_hat``
+takes the place of ``dY_hat`` when the caller keeps no reference to it (the
+field edge and the trainer), and is formed in a copy otherwise.  The phase
+matrices depend only on the grid and are memoized.
 
 The layer is linear, so this core takes spectra in and gives spectra out
 (:func:`spectral_forward`, :func:`spectral_backward`): one layer's output
@@ -47,6 +50,7 @@ the test suite rather than by the algebra alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -120,16 +124,24 @@ class ArGradients:
     beta_g: np.ndarray
 
 
-def _phases(count: int, offsets: np.ndarray, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _phases(count: int, offsets: Tuple[int, ...], n: int) -> np.ndarray:
     """``exp(-2 pi i k m / n)`` for frequencies ``k < count`` (rows) and grid
-    offsets ``m`` (columns), with ``k*m`` reduced mod ``n`` in integers first."""
-    return np.exp(-2j * np.pi * (np.outer(np.arange(count), offsets) % n) / n)
+    offsets ``m`` (columns), with ``k*m`` reduced mod ``n`` in integers first.
+
+    The matrices depend only on the grid, so they are memoized (a training
+    step asks for the same few 17 times) and returned read-only.
+    """
+    phases = np.exp(-2j * np.pi * (np.outer(np.arange(count), offsets) % n) / n)
+    phases.flags.writeable = False
+    return phases
 
 
-def _dilated_offsets(w: MaKernel) -> Tuple[np.ndarray, np.ndarray]:
+def _dilated_offsets(w: MaKernel) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     # tap k of an axis with K taps sits at offset d * (k - (K-1)//2)
     return tuple(
-        w.dilation * (np.arange(taps) - (taps - 1) // 2) for taps in (w.tap_height, w.tap_width)
+        tuple(w.dilation * (k - (taps - 1) // 2) for k in range(taps))
+        for taps in (w.tap_height, w.tap_width)
     )
 
 
@@ -151,12 +163,33 @@ def _ma_spectrum(w: MaKernel, height: int, width: int, adjoint: bool = False) ->
 
 
 def _ma_product(field_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
-    # one (out x in) matrix per frequency; einsum beat stacked matmul on the
-    # 1->4 and 4->1 channel shapes, and lost by about 20% at 16->16
+    # one (out x in) matrix per frequency.  Best-of-5 ms of einsum against a
+    # broadcast multiply accumulated over input channels (2-core x86-64,
+    # numpy 2.4): with one input channel the multiply always wins (512x257
+    # 1->4: 2.3 against 1.5; 4x64x33 1->4: 0.20 against 0.10); with two they
+    # are even (512x257 2->1: 0.96 against 1.12, 2->4: 5.6 against 4.9);
+    # from four on einsum wins on the larger grids (512x257 4->1: 2.0
+    # against 3.9, 8->1: 3.2 against 10.0).  So one input channel, where
+    # there is nothing to sum, is the bare broadcast multiply, and einsum
+    # does the rest.  At 256x129 8->8, stacked matmul (3.7) beats einsum
+    # (5.9) and the multiply (18.0), but no workload runs it.
+    if w_hat.shape[-1] == 1:
+        return field_hat * w_hat[..., 0]
     return np.einsum("...ijs,ijts->...ijt", field_hat, w_hat)
 
 
-def _read_taps(cross_hat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+def _sample_sum(spectra: np.ndarray) -> np.ndarray:
+    # the sum over the samples of ([N,] I1, I2//2+1, C) spectra, accumulated
+    # in place in the first one, which it returns (a view)
+    spectra = spectra.reshape((-1,) + spectra.shape[-3:])
+    for n in range(1, len(spectra)):
+        spectra[0] += spectra[n]
+    return spectra[0]
+
+
+def _read_taps(
+    cross_hat: np.ndarray, rows: Tuple[int, ...], cols: Tuple[int, ...], width: int
+) -> np.ndarray:
     """A real circular cross-correlation read only at the grid offsets ``rows x cols``.
 
     ``cross_hat`` is its half spectrum ``(I1, I2//2+1, ...)``.  The offset
@@ -167,12 +200,7 @@ def _read_taps(cross_hat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width:
     height = cross_hat.shape[0]
     inverse_rows = _phases(height, rows, height).conj().T / height
     read = np.tensordot(inverse_rows, cross_hat, axes=(1, 0))
-    return np.fft.irfft(read, n=width, axis=1)[:, cols % width]
-
-
-def _samples(spectrum: np.ndarray) -> np.ndarray:
-    # a view with a leading sample axis, of length 1 for a single field
-    return spectrum.reshape((-1,) + spectrum.shape[-3:])
+    return np.fft.irfft(read, n=width, axis=1)[:, np.mod(cols, width)]
 
 
 def _check_ma(shape: Tuple[int, ...], w: MaKernel) -> None:
@@ -218,21 +246,28 @@ def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> Tuple[np.ndarr
     ``1e-12`` is the 2D magnitude built and checked, so that
     :class:`armakit.numerics.SingularSpectrumError` names the first
     ``(k1, k2, t)`` index below the threshold and its magnitude, as a check
-    of the full product would.  Kernels materialized from the
+    of the full product would.  The same holds at the other end: a channel
+    whose peak ``max|G_hat| * max|F_hat|`` is not finite (taps near the
+    float64 range, or NaN) is judged on the product too, and the error names
+    the first entry that is not finite.  Kernels materialized from the
     re-parameterization can trigger it too, although
     :func:`armakit.filters.is_stable` passes them: a factor's spectrum falls
     to ``1 - tanh|beta|`` at frequency 0 or pi, below the threshold once
     ``|beta|`` exceeds about 9.56 (measured on an 8x8 field, e.g. ``beta =
     9.7`` or ``10``).  See ROADMAP item I.
     """
-    offsets = np.arange(-ar.depth, ar.depth + 1)
+    offsets = tuple(range(-ar.depth, ar.depth + 1))
     g_hat = _phases(height, offsets, height) @ compose_1d(ar.g_filters).T
     f_hat = _phases(width // 2 + 1, offsets, width) @ compose_1d(ar.f_filters).T
-    # |g * f| and |g| * |f| differ by a few ulps; the slack covers them, and
-    # a margin it cannot prove (NaN included) is judged on the product itself
-    margin = np.abs(g_hat).min(axis=0) * np.abs(f_hat).min(axis=0)
-    if not np.all(margin >= DEFAULT_EPSILON * (1.0 + 1e-12)):
-        guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], DEFAULT_EPSILON)
+    # |g * f| and |g| * |f| differ by a few ulps; the slack covers them at
+    # both ends, and a bound it cannot prove (an overflow or NaN included)
+    # is judged on the product itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_abs, f_abs = np.abs(g_hat), np.abs(f_hat)
+        margin = g_abs.min(axis=0) * f_abs.min(axis=0)
+        peak = g_abs.max(axis=0) * f_abs.max(axis=0) * (1.0 + 1e-12)
+        if not (np.all(margin >= DEFAULT_EPSILON * (1.0 + 1e-12)) and np.all(np.isfinite(peak))):
+            guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], DEFAULT_EPSILON)
     return g_hat, f_hat
 
 
@@ -300,22 +335,34 @@ def spectral_backward(
     """Backward pass of :func:`spectral_forward`, spectrum in and spectrum out.
 
     ``d_y_hat`` is the half spectrum of the gradient with respect to the
-    forward output.  Returns ``(dX_hat, dW, dF, dG)``: the half spectrum of
-    the input gradient (``None`` unless ``input_gradient``), the
-    moving-average kernel gradient, and the gradients of every length-3
-    factor's taps at offsets (-1, 0, +1), arrays of shape
-    ``(channels, depth, 3)``; kernel gradients sum over the samples of a
-    batch.  In the frequency domain:
+    forward output; it is left as it is.  Returns ``(dX_hat, dW, dF, dG)``:
+    the half spectrum of the input gradient (``None`` unless
+    ``input_gradient``), the moving-average kernel gradient, and the
+    gradients of every length-3 factor's taps at offsets (-1, 0, +1), arrays
+    of shape ``(channels, depth, 3)``; kernel gradients sum over the samples
+    of a batch.  In the frequency domain:
 
         dT_hat = dY_hat / conj(G_hat) / conj(F_hat)
         dX_hat = W_hat^H . dT_hat
         dA_hat = -conj(Y_hat) . dT_hat
 
-    ``dW`` and ``dA`` are the batch-summed cross spectra ``dT_hat .
-    conj(X_hat)`` (from the forward's input spectrum) and ``dA_hat``, read
-    only at the kernels' tap offsets.  ``dA`` is then chained through the
-    outer product and the cascade to the factor taps.
+    ``d_y_hat`` is left as it is: the pass runs on a copy, in which
+    ``dT_hat`` is formed.  :func:`layer_backward` and the trainer, which keep
+    no reference to their ``dY_hat``, run it on that spectrum itself, with no
+    copy.  ``dW`` and ``dA`` are the cross spectra ``dT_hat . conj(X_hat)``
+    (from the forward's input spectrum, one input channel at a time) and
+    ``dA_hat``, formed elementwise, summed over the samples only when there
+    are several, and read only at the kernels' tap offsets.  ``dA`` is then
+    chained through the outer product and the cascade to the factor taps.
     """
+    return _spectral_backward(d_y_hat.astype(complex), cache, input_gradient)
+
+
+def _spectral_backward(
+    d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    # spectral_backward, with dT_hat formed in place in d_y_hat, which the
+    # caller gives up
     if d_y_hat.shape != _half_shape(cache.shape):
         raise ValueError(
             f"gradient spectrum shape {d_y_hat.shape} does not match the forward "
@@ -325,16 +372,15 @@ def spectral_backward(
     height, width = cache.shape[-3:-1]
     # guarded when ar_spectra built them
     g_hat, f_hat = cache.ar_spectra
-    d_t_hat = d_y_hat * np.conj(1.0 / g_hat)[:, None, :]
+    d_t_hat = d_y_hat
+    d_t_hat *= np.conj(1.0 / g_hat)[:, None, :]
     d_t_hat *= np.conj(1.0 / f_hat)
-    # spectra are dropped once read, so that at most one cross spectrum is
-    # alive; dY_hat too, when the caller keeps no reference (the field edge)
-    del d_y_hat
-    offsets = np.arange(-ar.depth, ar.depth + 1)
-    d_a_taps = -_read_taps(
-        np.einsum("nijt,nijt->ijt", _samples(np.conj(cache.output_spectrum)), _samples(d_t_hat)),
-        offsets, offsets, width,
-    )
+    offsets = tuple(range(-ar.depth, ar.depth + 1))
+    cross = np.conj(cache.output_spectrum)
+    cross *= d_t_hat
+    d_a_taps = -_read_taps(_sample_sum(cross), offsets, offsets, width)
+    # a cross spectrum is dropped once read, so that at most one is alive
+    del cross
     # the composed kernel is outer(G, F): rows follow g, columns follow f;
     # f and g are stacked on a leading axis from here on
     factors = np.stack([ar.f_filters, ar.g_filters])
@@ -355,11 +401,13 @@ def spectral_backward(
     # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), read one input
     # channel at a time, which keeps it at the size of dT_hat
     rows, cols = _dilated_offsets(ma)
-    x_hat = _samples(cache.input_spectrum)
+    x_hat = cache.input_spectrum
     d_w = np.empty_like(ma.data)
     for s in range(ma.in_channels):
-        cross = np.einsum("nijt,nij->ijt", _samples(d_t_hat), np.conj(x_hat[..., s]))
-        d_w[:, :, :, s] = _read_taps(cross, rows, cols, width)
+        # conjugated into a full-size array, so no temporary beside it
+        cross = np.conj(np.broadcast_to(x_hat[..., s, None], d_t_hat.shape))
+        cross *= d_t_hat
+        d_w[:, :, :, s] = _read_taps(_sample_sum(cross), rows, cols, width)
     return d_x_hat, d_w, d_factors[0], d_factors[1]
 
 
@@ -376,7 +424,8 @@ def layer_backward(
     d_y: FieldTensor, cache: LayerCache
 ) -> Tuple[FieldTensor, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`spectral_backward` on a field: one ``rfft2`` of ``dY`` in, one
-    ``irfft2`` of ``dX_hat`` out.
+    ``irfft2`` of ``dX_hat`` out.  ``dT_hat`` is formed in place in that
+    ``rfft2`` output, which nothing else holds.
 
     Returns ``(dX, dW, dF, dG)``: the input gradient, the moving-average
     kernel gradient, and the ``(channels, depth, 3)`` gradients of every
@@ -387,7 +436,10 @@ def layer_backward(
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
-    d_x_hat, d_w, d_f, d_g = spectral_backward(_rfft2(d_y), cache)
+    # held until the irfft2 is done: freeing it before raised the peak RSS
+    # of a 512^2 x 1->4 run by 4 MB, through the heap's layout
+    d_y_hat = _rfft2(d_y)
+    d_x_hat, d_w, d_f, d_g = _spectral_backward(d_y_hat, cache, True)
     return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, d_f, d_g
 
 

@@ -25,19 +25,22 @@ DEFAULT_EPSILON = 1e-8
 
 
 class SingularSpectrumError(ValueError):
-    """A frequency-domain denominator entry fell below the guard threshold.
+    """A frequency-domain denominator entry fell below the guard threshold,
+    or is not finite.
 
     Carries the offending frequency index so callers can report which mode of
-    the autoregressive kernel is (near-)singular.
+    the autoregressive kernel is (near-)singular or out of range.
     """
 
     def __init__(self, index, magnitude, epsilon):
         self.index = tuple(int(i) for i in index)
         self.magnitude = float(magnitude)
         self.epsilon = float(epsilon)
+        problem = (
+            f"below guard {self.epsilon:.3e}" if np.isfinite(self.magnitude) else "is not finite"
+        )
         super().__init__(
-            f"spectrum magnitude {self.magnitude:.3e} below guard "
-            f"{self.epsilon:.3e} at frequency index {self.index}"
+            f"spectrum magnitude {self.magnitude:.3e} {problem} at frequency index {self.index}"
         )
 
 
@@ -138,12 +141,14 @@ def _check_footprint(tap_height, tap_width, height, width, dilation):
 def guard_spectrum(spectrum: np.ndarray, epsilon: float) -> None:
     """Singularity guard for a frequency-domain denominator.
 
-    Raises :class:`SingularSpectrumError` if any entry magnitude falls below
+    Raises :class:`SingularSpectrumError` at the first entry whose magnitude
+    is not finite (NaN, or an overflow), else at the first one below
     ``epsilon`` (signaling an unstable or degenerate autoregressive kernel);
     otherwise dividing by ``spectrum`` or its conjugate is well conditioned.
     """
-    magnitude = np.abs(spectrum)
-    bad = magnitude < epsilon
-    if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SingularSpectrumError(index, magnitude[index], epsilon)
+    with np.errstate(over="ignore"):
+        magnitude = np.abs(spectrum)
+    for bad in (~np.isfinite(magnitude), magnitude < epsilon):
+        if bad.any():
+            index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise SingularSpectrumError(index, magnitude[index], epsilon)

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arma import layer_forward, spectral_backward, spectral_forward
+from .arma import _spectral_backward, layer_forward, spectral_forward
 from .filters import SeparableArKernel, materialize, reparam_gradient
 from .numerics import FieldTensor, MaKernel, SingularSpectrumError
 
@@ -259,8 +259,9 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         # with out=, the second axis is transformed in place, not into a new array
         grad = np.fft.rfft2(residual / n, axes=(1, 2), out=np.empty_like(y_hat))
         for index in reversed(range(len(kernels))):
-            # nothing reads the first layer's input gradient
-            grad, d_w, d_f, d_g = spectral_backward(grad, caches[index], input_gradient=index > 0)
+            # nothing reads the first layer's input gradient, and nothing
+            # keeps grad, so the backward pass forms dT_hat in place in it
+            grad, d_w, d_f, d_g = _spectral_backward(grad, caches[index], index > 0)
             # the center tap is fixed at 1, so only (fm1, fp1) are learned
             d_f, d_g = d_f[..., ::2], d_g[..., ::2]
             if config.mode == "reparam":

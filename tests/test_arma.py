@@ -719,9 +719,28 @@ class TestSpectralCore:
             [(2, 6, 5, 2), (2, 6, 5, 3), (6, 3), (5, 3)]
         )
 
+    def test_backward_leaves_its_inputs_as_they_are(self):
+        # dT_hat is formed in place only in a spectrum the core made itself
+        rng = np.random.default_rng(47)
+        params = random_params(rng, 2, 3, depth=2)
+        x = FieldTensor(rng.standard_normal((2, 6, 8, 2)))
+        _, cache = spectral_forward(np.fft.rfft2(x.data, axes=(-3, -2)), x.data.shape,
+                                    params.ma, params.ar)
+        d_y = FieldTensor(rng.standard_normal((2, 6, 8, 3)))
+        d_y_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
+        arrays = [d_y.data, d_y_hat, cache.input_spectrum, cache.output_spectrum,
+                  *cache.ar_spectra, cache.ma.data, cache.ar.f_filters, cache.ar.g_filters]
+        before = [a.tobytes() for a in arrays]
+        spectral_backward(d_y_hat, cache)
+        spectral_backward(d_y_hat, cache, input_gradient=False)
+        layer_backward(d_y, cache)
+        assert [a.tobytes() for a in arrays] == before
+
     def test_layer_memory_peak(self):
         # one 256^2 x 1->4 forward and backward with no (I1, I2//2+1, T)
-        # A_hat nor its conjugate: tracemalloc peak 11.2 MB, 13.3 MB with them
+        # A_hat nor its conjugate, dT_hat formed in the rfft2 of dY and the
+        # cross spectra elementwise: tracemalloc peak 9.84 MB; 11.2 MB with
+        # dT_hat a new array and einsum cross spectra, 13.3 MB with A_hat as well
         rng = np.random.default_rng(46)
         params = random_params(rng, 1, 4, depth=2)
         x = FieldTensor(rng.standard_normal((256, 256, 1)))
@@ -732,4 +751,40 @@ class TestSpectralCore:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12_000_000
+        assert peak < 10_100_000
+
+
+class TestMaProduct:
+    """The per-frequency channel product and the phase matrices behind ``W_hat``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        out_channels=st.sampled_from([1, 2, 4, 8]),
+        in_channels=st.sampled_from([1, 2, 4, 8]),
+        batch=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_per_frequency_product(self, out_channels, in_channels, batch, seed):
+        rng = np.random.default_rng(seed)
+
+        def spectrum(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        lead = () if batch is None else (batch,)
+        field_hat = spectrum(lead + (3, 4, in_channels))
+        w_hat = spectrum((3, 4, out_channels, in_channels))
+        want = np.empty(lead + (3, 4, out_channels), dtype=complex)
+        for index in np.ndindex(*lead, 3, 4):
+            want[index] = w_hat[index[-2:]] @ field_hat[index]
+        got = arma._ma_product(field_hat, w_hat)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_phase_matrices_are_memoized_read_only(self):
+        phases = arma._phases(8, (-2, 0, 3), 8)
+        assert arma._phases(8, (-2, 0, 3), 8) is phases
+        k, m = np.arange(8)[:, None], np.array([-2, 0, 3])
+        assert np.allclose(phases, np.exp(-2j * np.pi * k * m / 8), rtol=0, atol=1e-14)
+        with pytest.raises(ValueError):
+            phases[0, 0] = 0.0
+        assert 0 < arma._phases.cache_info().maxsize < 1000

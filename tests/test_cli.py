@@ -400,6 +400,17 @@ class TestTrainCommand:
         assert code == 3
         assert "diverged" in err
 
+    def test_raw_mode_overflow_is_divergence(self, capsys):
+        # the taps reach about 1e300 after one step, so the AR spectrum
+        # overflows; that is divergence, not a run with zero output
+        code, out, err = run(
+            capsys, "train", "--size", "40", "--sigma", "2", "--samples", "1",
+            "--steps", "20", "--mode", "raw", "--lr", "1e300",
+        )
+        assert code == 3
+        assert "diverged at step 1" in err
+        assert len(out.strip().splitlines()) == 3
+
     def test_zero_steps_is_usage_error(self, capsys):
         assert run(capsys, "train", "--steps", "0")[0] == 1
 

@@ -348,6 +348,41 @@ class TestSpectralDivide:
             guard_spectrum(spectrum, epsilon=1e-8)
         assert info.value.index == (1, 2, 0)
 
+    def test_non_finite_entry_raises(self):
+        # NaN and inf compare false against the threshold, yet no division
+        # by them is well conditioned
+        for value in (np.nan, np.inf):
+            with pytest.raises(SingularSpectrumError, match="not finite") as info:
+                guard_spectrum(np.array([1.0, value]), 1e-8)
+            assert info.value.index == (1,)
+
+    def test_first_non_finite_index_is_named_before_small_entries(self):
+        spectrum = np.ones((2, 3, 2), dtype=complex)
+        spectrum[0, 1, 0] = 0.0
+        spectrum[1, 0, 1] = complex(0.0, np.nan)
+        spectrum[1, 2, 0] = complex(-np.inf, 1.0)
+        with pytest.raises(SingularSpectrumError, match="is not finite") as info:
+            guard_spectrum(spectrum, 1e-8)
+        assert info.value.index == (1, 0, 1)
+
+    def test_overflowing_margin_raises(self):
+        # taps near the float64 range: min|G_hat| * min|F_hat| overflows to
+        # inf, which used to pass the margin test (and warn)
+        huge = (1e300, 1.0, 1e300)
+        kernel = SeparableArKernel(f_filters=((IDENTITY,), (huge,)), g_filters=((IDENTITY,), (huge,)))
+        with pytest.raises(SingularSpectrumError, match="not finite") as info:
+            ar_spectra(kernel, 4, 8)
+        assert info.value.index == (0, 0, 1)
+
+    def test_overflowing_peak_raises(self):
+        # |1 + 2i a sin k| >= 1, so the margin is fine, but the product of
+        # the peaks, about 4 a^2, overflows where both sines are nonzero
+        odd = (1e200, 1.0, -1e200)
+        kernel = SeparableArKernel(f_filters=((odd,),), g_filters=((odd,),))
+        with pytest.raises(SingularSpectrumError, match="not finite") as info:
+            ar_spectra(kernel, 4, 8)
+        assert info.value.index == (1, 1, 0)
+
     def test_unit_circle_factor_raises_at_nyquist(self):
         # |fm1 + fp1| = f0 zeroes F_hat at k2 = W/2, on every row
         edge = Length3Filter(0.5, 1.0, 0.5)

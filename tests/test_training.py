@@ -161,14 +161,14 @@ class TestTrain:
     def test_first_layer_input_gradient_is_skipped(self, monkeypatch):
         # three layers need two input gradients per step, not three
         input_gradients = []
-        original = training.spectral_backward
+        original = training._spectral_backward
 
         def counted(*args, **kwargs):
             result = original(*args, **kwargs)
             input_gradients.append(result[0] is not None)
             return result
 
-        monkeypatch.setattr(training, "spectral_backward", counted)
+        monkeypatch.setattr(training, "_spectral_backward", counted)
         task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)
         train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
         assert len(input_gradients) == 3 * 3
