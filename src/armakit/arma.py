@@ -62,7 +62,6 @@ from .numerics import (
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    _check_footprint,
     guard_spectrum,
 )
 
@@ -93,10 +92,6 @@ class ArmaLayerParams:
         unstable = self.ar.unstable_factor()
         if unstable is not None:
             raise ValueError(f"autoregressive {unstable} violates |fm1 + fp1| < f0")
-
-    @property
-    def in_channels(self) -> int:
-        return self.ma.in_channels
 
 
 @dataclass(eq=False)
@@ -209,7 +204,12 @@ def _check_ma(shape: Tuple[int, ...], w: MaKernel) -> None:
         raise ValueError(
             f"input has {shape[-1]} channels but kernel expects {w.in_channels}"
         )
-    _check_footprint(w.tap_height, w.tap_width, shape[-3], shape[-2], w.dilation)
+    height, width = shape[-3:-1]
+    if w.dilation * (w.tap_height - 1) >= height or w.dilation * (w.tap_width - 1) >= width:
+        raise ValueError(
+            f"dilated kernel footprint {w.dilation}*({w.tap_height - 1}, {w.tap_width - 1}) "
+            f"does not fit a {height}x{width} field"
+        )
 
 
 def _half_shape(shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -335,7 +335,7 @@ def spectral_backward(
     """Backward pass of :func:`spectral_forward`, spectrum in and spectrum out.
 
     ``d_y_hat`` is the half spectrum of the gradient with respect to the
-    forward output; it is left as it is.  Returns ``(dX_hat, dW, dF, dG)``:
+    forward output, in its half spectrum's shape.  Returns ``(dX_hat, dW, dF, dG)``:
     the half spectrum of the input gradient (``None`` unless
     ``input_gradient``), the moving-average kernel gradient, and the
     gradients of every length-3 factor's taps at offsets (-1, 0, +1), arrays
@@ -355,19 +355,19 @@ def spectral_backward(
     are several, and read only at the kernels' tap offsets.  ``dA`` is then
     chained through the outer product and the cascade to the factor taps.
     """
+    if d_y_hat.shape != _half_shape(cache.shape):
+        raise ValueError(
+            f"gradient spectrum shape {d_y_hat.shape} does not match the forward "
+            f"output's half spectrum {_half_shape(cache.shape)}"
+        )
     return _spectral_backward(d_y_hat.astype(complex), cache, input_gradient)
 
 
 def _spectral_backward(
     d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool
 ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    # spectral_backward, with dT_hat formed in place in d_y_hat, which the
-    # caller gives up
-    if d_y_hat.shape != _half_shape(cache.shape):
-        raise ValueError(
-            f"gradient spectrum shape {d_y_hat.shape} does not match the forward "
-            f"output's half spectrum {_half_shape(cache.shape)}"
-        )
+    # spectral_backward, with dT_hat formed in place in d_y_hat, which the caller
+    # gives up and has checked (layer_backward on the field, the trainer by its caches)
     ma, ar = cache.ma, cache.ar
     height, width = cache.shape[-3:-1]
     # guarded when ar_spectra built them
@@ -514,7 +514,7 @@ def arma_backward(
         )
     if cache.ar is not params.ar or cache.ma is not params.ma:
         raise ValueError("cache was not built by arma_forward with these params")
-    forward_shape = cache.shape[:-1] + (params.in_channels,)
+    forward_shape = cache.shape[:-1] + (params.ma.in_channels,)
     if x.data.shape != forward_shape:
         raise ValueError(
             f"input shape {x.data.shape} differs from the forward input's shape {forward_shape}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -208,21 +209,26 @@ def cmd_erf(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     opts = _resolve(args)
-    size, depth = opts["size"], opts["q"]
+    size, depth, tol = opts["size"], opts["q"], float(opts["tol"])
+    # all checked before anything is built: composing a long cascade is itself slow
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {tol}")
+    if size < 3:
+        raise UsageError(f"--size must be at least 3, the smallest depth-1 footprint, got {size}")
     if size * size > arma.DENSE_SOLVE_LIMIT:
         raise UsageError(
             f"size {size} exceeds the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
         )
-    # checked before anything is built: composing a long cascade is itself slow
     if not 1 <= depth <= (size - 1) // 2:
         raise UsageError(
             f"--q must be in [1, {(size - 1) // 2}], so that the autoregressive "
             f"footprint 2q+1 fits size {size}, got {depth}"
         )
     s, t = _parse_list(opts["channels"], int, count=2)
+    if min(s, t) < 1:
+        raise UsageError(f"--channels counts must be at least 1, got {opts['channels']!r}")
     report, failures = gradcheck_report(
-        size=size, in_channels=s, out_channels=t,
-        depth=depth, seed=opts["seed"], tol=float(opts["tol"]),
+        size=size, in_channels=s, out_channels=t, depth=depth, seed=opts["seed"], tol=tol
     )
     print(json.dumps(report))
     if failures:
@@ -269,7 +275,7 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
             return 0.5 * float((y.data**2).sum())
 
         a = analytic[name].ravel()
-        f = training.finite_diff_grad(loss_fn, value, h=1e-5).ravel()
+        f = training.finite_diff_grad(loss_fn, value).ravel()
         err = np.abs(a - f) / np.maximum.reduce([np.abs(a), np.abs(f), np.ones_like(a)])
         report[name] = float(err.max())
         for i in np.flatnonzero(err > tol):
@@ -288,20 +294,30 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 SCAN_LIMIT = 10**6
 
 
-def _filter_report(f: filters.Length3Filter) -> dict:
-    z1, z2 = filters.zeros_of(f)
-    pairs = [[z1.real, z1.imag]]
-    moduli = [abs(z1)]
-    if np.isfinite(z2.real):
-        pairs.append([z2.real, z2.imag])
-        moduli.append(abs(z2))
-    return {
-        "stable": filters.is_stable(f),
-        "sum": f.fm1 + f.fp1,
-        "taps": [f.fm1, f.f0, f.fp1],
-        "zeros": pairs,
-        "moduli": moduli,
-    }
+def _filter_report(flag: str, taps) -> dict:
+    """The JSON report of one factor, from its finite taps.
+
+    Extreme taps can overflow the tap sum, a companion matrix entry or a
+    modulus; a report value that is not finite is refused, naming ``--flag``.
+    """
+    f = filters.Length3Filter(*taps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            z1, z2 = filters.zeros_of(f)
+        except np.linalg.LinAlgError:  # the companion matrix overflowed
+            z1 = z2 = complex(math.nan)
+        pairs = [[z1.real, z1.imag]]
+        moduli = [abs(z1)]
+        if np.isfinite(z2.real):
+            pairs.append([z2.real, z2.imag])
+            moduli.append(abs(z2))
+        stable = filters.is_stable(f)
+    tap_sum = f.fm1 + f.fp1
+    if not np.all(np.isfinite([tap_sum, *moduli, *(v for pair in pairs for v in pair)])):
+        raise UsageError(
+            f"--{flag} taps {list(f)} give a tap sum, zero or modulus beyond float64's range"
+        )
+    return {"stable": stable, "sum": tap_sum, "taps": list(f), "zeros": pairs, "moduli": moduli}
 
 
 def cmd_stability(args) -> int:
@@ -309,19 +325,13 @@ def cmd_stability(args) -> int:
     chosen = [k for k in ("filter", "reparam", "scan") if opts[k] is not None]
     if len(chosen) != 1:
         raise UsageError("give exactly one of --filter, --reparam, --scan")
-    if opts["filter"] is not None:
-        fm1, f0, fp1 = _parse_list(opts["filter"], float, 3)
-        try:
-            report = _filter_report(filters.Length3Filter(fm1, f0, fp1))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        print(json.dumps(report))
-        return EXIT_OK
-    if opts["reparam"] is not None:
-        alpha, beta = _parse_list(opts["reparam"], float, 2)
-        taps = filters.materialize([alpha, beta])
-        report = _filter_report(filters.Length3Filter(*taps.tolist()))
-        print(json.dumps(report))
+    if opts["scan"] is None:
+        flag = "filter" if opts["filter"] is not None else "reparam"
+        values = _parse_list(opts[flag], float, 3 if flag == "filter" else 2)
+        if not all(math.isfinite(v) for v in values):
+            raise UsageError(f"--{flag} takes finite numbers, got {opts[flag]!r}")
+        taps = values if flag == "filter" else filters.materialize(values).tolist()
+        print(json.dumps(_filter_report(flag, taps), allow_nan=False))
         return EXIT_OK
     count = opts["scan"]
     if not 1 <= count <= SCAN_LIMIT:
@@ -381,8 +391,6 @@ def cmd_solve(args) -> int:
         ma = MaKernel(np.ones((1, 1, 1, 1)))
     else:
         taps = _read_csv_grid(opts["ma_kernel"])
-        if taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
-            raise UsageError(f"kernel must be odd-sized, got {taps.shape}")
         ma = MaKernel(taps[:, :, None, None], dilation=opts["ma_dilation"])
     ar = _ar_from_config(opts["ar_config"], channels=1, max_depth=max(field.height, field.width))
 

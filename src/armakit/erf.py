@@ -229,22 +229,15 @@ def erf_radius(erf_map: ErfMap) -> float:
     per-axis variance instead, which is the quantity the analytic radius
     formula describes.
     """
-    radius_sq = _radial_moments(erf_map)
-    return math.sqrt(max(radius_sq, 0.0))
-
-
-def _radial_moments(erf_map: ErfMap) -> float:
     if erf_map.weights.ndim == 1:
         radial = np.abs(erf_map.offsets(0)).astype(np.float64)
-        weights = erf_map.weights
     else:
         p1 = erf_map.offsets(0)[:, None].astype(np.float64)
         p2 = erf_map.offsets(1)[None, :].astype(np.float64)
         radial = np.hypot(p1, p2)
-        weights = erf_map.weights
-    second = float((radial**2 * weights).sum())
-    first = float((radial * weights).sum())
-    return second - first**2
+    second = float((radial**2 * erf_map.weights).sum())
+    first = float((radial * erf_map.weights).sum())
+    return math.sqrt(max(second - first**2, 0.0))
 
 
 def erf_axis_variance(erf_map: ErfMap, axis: int = 0) -> float:

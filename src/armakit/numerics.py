@@ -130,14 +130,6 @@ class MaKernel:
         return self.data.shape[3]
 
 
-def _check_footprint(tap_height, tap_width, height, width, dilation):
-    if dilation * (tap_height - 1) >= height or dilation * (tap_width - 1) >= width:
-        raise ValueError(
-            f"dilated kernel footprint {dilation}*({tap_height - 1}, {tap_width - 1}) "
-            f"does not fit a {height}x{width} field"
-        )
-
-
 def guard_spectrum(spectrum: np.ndarray, epsilon: float) -> None:
     """Singularity guard for a frequency-domain denominator.
 

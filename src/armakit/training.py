@@ -39,9 +39,18 @@ DIVERGENCE_OUTPUT_LIMIT = 1e6
 MA_TAPS = 3
 
 
+def _draw_inputs(samples: int, size: int, seed: int) -> np.ndarray:
+    # white-noise inputs (samples, size, size, 1), drawn for every task the same way
+    for name, value in (("samples", samples), ("size", size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    return np.random.default_rng(seed).standard_normal((samples, size, size, 1))
+
+
 @dataclass(eq=False)
 class ToyTask:
-    """Paired input/target fields; the constructors draw the inputs from a seed."""
+    """Paired input/target fields; the constructors draw the inputs from a seed
+    and refuse ``samples`` or ``size`` below 1."""
 
     inputs: np.ndarray  # (samples, size, size, 1)
     targets: np.ndarray
@@ -53,10 +62,6 @@ class ToyTask:
     @property
     def samples(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[1]
 
     @classmethod
     def wide_blur(cls, samples: int = 4, size: int = 64, sigma: float = 6.0, seed: int = 0):
@@ -71,8 +76,7 @@ class ToyTask:
         """
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be a finite positive number, got {sigma}")
-        rng = np.random.default_rng(seed)
-        inputs = rng.standard_normal((samples, size, size, 1))
+        inputs = _draw_inputs(samples, size, seed)
         reach = 3.0 * sigma  # inf for sigma above 6e307, and ceil(inf) raises
         radius = math.ceil(reach) if math.isfinite(reach) else reach
         if 2 * radius >= size:
@@ -87,14 +91,12 @@ class ToyTask:
     @classmethod
     def identity_map(cls, samples: int = 4, size: int = 64, seed: int = 0):
         """Targets equal the inputs; the optimum needs no receptive field."""
-        rng = np.random.default_rng(seed)
-        inputs = rng.standard_normal((samples, size, size, 1))
+        inputs = _draw_inputs(samples, size, seed)
         return cls(inputs, inputs.copy())
 
     @classmethod
     def zero_target(cls, samples: int = 4, size: int = 64, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        inputs = rng.standard_normal((samples, size, size, 1))
+        inputs = _draw_inputs(samples, size, seed)
         return cls(inputs, np.zeros_like(inputs))
 
 
@@ -102,11 +104,12 @@ class ToyTask:
 class TrainConfig:
     """Knobs of the SGD loop.
 
-    ``channel_sizes`` lists the field channel counts through the stack, e.g.
-    ``(1, 4, 1)`` builds two layers.  In ``raw`` mode every autoregressive
-    factor starts with tap sum ``raw_tap_sum`` (the default sits just outside
-    the stable region, making the instability deterministic rather than
-    seed-dependent); in ``reparam`` mode factors start at the identity.
+    ``channel_sizes`` lists the field channel counts through the stack, each
+    at least 1, e.g. ``(1, 4, 1)`` builds two layers.  In ``raw`` mode every
+    autoregressive factor starts with tap sum ``raw_tap_sum`` (the default
+    sits just outside the stable region, making the instability deterministic
+    rather than seed-dependent); in ``reparam`` mode factors start at the
+    identity.
     """
 
     channel_sizes: Tuple[int, ...] = (1, 4, 1)
@@ -130,6 +133,8 @@ class TrainConfig:
             raise ValueError(f"mode must be 'reparam' or 'raw', got {self.mode!r}")
         if len(self.channel_sizes) < 2:
             raise ValueError("channel_sizes must describe at least one layer")
+        if min(self.channel_sizes) < 1:
+            raise ValueError(f"channel_sizes must be at least 1 each, got {self.channel_sizes}")
 
 
 @dataclass(eq=False)
@@ -181,13 +186,8 @@ def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerS
     for s, t in zip(config.channel_sizes[:-1], config.channel_sizes[1:]):
         bound = math.sqrt(6.0 / (k * k * s + k * k * t))
         w = rng.uniform(-bound, bound, size=(k, k, t, s))
-        ar_shape = (t, 1, 2)
-        if config.mode == "reparam":
-            ar_f = np.zeros(ar_shape)
-            ar_g = np.zeros(ar_shape)
-        else:
-            ar_f = np.full(ar_shape, config.raw_tap_sum / 2.0)
-            ar_g = np.full(ar_shape, config.raw_tap_sum / 2.0)
+        start = 0.0 if config.mode == "reparam" else config.raw_tap_sum / 2.0
+        ar_f, ar_g = np.full((t, 1, 2), start), np.full((t, 1, 2), start)
         layers.append(LayerState(w=w, ar_f=ar_f, ar_g=ar_g, mode=config.mode))
     return layers
 
@@ -238,16 +238,14 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
                 caches.append(cache)
         except SingularSpectrumError:
             # raw taps left the stable region and zeroed a spectral mode
-            trace.rows.append((step, float("inf"), float("inf"), mean_ar_sum))
-            trace.diverged = True
-            trace.divergence_step = step
-            return trace
-        y = np.fft.irfft2(y_hat, s=grid, axes=(1, 2))
-        residual = y - task.targets
-        # total squared error per sample, averaged over the batch; the
-        # large pixel sums are what make the gradient clip meaningful
-        loss = float((residual**2).sum() / (2.0 * n))
-        max_out = float(np.max(np.abs(y)))
+            loss = max_out = float("inf")
+        else:
+            y = np.fft.irfft2(y_hat, s=grid, axes=(1, 2))
+            residual = y - task.targets
+            # total squared error per sample, averaged over the batch; the
+            # large pixel sums are what make the gradient clip meaningful
+            loss = float((residual**2).sum() / (2.0 * n))
+            max_out = float(np.max(np.abs(y)))
 
         trace.rows.append((step, loss, max_out, mean_ar_sum))
         if not math.isfinite(loss) or max_out > DIVERGENCE_OUTPUT_LIMIT:
@@ -295,15 +293,12 @@ def _check_stable(kernels: Sequence[SeparableArKernel]) -> None:
             )
 
 
-def finite_diff_grad(
-    loss_fn: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient ``(L(p + h e) - L(p - h e)) / 2h`` per coordinate.
+def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], params: np.ndarray) -> np.ndarray:
+    """Central-difference gradient ``(L(p + h e) - L(p - h e)) / 2h`` per coordinate, ``h = 1e-5``.
 
     The package's independent oracle for every analytic gradient.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    h = 1e-5
     params = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(params)
     for i in range(params.size):

@@ -706,6 +706,12 @@ class TestSpectralCore:
         with pytest.raises(ValueError, match="half spectrum"):
             spectral_backward(np.zeros((6, 5, 1), complex), cache)
 
+    def test_refuses_ar_kernel_with_other_channel_count(self):
+        params = random_params(np.random.default_rng(46), 1, 2, 1)
+        x_hat = np.fft.rfft2(np.ones((6, 8, 1)), axes=(0, 1))
+        with pytest.raises(ValueError, match="produces 2 channels but autoregressive kernel has 3"):
+            spectral_forward(x_hat, (6, 8, 1), params.ma, SeparableArKernel.identity(3))
+
     def test_cache_holds_the_two_1d_ar_spectra(self):
         # a batch of 2 keeps the output spectrum's shape apart from a 2D A_hat's
         params = random_params(np.random.default_rng(45), 2, 3, depth=2)

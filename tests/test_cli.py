@@ -15,6 +15,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """``json.loads`` that raises on ``NaN``, ``Infinity`` and ``-Infinity``,
+    which Python writes by default but which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_strict_json_refuses_non_finite_constants():
+    assert strict_json('{"a": [1.5, -0.0]}') == {"a": [1.5, -0.0]}
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match=constant):
+            strict_json(f'{{"a": {constant}}}')
+
+
 class TestErfCommand:
     def test_analytic_table(self, capsys):
         code, out, _ = run(capsys, "erf", "--layers", "3,1,0.0", "--mode", "analytic")
@@ -38,7 +53,7 @@ class TestErfCommand:
     def test_empirical_1d_variance(self, capsys):
         code, out, _ = run(capsys, "erf", "--layers", "3,1,0.5", "--mode", "empirical-1d")
         assert code == 0
-        summary = json.loads(out)
+        summary = strict_json(out)
         assert summary["axis_variance"] == pytest.approx(8 / 3, rel=1e-3)
 
     def test_empirical_2d_outputs(self, capsys, tmp_path):
@@ -54,9 +69,36 @@ class TestErfCommand:
         ])
         assert heat.shape == (48, 48)
         assert heat.sum() == pytest.approx(1.0, abs=1e-9)
-        sidecar = json.loads(out_path.with_suffix(".json").read_text())
-        assert sidecar == json.loads(out)
+        sidecar = strict_json(out_path.with_suffix(".json").read_text())
+        assert sidecar == strict_json(out)
         assert sidecar["axis_variance_x"] == pytest.approx(16 / 3, abs=1e-5)
+
+    def test_empirical_1d_writes_offset_weight_csv(self, capsys, tmp_path):
+        out_path = tmp_path / "erf.csv"
+        code, out, _ = run(
+            capsys, "erf", "--layers", "3,1,0.0", "--mode", "empirical-1d", "--out", str(out_path),
+        )
+        assert code == 0
+        assert strict_json(out)["axis_variance"] == pytest.approx(2 / 3)
+        rows = np.loadtxt(out_path, delimiter=",", ndmin=2)
+        # three uniform taps, reversed onto the non-positive offsets
+        assert rows[:, 0].tolist() == [-2, -1, 0]
+        assert rows[:, 1] == pytest.approx([1 / 3] * 3)
+
+    def test_empirical_2d_needs_out(self, capsys):
+        code, out, err = run(capsys, "erf", "--layers", "3,1,0.5", "--mode", "empirical-2d")
+        assert code == 1 and out == ""
+        assert err == "error: empirical-2d writes a heatmap and needs --out\n"
+
+    def test_ma_footprint_beyond_grid_exit_code(self, capsys, tmp_path):
+        # the 3 one-sided taps sit on a 5-tap centered kernel, whose span 4
+        # does not fit a 4-point grid although the filter's 3 taps do
+        code, out, err = run(
+            capsys, "erf", "--layers", "3,1,0", "--mode", "empirical-2d", "--grid", "4",
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("numeric failure: dilated kernel footprint")
 
     def test_wraparound_exit_code(self, capsys, tmp_path):
         code, _, err = run(
@@ -145,7 +187,7 @@ class TestGradcheckCommand:
             "--q", "1", "--seed", "7", "--tol", "1e-5",
         )
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert set(report) == {"x", "w", "alpha_f", "beta_f", "alpha_g", "beta_g"}
         assert max(report.values()) < 1e-5
 
@@ -169,11 +211,25 @@ class TestGradcheckCommand:
         assert err.startswith("error: --q must be in [1, 2]")
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--tol=nan",), "--tol"), (("--tol=inf",), "--tol"), (("--tol=-1",), "--tol"),
+        (("--size=0",), "--size"), (("--size=2",), "--size"),
+        (("--channels=0,1",), "--channels"), (("--channels=1,-1",), "--channels"),
+    ])
+    def test_numbers_that_void_the_verdict_are_usage_errors(self, capsys, monkeypatch, argv, flag):
+        # a NaN or infinite tolerance passes every coordinate, a negative one
+        # fails every one; all are refused before anything is built
+        monkeypatch.setattr(cli, "gradcheck_report", lambda **kw: pytest.fail("built"))
+        code, out, err = run(capsys, "gradcheck", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} ")
+
+
 class TestStabilityCommand:
     def test_stable_filter_report(self, capsys):
         code, out, _ = run(capsys, "stability", "--filter", "0.3,1,0.5")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["stable"] is True
         assert report["sum"] == pytest.approx(0.8)
         assert report["moduli"][0] == pytest.approx(0.6126, abs=1e-4)
@@ -182,21 +238,21 @@ class TestStabilityCommand:
     def test_unstable_filter_on_unit_circle(self, capsys):
         code, out, _ = run(capsys, "stability", "--filter", "0.75,1,0.75")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["stable"] is False
         assert report["moduli"] == pytest.approx([1.0, 1.0])
 
     def test_reparam_origin(self, capsys):
         code, out, _ = run(capsys, "stability", "--reparam", "0,0")
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["stable"] is True
         assert report["taps"] == [0.0, 1.0, 0.0]
 
     def test_scan(self, capsys):
         code, out, _ = run(capsys, "stability", "--scan", "2000", "--seed", "11")
         assert code == 0
-        assert json.loads(out)["all_stable"] is True
+        assert strict_json(out)["all_stable"] is True
 
     def test_scan_reports_failures(self, capsys, monkeypatch):
         # no reparam point fails, so a zero test that refuses every third row
@@ -209,7 +265,7 @@ class TestStabilityCommand:
         monkeypatch.setattr(cli.filters, "materialize", lambda p: drawn.append(p) or materialize(p))
         code, out, err = run(capsys, "stability", "--scan", "40", "--seed", "11")
         assert code == cli.EXIT_NUMERIC
-        assert json.loads(out) == {"scanned": 40, "all_stable": False, "failures": 14}
+        assert strict_json(out) == {"scanned": 40, "all_stable": False, "failures": 14}
         lines = err.splitlines()
         assert len(lines) == 10
         assert all(line.startswith("unstable materialization at alpha=") for line in lines)
@@ -237,12 +293,40 @@ class TestStabilityCommand:
     def test_reparam_at_float64_tanh_edge(self, capsys, beta, stable):
         code, out, _ = run(capsys, "stability", "--reparam", "0," + beta)
         assert code == 0
-        report = json.loads(out)
+        report = strict_json(out)
         assert report["stable"] is stable
         assert (report["sum"] < 1.0) is stable
 
     def test_nonpositive_center_tap_is_usage_error(self, capsys):
         assert run(capsys, "stability", "--filter", "0.3,0,0.5")[0] == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("filter", "inf,1,0.5"), ("filter", "nan,1,0.5"), ("filter", "0.3,-inf,0.5"),
+        ("reparam", "0,inf"), ("reparam", "inf,0"), ("reparam", "nan,0"),
+    ])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "stability", f"--{flag}={value}")
+        assert code == 1 and out == ""
+        assert err == f"error: --{flag} takes finite numbers, got {value!r}\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("filter", "1e308,1,1e308"),  # the tap sum overflows
+        ("filter", "-1e308,1,-1e308"),
+        ("filter", "1e-320,1,0.5"),  # a companion matrix entry overflows
+        ("filter", "0,1e-320,0.5"),  # the one zero of a linear factor overflows
+        ("reparam", "1e-320,0"),
+    ])
+    def test_report_value_beyond_float64_is_usage_error(self, capsys, flag, value):
+        # the suite turns warnings into errors, so none may escape either
+        code, out, err = run(capsys, "stability", f"--{flag}={value}")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: --{flag} taps ") and "beyond float64's range" in err
+
+    def test_extreme_but_representable_taps_are_reported(self, capsys):
+        code, out, _ = run(capsys, "stability", "--filter", "1e300,1,1e300")
+        assert code == 0
+        report = strict_json(out)
+        assert report["stable"] is False and report["sum"] == 2e300
 
 
 class TestSolveCommand:
@@ -281,7 +365,7 @@ class TestSolveCommand:
             "--ar-config", str(ar), "--out", str(out_path), "--oracle",
         )
         assert code == 0
-        assert json.loads(out)["max_deviation"] < 1e-8
+        assert strict_json(out)["max_deviation"] < 1e-8
 
     def test_singular_spectrum_exit_code(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
@@ -350,6 +434,54 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 0
         assert [float(v) for v in out.strip().splitlines()[1].split(",")] == [4, 5, 6]
+
+    def test_needs_input(self, capsys):
+        code, out, err = run(capsys, "solve")
+        assert code == 1 and out == ""
+        assert err == "error: solve needs --input\n"
+
+    @pytest.mark.parametrize("flag", ["--oracle", "--timing"])
+    def test_json_report_needs_out(self, capsys, tmp_path, flag):
+        field = tmp_path / "x.csv"
+        field.write_text("1,2\n3,4\n")
+        code, out, err = run(capsys, "solve", "--input", str(field), flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --oracle/--timing print JSON to stdout")
+
+    def test_even_kernel_is_usage_error(self, capsys, tmp_path):
+        field, kernel = tmp_path / "x.csv", tmp_path / "k.csv"
+        field.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        kernel.write_text("1,2\n3,4\n")
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ma-kernel", str(kernel))
+        assert code == 1 and out == ""
+        assert err == "error: tap counts must be odd, got 2x2\n"
+
+    @pytest.mark.parametrize("text", [None, "1,x\n"], ids=["missing", "not-numeric"])
+    def test_unreadable_csv_is_usage_error(self, capsys, tmp_path, text):
+        field = tmp_path / "x.csv"
+        if text is not None:
+            field.write_text(text)
+        code, out, err = run(capsys, "solve", "--input", str(field))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read numeric CSV {field}: ")
+
+    @pytest.mark.parametrize("text", [None, "{mode: raw"], ids=["missing", "not-json"])
+    def test_unreadable_ar_config_is_usage_error(self, capsys, tmp_path, text):
+        field, ar = tmp_path / "x.csv", tmp_path / "ar.json"
+        field.write_text("1,2\n3,4\n")
+        if text is not None:
+            ar.write_text(text)
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read AR config {ar}: ")
+
+    def test_unknown_ar_config_mode_is_usage_error(self, capsys, tmp_path):
+        field, ar = tmp_path / "x.csv", tmp_path / "ar.json"
+        field.write_text("1,2\n3,4\n")
+        ar.write_text(json.dumps({"mode": "magic"}))
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err == "error: unknown AR config mode 'magic'\n"
 
     def test_ragged_csv_rejected(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
@@ -421,6 +553,10 @@ class TestTrainCommand:
         ("sigma", "0", "sigma"), ("sigma", "-1", "sigma"),
         ("sigma", "nan", "sigma"), ("sigma", "inf", "sigma"),
         ("raw-sum", "nan", "raw_tap_sum"),
+        ("channels", "1,-1,1", "channel_sizes"), ("channels", "1,-2,1", "channel_sizes"),
+        ("channels", "1,0,1", "channel_sizes"),
+        ("samples", "-2", "samples"), ("samples", "0", "samples"),
+        ("size", "-5", "size"), ("size", "0", "size"),
     ])
     def test_numbers_that_break_training_are_usage_errors(self, capsys, flag, value, name):
         code, out, err = run(
@@ -478,6 +614,22 @@ class TestParser:
         assert code == 1
         key = list(config)[-1]
         assert err.startswith("error:") and f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config "),
+        ("{layers: 1}", "cannot read config "),
+        ("[1, 2]", "config file must hold a JSON object"),
+        ('{"layers": "3,1,0.5", "mode": "numeric"}',
+         "config key 'mode' must be one of ['analytic', 'empirical-1d', 'empirical-2d'], "
+         "got 'numeric'"),
+    ], ids=["missing", "not-json", "not-object", "outside-choices"])
+    def test_unusable_config_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "erf", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message)
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_table_defaults_pass_their_own_config_check(self, tmp_path, command):

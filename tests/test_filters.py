@@ -331,6 +331,10 @@ class TestSeparableArKernel:
                 g_filters=((IDENTITY, IDENTITY),),
             )
 
+    def test_from_arrays_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="share one"):
+            SeparableArKernel.from_arrays([[0.5]], [[1.0]], [[-0.5, 0.0]], [[2.0, 0.0]])
+
     def test_from_arrays_round_trip(self):
         kernel = SeparableArKernel.from_arrays([[0.5]], [[1.0]], [[-0.5]], [[2.0]])
         assert kernel.is_reparam

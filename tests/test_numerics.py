@@ -108,6 +108,17 @@ class TestMaKernel:
         with pytest.raises(ValueError):
             MaKernel(np.zeros((3, 3, 1, 1)), dilation=0)
 
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ValueError, match="rank-4"):
+            MaKernel(np.zeros((3, 3, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        data = np.zeros((3, 3, 1, 1))
+        data[1, 2, 0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            MaKernel(data)
+
     def test_channel_properties(self):
         k = MaKernel(np.zeros((3, 5, 4, 2)), dilation=2)
         assert (k.tap_height, k.tap_width) == (3, 5)

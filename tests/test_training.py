@@ -18,16 +18,12 @@ from conftest import naive_circular_conv2
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        grad = finite_diff_grad(lambda p: 0.5 * float(p[0] ** 2), np.array([3.0]), h=1e-5)
+        grad = finite_diff_grad(lambda p: 0.5 * float(p[0] ** 2), np.array([3.0]))
         assert grad[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_flat_region(self):
-        grad = finite_diff_grad(lambda p: 7.0, np.array([1.0, -2.0]), h=1e-5)
+        grad = finite_diff_grad(lambda p: 7.0, np.array([1.0, -2.0]))
         assert np.allclose(grad, 0.0)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda p: 0.0, np.zeros(1), h=0.0)
 
 
 class TestToyTask:
@@ -55,6 +51,16 @@ class TestToyTask:
         with pytest.raises(ValueError, match="sigma"):
             ToyTask.wide_blur(samples=1, size=16, sigma=sigma)
 
+    @pytest.mark.parametrize("make", [ToyTask.wide_blur, ToyTask.identity_map, ToyTask.zero_target])
+    @pytest.mark.parametrize("name, value", [("samples", 0), ("samples", -2), ("size", 0), ("size", -5)])
+    def test_refuses_sizes_below_one(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            make(**{name: value})
+
+    def test_refuses_mismatched_targets(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            ToyTask(np.zeros((1, 4, 4, 1)), np.zeros((1, 4, 5, 1)))
+
     def test_blur_matches_direct_summation(self):
         # the blur is the circular convolution with outer(profile, profile)
         sigma = 2.0
@@ -80,10 +86,12 @@ class TestConfig:
         ("learning_rate", -1e-2), ("learning_rate", np.nan), ("learning_rate", np.inf),
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf),
         ("raw_tap_sum", np.nan), ("raw_tap_sum", np.inf), ("raw_tap_sum", -np.inf),
+        ("channel_sizes", (1, 0, 1)), ("channel_sizes", (1, -1, 1)), ("channel_sizes", (0, 1)),
     ])
     def test_refuses_numbers_that_break_training(self, name, value):
         # a negative clip ascends the loss, a zero one freezes it, and the
-        # non-finite values end in a kernel or stability error mid-run
+        # non-finite values end in a kernel or stability error mid-run; a
+        # channel size below 1 ends in a ZeroDivisionError or in numpy's words
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
@@ -229,7 +237,7 @@ class TestTrain:
             return float(((y.data - targets) ** 2).sum() / (2.0 * len(inputs)))
 
         analytic = (flat(before) - flat(after)) / config.learning_rate
-        numeric = finite_diff_grad(loss_fn, flat(before), h=1e-5)
+        numeric = finite_diff_grad(loss_fn, flat(before))
         # criterion 4's measure: relative, floored at 1
         err = np.abs(analytic - numeric) / np.maximum.reduce(
             [np.abs(analytic), np.abs(numeric), np.ones_like(analytic)]
@@ -270,6 +278,8 @@ class TestTrain:
         task = ToyTask.zero_target(samples=1, size=16)
         with pytest.raises(ValueError):
             train(task, small_config(channel_sizes=(2, 1)))
+        with pytest.raises(ValueError, match="last channel size"):
+            train(task, small_config(channel_sizes=(1, 2)))
 
     def test_trace_csv_round_trip(self):
         task = ToyTask.wide_blur(samples=1, size=24, sigma=2.0, seed=6)
