@@ -298,7 +298,11 @@ def _filter_report(flag: str, taps) -> dict:
     """The JSON report of one factor, from its finite taps.
 
     Extreme taps can overflow the tap sum, a companion matrix entry or a
-    modulus; a report value that is not finite is refused, naming ``--flag``.
+    modulus, or round the tap sum or a zero's modulus past the unit-circle
+    test (``--reparam 1e16,0.5`` sums to 0 with both moduli 1).  A report
+    value that is not finite, or a verdict that its zeros contradict
+    (stable but not ``|z1| < 1 < |z2|``, or the reverse), is refused,
+    naming ``--flag``.
     """
     f = filters.Length3Filter(*taps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,6 +320,12 @@ def _filter_report(flag: str, taps) -> dict:
     if not np.all(np.isfinite([tap_sum, *moduli, *(v for pair in pairs for v in pair)])):
         raise UsageError(
             f"--{flag} taps {list(f)} give a tap sum, zero or modulus beyond float64's range"
+        )
+    if stable != (abs(z1) < 1.0 < abs(z2)):
+        raise UsageError(
+            f"--{flag} taps {list(f)} are beyond float64's range for a verdict: the tap "
+            f"sum says {'' if stable else 'un'}stable, the zero moduli "
+            f"{[float(m) for m in moduli]} do not"
         )
     return {"stable": stable, "sum": tap_sum, "taps": list(f), "zeros": pairs, "moduli": moduli}
 

@@ -43,6 +43,11 @@ DEFAULT_TRUNCATION = 1e-12
 #: truncation a double can hold.
 MAX_FILTER_TAPS = 2**20
 
+#: Largest working set, in bytes, :func:`empirical_erf_2d` will build; its
+#: estimate grows as ``grid^2`` and as ``channels^2`` times the composed
+#: footprint squared.
+MAX_WORKING_SET_BYTES = 2**30
+
 #: An empirical 2D map is refused when more than this much of the composed
 #: filter's mass cannot be represented on the grid without wrapping.
 DEFAULT_WRAP_TOLERANCE = 1e-6
@@ -152,16 +157,6 @@ def layer_moments(layer: LayerSpec1D) -> Tuple[float, float]:
     return m1, m2
 
 
-def _check_ma_support(layer: LayerSpec1D) -> None:
-    # the dilated moving-average support d*(K-1)+1, refused before allocating
-    support = layer.dilation * (layer.taps - 1) + 1
-    if support > MAX_FILTER_TAPS:
-        raise ValueError(
-            f"moving-average taps {layer.taps} at dilation {layer.dilation} span "
-            f"{support} taps; the limit is {MAX_FILTER_TAPS}"
-        )
-
-
 def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION) -> np.ndarray:
     """Truncated equivalent filter of one layer, taps at offsets ``0..len-1``.
 
@@ -175,7 +170,12 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"truncation epsilon must be in (0, 1), got {epsilon!r}")
-    _check_ma_support(layer)
+    support = layer.dilation * (layer.taps - 1) + 1
+    if support > MAX_FILTER_TAPS:  # refused before allocating
+        raise ValueError(
+            f"moving-average taps {layer.taps} at dilation {layer.dilation} span "
+            f"{support} taps; the limit is {MAX_FILTER_TAPS}"
+        )
     a = layer.ar_coeff
     if a == 0.0:
         inverse = np.array([1.0])
@@ -187,7 +187,7 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
                 f"truncation {epsilon!r}; the limit is {MAX_FILTER_TAPS}"
             )
         inverse = a ** np.arange(horizon, dtype=np.float64)
-    ma = np.zeros(layer.dilation * (layer.taps - 1) + 1)
+    ma = np.zeros(support)
     ma[:: layer.dilation] = (1.0 - a) / layer.taps
     return np.convolve(inverse, ma)
 
@@ -248,28 +248,21 @@ def erf_axis_variance(erf_map: ErfMap, axis: int = 0) -> float:
     return float((p**2 * marginal).sum()) - mean**2
 
 
-def _uniform_ma_taps_1d(layer: LayerSpec1D) -> np.ndarray:
-    # one-sided uniform taps at offsets {0, 1, .., K-1} on a centered grid;
-    # dilation is applied by the kernel, not baked into the array
-    half = layer.taps - 1
-    taps = np.zeros(2 * half + 1)
-    taps[half:] = (1.0 - layer.ar_coeff) / layer.taps
-    return taps
-
-
 def _layer_kernels(
     spec: LinearNetSpec, channels: int, kernel_mode: str, rng: Optional[np.random.Generator]
 ):
-    """Materialize the moving-average kernel of each layer of the 2D network."""
+    """Materialize each layer's centered K-tap moving-average kernel.
+
+    Supports are not checked again: :func:`_select_window` has checked
+    every layer's, through :func:`effective_filter_1d`, before this runs.
+    """
     kernels = []
     for layer in spec.layers:
-        _check_ma_support(layer)
+        size = layer.taps
         if kernel_mode == "uniform":
-            taps_1d = _uniform_ma_taps_1d(layer)
-            plane = np.outer(taps_1d, taps_1d)
-            data = plane[:, :, None, None]
+            taps_1d = np.full(size, (1.0 - layer.ar_coeff) / size)
+            data = np.outer(taps_1d, taps_1d)[:, :, None, None]
         else:  # "xavier"; empirical_erf_2d has rejected every other mode
-            size = layer.taps
             fan = size * size * channels
             bound = math.sqrt(6.0 / (fan + fan))
             data = rng.uniform(-bound, bound, size=(size, size, channels, channels))
@@ -277,19 +270,16 @@ def _layer_kernels(
     return kernels
 
 
-def _axis_mass_profile(spec: LinearNetSpec, kernel_mode: str, epsilon: float):
-    """Per-axis mass envelope of the composed network filter.
+def _axis_mass_profile(spec: LinearNetSpec, epsilon: float):
+    """Per-axis mass envelope of the composed filter with centered kernels.
 
     Returns ``(taps, start)`` with ``taps[i]`` the mass at forward offset
-    ``start + i``.  The uniform mode's profile is exact; the random mode uses
-    a uniform-magnitude surrogate on the same (centered) support, which is
-    what governs how much of the map can wrap off the grid.
+    ``start + i``, ``start`` half a footprint back per layer.  The uniform
+    mode's profile is exact; the random mode uses a uniform-magnitude
+    surrogate on the same support, which governs how much can wrap.
     """
     taps = _composed_filter(spec, epsilon)
-    start = 0
-    if kernel_mode == "xavier":
-        # centered kernels shift the moving-average support half a footprint
-        start = -sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
+    start = -sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
     return taps / taps.sum(), start
 
 
@@ -299,9 +289,7 @@ def _window_sums(taps: np.ndarray, grid: int) -> np.ndarray:
     return cumulative[grid:] - cumulative[:-grid]
 
 
-def _select_window(
-    spec: LinearNetSpec, grid: int, kernel_mode: str, epsilon: float, tolerance: float
-):
+def _select_window(spec: LinearNetSpec, grid: int, epsilon: float, tolerance: float):
     """Choose the length-``grid`` offset window that best holds the composed filter.
 
     Returns the window's first forward offset ``w0`` (the reading window in
@@ -310,7 +298,7 @@ def _select_window(
     ``tolerance`` of the mass, since the wrapped map would alias that mass to
     wrong offsets.
     """
-    taps, start = _axis_mass_profile(spec, kernel_mode, epsilon)
+    taps, start = _axis_mass_profile(spec, epsilon)
     if taps.size <= grid:
         # support fits; center it in the window
         return start - (grid - taps.size) // 2
@@ -352,8 +340,14 @@ def empirical_erf_2d(
     (``U`` holding rolled copies of ``u``) are summed over channel pairs and
     normalized.
 
+    Both modes build centered ``K``-tap kernels.  The uniform mode's
+    one-sided taps at offsets ``{0..K-1}`` are its kernel delayed by
+    ``d*(K-1)/2``; delays commute, so its map is computed in the centered
+    frame and the summed delay is added to the origin once, at the end.
+
     ``channels`` applies to the random mode; the uniform idealization is
-    single-channel by construction.
+    single-channel by construction.  A working set estimated over
+    ``MAX_WORKING_SET_BYTES`` is refused before any of it is built.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -367,15 +361,25 @@ def empirical_erf_2d(
             raise ValueError("xavier kernel mode needs a seed")
     else:
         raise ValueError(f"unknown kernel mode {kernel_mode!r}")
-    w0 = _select_window(spec, grid, kernel_mode, epsilon, DEFAULT_WRAP_TOLERANCE)
+    w0 = _select_window(spec, grid, epsilon, DEFAULT_WRAP_TOLERANCE)
+    if any(layer.dilation * (layer.taps - 1) >= grid for layer in spec.layers):
+        raise WraparoundError(f"dilated kernel footprint does not fit a {grid}x{grid} grid")
+    # P[:, :, s, t] over the offsets [-half, half] of the composed footprint
+    half = sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
+    n = 2 * half + 1
+    # float64 slots: the kernels, P's two factor spectra, product, inverse and
+    # shifted copy, U with its index and products, and three grid^2 arrays
+    slots = channels**2 * (sum(layer.taps**2 for layer in spec.layers) + 6 * n * (n // 2 + 1))
+    slots += 2 * channels**2 * n * n + grid * n * (channels + 2) + 4 * grid**2
+    if 8 * slots > MAX_WORKING_SET_BYTES:
+        raise ValueError(
+            f"the 2D map needs about {8 * slots / 2**30:.3g} GiB for --grid {grid}, "
+            f"--channels {channels} and --layers spanning {n} taps; the working-set "
+            f"limit is {MAX_WORKING_SET_BYTES / 2**30:g} GiB"
+        )
 
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
     ma_kernels = _layer_kernels(spec, channels, kernel_mode, rng)
-    for ma in ma_kernels:
-        if ma.dilation * (ma.tap_height - 1) >= grid:
-            raise WraparoundError(
-                f"dilated kernel footprint does not fit a {grid}x{grid} grid"
-            )
     # a layer applies the causal factor (1, -a) to each channel along both
     # axes, so a kernel with one channel per layer gives every F_hat_l,
     # guarded as the layer guards it
@@ -385,9 +389,6 @@ def empirical_erf_2d(
         u_hat /= np.conj(f_hat)
     u = np.fft.irfft(u_hat, grid)
 
-    # P[:, :, s, t] over the offsets [-half, half], offset 0 shifted to the center
-    half = sum(ma.dilation * (ma.tap_height - 1) // 2 for ma in ma_kernels)
-    n = 2 * half + 1
     p_hat = reduce(np.matmul, (_ma_spectrum(ma, n, n, adjoint=True) for ma in ma_kernels))
     kernels = np.fft.fftshift(np.fft.irfft2(p_hat, s=(n, n), axes=(0, 1)), axes=(0, 1))
 
@@ -400,4 +401,6 @@ def empirical_erf_2d(
         left = np.tensordot(rolled_u, kernels[:, :, :, out_channel], axes=(1, 0))
         for in_channel in range(channels):
             window += np.abs(left[:, :, in_channel] @ rolled_u.T)
-    return ErfMap(window / window.sum(), origin=(-q_low, -q_low))
+    # the uniform mode's one-sided taps delay the centered map by half
+    origin = half - q_low if kernel_mode == "uniform" else -q_low
+    return ErfMap(window / window.sum(), origin=(origin, origin))

@@ -95,3 +95,30 @@ def embed_taps(taps, height, width, dilation=1):
         for k2, c in enumerate(cols):
             grid[r, c] += taps[k1, k2]
     return grid
+
+
+def exact_uniform_erf_2d(spec, grid, origin):
+    """Long-double oracle for the uniform-kernel 2D ERF map on a ``grid``-point circle.
+
+    Each layer's forward filter on the circle is the periodized geometric
+    inverse ``a^m / (1 - a^grid)`` of its causal factor ``(1, -a)``,
+    circularly convolved with ``K`` taps ``(1-a)/K`` at offsets ``d*p``,
+    ``p = 0..K-1``; the network's filter ``h`` is their circular
+    convolution, by direct summation.  The uniform kernel is separable, so
+    the map is ``outer(h[-o], h[-o])`` at ERF offsets ``o = x - origin``,
+    normalized.  Nothing here uses an FFT or the library's ERF code.
+    """
+    m = np.arange(grid)
+    circulant = (m[:, None] - m[None, :]) % grid  # conv(h, f)[i] = sum_j h[j] f[i - j]
+    h = np.zeros(grid, dtype=np.longdouble)
+    h[0] = 1
+    for layer in spec.layers:
+        a = np.longdouble(layer.ar_coeff)
+        inverse = a**m / (1 - a**grid)
+        ma = np.zeros(grid, dtype=np.longdouble)
+        np.add.at(ma, layer.dilation * np.arange(layer.taps) % grid, (1 - a) / layer.taps)
+        for factor in (inverse, ma):
+            h = (h[None, :] * factor[circulant]).sum(axis=1)
+    reversed_h = h[(origin - m) % grid]
+    plane = np.outer(reversed_h, reversed_h)
+    return plane / plane.sum()

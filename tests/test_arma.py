@@ -152,6 +152,17 @@ class TestArForwardDense:
         with pytest.raises(ValueError):
             ar_forward_dense(FieldTensor(np.zeros((65, 65, 1))), [np.ones((1, 1))])
 
+    def test_kernel_count_must_match_channels(self):
+        with pytest.raises(ValueError, match="1 kernels supplied for 2 channels"):
+            ar_forward_dense(FieldTensor(np.zeros((3, 3, 2))), [np.ones((1, 1))])
+
+    def test_singular_system_raises_singular_spectrum(self):
+        # channel 1's all-zero kernel makes its circulant matrix singular
+        t = FieldTensor(np.ones((3, 3, 2)))
+        with pytest.raises(SingularSpectrumError) as info:
+            ar_forward_dense(t, [np.ones((1, 1)), np.zeros((1, 1))])
+        assert info.value.index == (0, 0, 1)
+
     def test_cross_oracle_random_instances(self):
         rng = np.random.default_rng(25)
         for _ in range(10):

@@ -91,14 +91,61 @@ class TestErfCommand:
         assert err == "error: empirical-2d writes a heatmap and needs --out\n"
 
     def test_ma_footprint_beyond_grid_exit_code(self, capsys, tmp_path):
-        # the 3 one-sided taps sit on a 5-tap centered kernel, whose span 4
-        # does not fit a 4-point grid although the filter's 3 taps do
+        # five taps at dilation 3 span d*(K-1) = 12, which a 12-point grid
+        # cannot hold: a fifth of the mass wraps, whatever the window
         code, out, err = run(
-            capsys, "erf", "--layers", "3,1,0", "--mode", "empirical-2d", "--grid", "4",
+            capsys, "erf", "--layers", "5,3,0", "--mode", "empirical-2d", "--grid", "12",
             "--out", str(tmp_path / "h.csv"),
         )
         assert code == 2 and out == ""
-        assert err.startswith("numeric failure: dilated kernel footprint")
+        assert err.startswith("numeric failure: composed filter leaks 2.000e-01")
+
+    def test_grid_below_two_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "erf", "--layers", "3,1,0.5", "--mode", "empirical-2d", "--grid", "1",
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: grid must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("channels", "5000", ("--kernels", "xavier", "--seed", "0")),
+        ("grid", "100000", ()),
+    ])
+    def test_working_set_over_budget_refused_before_allocation(
+        self, capsys, tmp_path, flag, value, extra
+    ):
+        # tens of GiB asked for; the estimate comes before any of it
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "erf", "--layers", "3,1,0.5", "--mode", "empirical-2d",
+                f"--{flag}", value, *extra, "--out", str(tmp_path / "h.csv"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith("error: the 2D map needs about ") and f"--{flag} {value}" in err
+        assert "working-set limit is 1 GiB" in err
+        assert peak < 2**20
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_working_set_refusal_follows_support_refusal(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "erf", "--layers", "3,600000,0", "--mode", "empirical-2d", "--grid", "100000",
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: moving-average taps 3 at dilation 600000 span")
+
+    def test_benchmark_shape_within_working_set(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "erf", "--layers", "3,1,0.5;3,1,0.5;3,1,0.5;3,1,0.5", "--mode", "empirical-2d",
+            "--kernels", "xavier", "--channels", "8", "--seed", "0", "--grid", "128",
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert code == 0
 
     def test_wraparound_exit_code(self, capsys, tmp_path):
         code, _, err = run(
@@ -315,6 +362,9 @@ class TestStabilityCommand:
         ("filter", "1e-320,1,0.5"),  # a companion matrix entry overflows
         ("filter", "0,1e-320,0.5"),  # the one zero of a linear factor overflows
         ("reparam", "1e-320,0"),
+        # the tap sum rounds to 0 (stable) and both zero moduli to 1
+        ("reparam", "1e16,0.5"),
+        ("reparam", "1e308,0"),
     ])
     def test_report_value_beyond_float64_is_usage_error(self, capsys, flag, value):
         # the suite turns warnings into errors, so none may escape either

@@ -24,6 +24,7 @@ from armakit.erf import (
 )
 from armakit.filters import SeparableArKernel
 from armakit.numerics import FieldTensor, SingularSpectrumError
+from conftest import exact_uniform_erf_2d
 
 
 def stack(layer, depth):
@@ -37,7 +38,7 @@ def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform
     ``layer_backward`` on the layer's cache from ``layer_forward``.
     Returns the unwrapped map and its origin, like the library.
     """
-    w0 = erf._select_window(spec, grid, kernel_mode, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
+    w0 = erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
     mas = erf._layer_kernels(spec, channels, kernel_mode, rng)
     zeros = FieldTensor(np.zeros((grid, grid, channels)))
@@ -58,7 +59,12 @@ def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform
     accumulated /= accumulated.sum()
     q_low = -(w0 + grid - 1)
     shift = (center + q_low) % grid
-    return np.roll(accumulated, (-shift, -shift), axis=(0, 1)), (-q_low, -q_low)
+    # the kernels are centered: the uniform mode's one-sided taps delay its
+    # map by half a footprint per layer
+    origin = -q_low
+    if kernel_mode == "uniform":
+        origin += sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
+    return np.roll(accumulated, (-shift, -shift), axis=(0, 1)), (origin, origin)
 
 
 class TestLayerSpec:
@@ -155,7 +161,8 @@ class TestEffectiveFilter:
     @pytest.mark.parametrize("taps, dilation", [(MAX_FILTER_TAPS + 1, 1), (3, MAX_FILTER_TAPS // 2 + 1)])
     def test_ma_support_beyond_tap_limit_rejected(self, taps, dilation):
         # d*(K-1)+1 lies just over the cap; each path refuses before it
-        # allocates the 8 MB support or the (2K-1)^2 plane
+        # allocates the 8 MB support or the K^2 plane (the 2D map through its
+        # window search, before it builds any kernel)
         spec = LinearNetSpec((LayerSpec1D(taps, dilation, 0.0),))
         message = f"taps {taps} at dilation {dilation}"
         tracemalloc.start()
@@ -166,7 +173,7 @@ class TestEffectiveFilter:
                 empirical_erf_1d(spec)
             for mode in ("uniform", "xavier"):
                 with pytest.raises(ValueError, match=message):
-                    erf._layer_kernels(spec, 1, mode, np.random.default_rng(0))
+                    empirical_erf_2d(spec, grid=16, seed=0, kernel_mode=mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,6 +251,12 @@ class TestRadiusForms:
         with pytest.raises(ValueError):
             ErfMap(np.array([1.5, -0.5]), origin=(0,))
 
+    def test_shape_and_origin_enforced(self):
+        with pytest.raises(ValueError, match="1D or 2D"):
+            ErfMap(np.full((1, 1, 1), 1.0), origin=(0, 0, 0))
+        with pytest.raises(ValueError, match="one index per weight axis"):
+            ErfMap(np.full((2, 2), 0.25), origin=(0,))
+
 
 def net(*triples):
     return LinearNetSpec(tuple(LayerSpec1D(*t) for t in triples))
@@ -260,8 +273,15 @@ class TestEmpirical2d:
             (net((3, 2, 0.25), (5, 1, 0.3), (3, 2, 0.1)), 64, 3, "xavier"),
             (net((3, 1, 0.8), (3, 1, 0.8)), 96, 1, "uniform"),
             (net((3, 1, 0.8), (5, 1, 0.7)), 96, 2, "xavier"),
+            # one-sided footprints d*(K-1) just inside the grid
+            (net((5, 3, 0.0)), 13, 1, "uniform"),
+            (net((5, 3, 0.0)), 16, 1, "uniform"),
+            (net((3, 1, 0.0)), 4, 1, "uniform"),
         ],
-        ids=["uniform", "xavier-1ch", "xavier-3ch", "dilation-2", "mixed-taps", "long-uniform", "long-xavier"],
+        ids=[
+            "uniform", "xavier-1ch", "xavier-3ch", "dilation-2", "mixed-taps", "long-uniform",
+            "long-xavier", "footprint-12-grid-13", "footprint-12-grid-16", "footprint-2-grid-4",
+        ],
     )
     def test_matches_backward_pass_oracle(self, spec, grid, channels, kernel_mode):
         want, origin = backward_pass_erf_2d(spec, grid, channels, seed=5, kernel_mode=kernel_mode)
@@ -297,22 +317,22 @@ class TestEmpirical2d:
     def test_long_cases_window_narrower_than_filter(self):
         # the two "long" oracle cases select a window inside the composed filter
         for spec in (net((3, 1, 0.8), (3, 1, 0.8)), net((3, 1, 0.8), (5, 1, 0.7))):
-            taps, _ = erf._axis_mass_profile(spec, "xavier", erf.DEFAULT_TRUNCATION)
+            taps, _ = erf._axis_mass_profile(spec, erf.DEFAULT_TRUNCATION)
             assert taps.size > 96
 
     def test_window_scan_matches_convolution(self):
         # 276k composed taps against a 4096-wide window
         spec = stack(LayerSpec1D(3, 1, 0.9998), 2)
         grid = 4096
-        taps, start = erf._axis_mass_profile(spec, "uniform", erf.DEFAULT_TRUNCATION)
+        taps, start = erf._axis_mass_profile(spec, erf.DEFAULT_TRUNCATION)
         want = np.convolve(taps, np.ones(grid), mode="valid")
         sums = erf._window_sums(taps, grid)
         assert sums.shape == want.shape
         assert np.abs(sums - want).max() <= 1e-12
         best = int(np.argmax(want))
-        assert erf._select_window(spec, grid, "uniform", erf.DEFAULT_TRUNCATION, 1.0) == start + best
+        assert erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, 1.0) == start + best
         with pytest.raises(WraparoundError, match=f"leaks {1.0 - want[best]:.3e} "):
-            erf._select_window(spec, grid, "uniform", erf.DEFAULT_TRUNCATION, 1e-6)
+            erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, 1e-6)
 
     def test_identity_network_is_delta(self):
         m = empirical_erf_2d(stack(LayerSpec1D(1, 1, 0.0), 1), grid=16)
@@ -326,6 +346,34 @@ class TestEmpirical2d:
         want = erf_axis_variance(m1)
         assert erf_axis_variance(m2, axis=0) == pytest.approx(want, abs=1e-6)
         assert erf_axis_variance(m2, axis=1) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("layers, grid", [
+        (((3, 1, 0.5), (3, 1, 0.5)), 128), (((5, 3, 0.0),), 25), (((3, 2, 0.25), (5, 1, 0.3)), 64),
+    ])
+    def test_uniform_marginals_match_1d_at_their_offsets(self, layers, grid):
+        # weight by weight at each map's own offsets, so an origin off by one
+        # shows; the 1D map's support lies inside the window
+        spec = net(*layers)
+        m2, m1 = empirical_erf_2d(spec, grid), empirical_erf_1d(spec)
+        by_offset = dict(zip(m1.offsets(0).tolist(), m1.weights))
+        assert set(by_offset) <= set(m2.offsets(0).tolist())
+        for axis in (0, 1):
+            want = np.array([by_offset.get(o, 0.0) for o in m2.offsets(axis).tolist()])
+            assert np.abs(m2.marginal(axis) - want).max() <= 1e-10 * want.max()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="np.longdouble is no wider than float64 here"
+    )
+    @pytest.mark.parametrize("layers, grid", [
+        (((3, 1, 0.5), (3, 1, 0.5)), 48), (((3, 2, 0.25), (3, 2, 0.25)), 32),
+        (((3, 1, 0.5),) * 4, 48), (((3, 2, 0.25), (5, 1, 0.3), (3, 2, 0.1)), 40),
+        (((5, 3, 0.0),), 13), (((5, 3, 0.0),), 25), (((3, 1, 0.0),), 4),
+    ])
+    def test_uniform_map_matches_long_double_reference(self, layers, grid):
+        spec = net(*layers)
+        m = empirical_erf_2d(spec, grid)
+        want = exact_uniform_erf_2d(spec, grid, m.origin[0])
+        assert np.abs(m.weights - want).max() <= 4e-15 * want.max()
 
     def test_monotone_in_ar_coefficient(self):
         radii = []

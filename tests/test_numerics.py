@@ -86,6 +86,12 @@ class TestFieldTensor:
         with pytest.raises(ValueError):
             FieldTensor(np.zeros((2, 1, 3, 3, 1)))
 
+    def test_from_2d_rejects_wrong_rank(self):
+        assert FieldTensor.from_2d(np.ones((2, 3))).data.shape == (2, 3, 1)
+        for shape in ((3,), (2, 3, 1)):
+            with pytest.raises(ValueError, match="expected a 2D array"):
+                FieldTensor.from_2d(np.ones(shape))
+
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):
             FieldTensor(np.zeros((1, 0, 1)))
