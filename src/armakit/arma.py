@@ -468,11 +468,11 @@ def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> 
     return FieldTensor(out)
 
 
-def dense_circulant_matrix(taps, height: int, width: int, dilation: int = 1) -> np.ndarray:
+def dense_circulant_matrix(taps, height: int, width: int) -> np.ndarray:
     """Assemble the matrix of a circular convolution on a ``height x width`` grid.
 
     Row ``(i1*W + i2)`` expresses
-    ``sum_p taps[p1, p2] * y[(i1 - d*p1) % I1, (i2 - d*p2) % I2]``.
+    ``sum_p taps[p1, p2] * y[(i1 - p1) % I1, (i2 - p2) % I2]``.
     """
     taps = np.asarray(taps, dtype=np.float64)
     half1 = (taps.shape[0] - 1) // 2
@@ -484,8 +484,8 @@ def dense_circulant_matrix(taps, height: int, width: int, dilation: int = 1) -> 
             row = i1 * width + i2
             for k1 in range(taps.shape[0]):
                 for k2 in range(taps.shape[1]):
-                    j1 = (i1 - dilation * (k1 - half1)) % height
-                    j2 = (i2 - dilation * (k2 - half2)) % width
+                    j1 = (i1 - (k1 - half1)) % height
+                    j2 = (i2 - (k2 - half2)) % width
                     matrix[row, j1 * width + j2] += taps[k1, k2]
     return matrix
 

@@ -362,8 +362,6 @@ def empirical_erf_2d(
     else:
         raise ValueError(f"unknown kernel mode {kernel_mode!r}")
     w0 = _select_window(spec, grid, epsilon, DEFAULT_WRAP_TOLERANCE)
-    if any(layer.dilation * (layer.taps - 1) >= grid for layer in spec.layers):
-        raise WraparoundError(f"dilated kernel footprint does not fit a {grid}x{grid} grid")
     # P[:, :, s, t] over the offsets [-half, half] of the composed footprint
     half = sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
     n = 2 * half + 1

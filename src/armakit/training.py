@@ -4,13 +4,14 @@ Trains small stacks with plain SGD plus gradient clipping on a synthetic
 wide-context regression task (targets are a Gaussian blur of the inputs whose
 footprint far exceeds any single moving-average kernel, so the layers can only
 fit it by learning nonzero autoregressive coefficients).  The whole batch
-runs through each layer in one call, as an ``(N, H, W, C)`` field.  The stack
-has no nonlinearity, so it runs on the layer's spectral core
+enters the stack only through per-frequency second moments.  The stack has
+no nonlinearity, so it runs on the layer's spectral core
 (:func:`armakit.arma.spectral_forward`/:func:`~armakit.arma.spectral_backward`)
-with one layer's output spectrum as the next one's input: the inputs are
-transformed once per run, and each step takes two 2D transforms, an
-``irfft2`` of the last layer's output for the loss and an ``rfft2`` of the
-residual for the backward pass.  Two modes:
+with one layer's output spectrum as the next one's input, and per frequency
+it is one transfer matrix ``M``.  The inputs and targets are transformed
+once per run; each step runs one virtual sample per input channel through
+the stack to get ``M``, and takes one 2D transform, the ``irfft2`` of the
+batch's output spectrum for the loss.  Two modes:
 
 * ``reparam``: autoregressive factors live in unconstrained ``(alpha, beta)``
   coordinates, provably stable in exact arithmetic; a factor that float64
@@ -215,6 +216,23 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     n = task.samples
     grid = task.inputs.shape[1:3]
     inputs_hat = np.fft.rfft2(FieldTensor(task.inputs).data, axes=(1, 2))
+    targets_hat = np.fft.rfft2(task.targets, axes=(1, 2))
+    # Per frequency the stack is one (T x S0) matrix M, and the layers below
+    # layer l are M_l.  The backward pass reads the batch only through the
+    # cross spectra sum_n dT_{l,n} Z_n^H, where Z_n is layer l's input M_l X_n
+    # or output M_{l+1} X_n and dT_{l,n} = B_l (M X_n - T_n) / N for the linear
+    # map B_l of the layers above.  So they equal B_l (M P - C) Z^H, with the
+    # run-constant moments P = sum_n X_n X_n^H / N and C = sum_n T_n X_n^H / N
+    # and Z = M_l or M_{l+1}.  The S0 virtual samples e_r, whose layer
+    # inputs are the columns of M_l, give the same sums from the gradient
+    # spectrum G[r] = sum_s M[s] P[s, r] - C[r].
+    s0 = inputs_hat.shape[3]
+    moments = np.einsum("nijs,nijr->ijsr", inputs_hat, inputs_hat.conj()) / n
+    cross = np.einsum("nijt,nijr->rijt", targets_hat, inputs_hat.conj()) / n
+    virtual_hat = np.broadcast_to(
+        np.eye(s0, dtype=np.complex128)[:, None, None, :], (s0,) + inputs_hat.shape[1:]
+    )
+    virtual_shape = (s0,) + task.inputs.shape[1:]
 
     for step in range(config.steps):
         kernels = [(MaKernel(layer.w), layer.ar_kernel()) for layer in layers]
@@ -230,16 +248,17 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
         # each layer's cache (its input spectrum included) for its backward pass
         caches = []
-        y_hat, shape = inputs_hat, task.inputs.shape
+        m_hat, shape = virtual_hat, virtual_shape
         try:
             for ma, ar in kernels:
-                y_hat, cache = spectral_forward(y_hat, shape, ma, ar)
+                m_hat, cache = spectral_forward(m_hat, shape, ma, ar)
                 shape = cache.shape
                 caches.append(cache)
         except SingularSpectrumError:
             # raw taps left the stable region and zeroed a spectral mode
             loss = max_out = float("inf")
         else:
+            y_hat = np.einsum("nijs,sijt->nijt", inputs_hat, m_hat)
             y = np.fft.irfft2(y_hat, s=grid, axes=(1, 2))
             residual = y - task.targets
             # total squared error per sample, averaged over the batch; the
@@ -254,8 +273,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
             return trace
 
         grads = []
-        # with out=, the second axis is transformed in place, not into a new array
-        grad = np.fft.rfft2(residual / n, axes=(1, 2), out=np.empty_like(y_hat))
+        grad = np.einsum("sijt,ijsr->rijt", m_hat, moments)
+        grad -= cross
         for index in reversed(range(len(kernels))):
             # nothing reads the first layer's input gradient, and nothing
             # keeps grad, so the backward pass forms dT_hat in place in it

@@ -64,15 +64,18 @@ class TestMaForward:
 
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_matches_dense_block_matrix(self, dilation):
-        # assemble the full (I^2 T) x (I^2 S) operator from the kernel taps
+        # assemble the full (I^2 T) x (I^2 S) operator from the kernel taps,
+        # dilated by zero-stuffing them into d*(K-1)+1 undilated taps
         rng = np.random.default_rng(21 + dilation)
         x = FieldTensor(rng.standard_normal((6, 6, 2)))
         w = MaKernel(rng.standard_normal((3, 3, 3, 2)), dilation=dilation)
         out = ma_stage(x, w)
+        stuffed = np.zeros((2 * dilation + 1, 2 * dilation + 1) + w.data.shape[2:])
+        stuffed[::dilation, ::dilation] = w.data
         for t in range(3):
             acc = np.zeros(36)
             for s in range(2):
-                block = dense_circulant_matrix(w.data[:, :, t, s], 6, 6, dilation)
+                block = dense_circulant_matrix(stuffed[:, :, t, s], 6, 6)
                 acc += block @ x.data[:, :, s].ravel()
             assert np.max(np.abs(out.data[:, :, t].ravel() - acc)) < 1e-10
 

@@ -392,6 +392,21 @@ class TestEmpirical2d:
             radii.append(erf_radius(m))
         assert all(x < y for x, y in zip(radii, radii[1:]))
 
+    def test_span_equal_to_grid_refused_by_working_set(self):
+        # the one tap of 1000001 beyond the grid leaks less than the wrap
+        # tolerance, so the window search passes a span d*(K-1) equal to the
+        # grid; the working-set estimate refuses it (the window search's mass
+        # profile alone peaks at 32 MB)
+        spec = LinearNetSpec((LayerSpec1D(1000001),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the 2D map needs about"):
+                empirical_erf_2d(spec, grid=1000000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_wraparound_rejection(self):
         with pytest.raises(WraparoundError):
             empirical_erf_2d(stack(LayerSpec1D(3, 1, 0.9), 2), grid=32)
