@@ -34,12 +34,13 @@ elementwise and summed over the samples of a batch, read only at the
 kernel's tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW``
 and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
 over the offset rows, then an ``irfft`` at the offset columns.  ``dT_hat``
-takes the place of ``dY_hat`` when the caller keeps no reference to it (the
-field edge and the trainer), and is formed in a copy otherwise.  The phase
-matrices depend only on the grid and are memoized.
+takes the place of ``dY_hat``, which both callers (the field edge and the
+trainer) give up.  The factor-tap gradients of a layer are one array, the
+``f`` cascades stacked on the ``g`` cascades.  The phase matrices depend only
+on the grid and are memoized.
 
 The layer is linear, so this core takes spectra in and gives spectra out
-(:func:`spectral_forward`, :func:`spectral_backward`): one layer's output
+(:func:`spectral_forward` and its adjoint): one layer's output
 spectrum is the next one's input spectrum, and a stack of layers needs no 2D
 transform between them.  :func:`layer_forward` and :func:`layer_backward`
 are the same core between field edges, one ``rfft2`` in and one ``irfft2``
@@ -329,45 +330,32 @@ def spectral_forward(
     return y_hat, cache
 
 
-def spectral_backward(
-    d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool = True
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_backward(
+    d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Backward pass of :func:`spectral_forward`, spectrum in and spectrum out.
 
     ``d_y_hat`` is the half spectrum of the gradient with respect to the
-    forward output, in its half spectrum's shape.  Returns ``(dX_hat, dW, dF, dG)``:
-    the half spectrum of the input gradient (``None`` unless
-    ``input_gradient``), the moving-average kernel gradient, and the
-    gradients of every length-3 factor's taps at offsets (-1, 0, +1), arrays
-    of shape ``(channels, depth, 3)``; kernel gradients sum over the samples
-    of a batch.  In the frequency domain:
+    forward output, in its half spectrum's shape; the caller gives it up and
+    has checked its shape (:func:`layer_backward` on the field, the trainer
+    by its caches).  Returns ``(dX_hat, dW, dFG)``: the half spectrum of the
+    input gradient (``None`` unless ``input_gradient``), the moving-average
+    kernel gradient, and the gradients of every length-3 factor's taps at
+    offsets (-1, 0, +1), one ``(2, channels, depth, 3)`` array holding the
+    ``f`` cascades, then the ``g`` cascades; kernel gradients sum over the
+    samples of a batch.  In the frequency domain:
 
         dT_hat = dY_hat / conj(G_hat) / conj(F_hat)
         dX_hat = W_hat^H . dT_hat
         dA_hat = -conj(Y_hat) . dT_hat
 
-    ``d_y_hat`` is left as it is: the pass runs on a copy, in which
-    ``dT_hat`` is formed.  :func:`layer_backward` and the trainer, which keep
-    no reference to their ``dY_hat``, run it on that spectrum itself, with no
-    copy.  ``dW`` and ``dA`` are the cross spectra ``dT_hat . conj(X_hat)``
-    (from the forward's input spectrum, one input channel at a time) and
-    ``dA_hat``, formed elementwise, summed over the samples only when there
-    are several, and read only at the kernels' tap offsets.  ``dA`` is then
-    chained through the outer product and the cascade to the factor taps.
+    ``dT_hat`` is formed in place in ``d_y_hat``.  ``dW`` and ``dA`` are the
+    cross spectra ``dT_hat . conj(X_hat)`` (from the forward's input
+    spectrum, one input channel at a time) and ``dA_hat``, formed
+    elementwise, summed over the samples only when there are several, and
+    read only at the kernels' tap offsets.  ``dA`` is then chained through
+    the outer product and the cascade to the factor taps.
     """
-    if d_y_hat.shape != _half_shape(cache.shape):
-        raise ValueError(
-            f"gradient spectrum shape {d_y_hat.shape} does not match the forward "
-            f"output's half spectrum {_half_shape(cache.shape)}"
-        )
-    return _spectral_backward(d_y_hat.astype(complex), cache, input_gradient)
-
-
-def _spectral_backward(
-    d_y_hat: np.ndarray, cache: LayerCache, input_gradient: bool
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    # spectral_backward, with dT_hat formed in place in d_y_hat, which the caller
-    # gives up and has checked (layer_backward on the field, the trainer by its caches)
     ma, ar = cache.ma, cache.ar
     height, width = cache.shape[-3:-1]
     # guarded when ar_spectra built them
@@ -408,7 +396,7 @@ def _spectral_backward(
         cross = np.conj(np.broadcast_to(x_hat[..., s, None], d_t_hat.shape))
         cross *= d_t_hat
         d_w[:, :, :, s] = _read_taps(_sample_sum(cross), rows, cols, width)
-    return d_x_hat, d_w, d_factors[0], d_factors[1]
+    return d_x_hat, d_w, d_factors
 
 
 def layer_forward(
@@ -423,13 +411,14 @@ def layer_forward(
 def layer_backward(
     d_y: FieldTensor, cache: LayerCache
 ) -> Tuple[FieldTensor, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`spectral_backward` on a field: one ``rfft2`` of ``dY`` in, one
-    ``irfft2`` of ``dX_hat`` out.  ``dT_hat`` is formed in place in that
-    ``rfft2`` output, which nothing else holds.
+    """The adjoint of :func:`spectral_forward` on a field: one ``rfft2`` of
+    ``dY`` in, one ``irfft2`` of ``dX_hat`` out.  ``dT_hat`` is formed in
+    place in that ``rfft2`` output, which nothing else holds.
 
     Returns ``(dX, dW, dF, dG)``: the input gradient, the moving-average
     kernel gradient, and the ``(channels, depth, 3)`` gradients of every
-    length-3 factor's taps.
+    length-3 factor's taps, the two halves of the core's stacked ``(2,
+    channels, depth, 3)`` array.
     """
     # checked on the field: widths I2 and I2 + 1 share one half spectrum
     if d_y.data.shape != cache.shape:
@@ -439,8 +428,8 @@ def layer_backward(
     # held until the irfft2 is done: freeing it before raised the peak RSS
     # of a 512^2 x 1->4 run by 4 MB, through the heap's layout
     d_y_hat = _rfft2(d_y)
-    d_x_hat, d_w, d_f, d_g = _spectral_backward(d_y_hat, cache, True)
-    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, d_f, d_g
+    d_x_hat, d_w, d_factors = _spectral_backward(d_y_hat, cache, True)
+    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, *d_factors
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:

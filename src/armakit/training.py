@@ -6,9 +6,9 @@ footprint far exceeds any single moving-average kernel, so the layers can only
 fit it by learning nonzero autoregressive coefficients).  The whole batch
 enters the stack only through per-frequency second moments.  The stack has
 no nonlinearity, so it runs on the layer's spectral core
-(:func:`armakit.arma.spectral_forward`/:func:`~armakit.arma.spectral_backward`)
-with one layer's output spectrum as the next one's input, and per frequency
-it is one transfer matrix ``M``.  The inputs and targets are transformed
+(:func:`armakit.arma.spectral_forward` and its adjoint) with one layer's
+output spectrum as the next one's input, and per frequency it is one
+transfer matrix ``M``.  The inputs and targets are transformed
 once per run; each step runs one virtual sample per input channel through
 the stack to get ``M``, and takes one 2D transform, the ``irfft2`` of the
 batch's output spectrum for the loss.  Two modes:
@@ -53,12 +53,18 @@ class ToyTask:
     """Paired input/target fields; the constructors draw the inputs from a seed
     and refuse ``samples`` or ``size`` below 1."""
 
-    inputs: np.ndarray  # (samples, size, size, 1)
-    targets: np.ndarray
+    inputs: np.ndarray  # (samples, height, width, channels), finite
+    targets: np.ndarray  # the same, with any channel count
 
     def __post_init__(self):
-        if self.inputs.shape != self.targets.shape:
-            raise ValueError("inputs and targets must have matching shapes")
+        # train runs any S0 -> S_out stack, so the channel counts may differ
+        inputs, targets = (FieldTensor(a).data for a in (self.inputs, self.targets))
+        if inputs.ndim != 4 or targets.ndim != 4 or inputs.shape[:3] != targets.shape[:3]:
+            raise ValueError(
+                f"inputs and targets must be (samples, height, width, channels) arrays of "
+                f"matching shapes but for the channels, got {inputs.shape} and {targets.shape}"
+            )
+        self.inputs, self.targets = inputs, targets
 
     @property
     def samples(self) -> int:
@@ -142,23 +148,21 @@ class TrainConfig:
 class LayerState:
     """Learnable parameters of one layer.
 
-    ``ar_f``/``ar_g`` have shape ``(out_channels, 1, 2)``, as do their
-    gradients: ``(alpha, beta)`` pairs in reparam mode, or raw ``(fm1, fp1)``
-    taps (with the center tap fixed at 1) in raw mode.
+    ``ar`` has shape ``(2, out_channels, 1, 2)``, the ``f`` factors then the
+    ``g`` factors, as does its gradient: ``(alpha, beta)`` pairs in reparam
+    mode, or raw ``(fm1, fp1)`` taps (with the center tap fixed at 1) in raw
+    mode.
     """
 
     w: np.ndarray
-    ar_f: np.ndarray
-    ar_g: np.ndarray
+    ar: np.ndarray
     mode: str
 
     def ar_kernel(self) -> SeparableArKernel:
         if self.mode == "reparam":
-            return SeparableArKernel(materialize(self.ar_f), materialize(self.ar_g))
+            return SeparableArKernel(*materialize(self.ar))
         # (fm1, fp1) -> (fm1, 1, fp1)
-        return SeparableArKernel(
-            np.insert(self.ar_f, 1, 1.0, axis=-1), np.insert(self.ar_g, 1, 1.0, axis=-1)
-        )
+        return SeparableArKernel(*np.insert(self.ar, 1, 1.0, axis=-1))
 
 
 @dataclass(eq=False)
@@ -188,8 +192,7 @@ def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerS
         bound = math.sqrt(6.0 / (k * k * s + k * k * t))
         w = rng.uniform(-bound, bound, size=(k, k, t, s))
         start = 0.0 if config.mode == "reparam" else config.raw_tap_sum / 2.0
-        ar_f, ar_g = np.full((t, 1, 2), start), np.full((t, 1, 2), start)
-        layers.append(LayerState(w=w, ar_f=ar_f, ar_g=ar_g, mode=config.mode))
+        layers.append(LayerState(w=w, ar=np.full((2, t, 1, 2), start), mode=config.mode))
     return layers
 
 
@@ -215,7 +218,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     trace = TrainTrace(layers=layers)
     n = task.samples
     grid = task.inputs.shape[1:3]
-    inputs_hat = np.fft.rfft2(FieldTensor(task.inputs).data, axes=(1, 2))
+    inputs_hat = np.fft.rfft2(task.inputs, axes=(1, 2))
     targets_hat = np.fft.rfft2(task.targets, axes=(1, 2))
     # Per frequency the stack is one (T x S0) matrix M, and the layers below
     # layer l are M_l.  The backward pass reads the batch only through the
@@ -278,23 +281,22 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         for index in reversed(range(len(kernels))):
             # nothing reads the first layer's input gradient, and nothing
             # keeps grad, so the backward pass forms dT_hat in place in it
-            grad, d_w, d_f, d_g = _spectral_backward(grad, caches[index], index > 0)
+            grad, d_w, d_ar = _spectral_backward(grad, caches[index], index > 0)
             # the center tap is fixed at 1, so only (fm1, fp1) are learned
-            d_f, d_g = d_f[..., ::2], d_g[..., ::2]
+            d_ar = d_ar[..., ::2]
             if config.mode == "reparam":
-                d_f = reparam_gradient(layers[index].ar_f, d_f)
-                d_g = reparam_gradient(layers[index].ar_g, d_g)
-            grads.insert(0, (d_w, d_f, d_g))
+                d_ar = reparam_gradient(layers[index].ar, d_ar)
+            grads.insert(0, (d_w, d_ar))
 
-        norm = math.sqrt(sum(float((g**2).sum()) for entry in grads for g in entry))
+        # f and g summed apart: one sum over both would regroup numpy's pairwise sum
+        norm = math.sqrt(sum(float((g**2).sum()) for d_w, d_ar in grads for g in (d_w, *d_ar)))
         scale = 1.0
         if norm > config.clip_norm:
             scale = config.clip_norm / norm
 
-        for layer, (d_w, d_f, d_g) in zip(layers, grads):
+        for layer, (d_w, d_ar) in zip(layers, grads):
             layer.w -= config.learning_rate * scale * d_w
-            layer.ar_f -= config.learning_rate * scale * d_f
-            layer.ar_g -= config.learning_rate * scale * d_g
+            layer.ar -= config.learning_rate * scale * d_ar
 
     if config.mode == "reparam":
         _check_stable([layer.ar_kernel() for layer in layers])

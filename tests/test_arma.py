@@ -13,7 +13,6 @@ from armakit.arma import (
     dense_circulant_matrix,
     layer_backward,
     layer_forward,
-    spectral_backward,
     spectral_forward,
 )
 from armakit.filters import (
@@ -706,8 +705,8 @@ class TestSpectralCore:
         grad, grad_hat = d_y, np.fft.rfft2(d_y.data, axes=(-3, -2))
         for cache, spectral_cache in zip(reversed(caches), reversed(spectral_caches)):
             grad, d_w, d_f, d_g = layer_backward(grad, cache)
-            grad_hat, *kernel_grads = spectral_backward(grad_hat, spectral_cache)
-            for got, want in zip(kernel_grads, (d_w, d_f, d_g)):
+            grad_hat, got_w, got_factors = arma._spectral_backward(grad_hat, spectral_cache, True)
+            for got, want in zip((got_w, *got_factors), (d_w, d_f, d_g)):
                 assert_close(got, want)
         assert_close(np.fft.irfft2(grad_hat, s=(height, width), axes=(-3, -2)), grad.data)
 
@@ -716,9 +715,6 @@ class TestSpectralCore:
         x_hat = np.fft.rfft2(np.ones((6, 8, 1)), axes=(0, 1))
         with pytest.raises(ValueError, match="half spectrum"):
             spectral_forward(x_hat, (6, 10, 1), params.ma, params.ar)
-        _, cache = spectral_forward(x_hat, (6, 8, 1), params.ma, params.ar)
-        with pytest.raises(ValueError, match="half spectrum"):
-            spectral_backward(np.zeros((6, 5, 1), complex), cache)
 
     def test_refuses_ar_kernel_with_other_channel_count(self):
         params = random_params(np.random.default_rng(46), 1, 2, 1)
@@ -747,12 +743,9 @@ class TestSpectralCore:
         _, cache = spectral_forward(np.fft.rfft2(x.data, axes=(-3, -2)), x.data.shape,
                                     params.ma, params.ar)
         d_y = FieldTensor(rng.standard_normal((2, 6, 8, 3)))
-        d_y_hat = np.fft.rfft2(d_y.data, axes=(-3, -2))
-        arrays = [d_y.data, d_y_hat, cache.input_spectrum, cache.output_spectrum,
+        arrays = [d_y.data, cache.input_spectrum, cache.output_spectrum,
                   *cache.ar_spectra, cache.ma.data, cache.ar.f_filters, cache.ar.g_filters]
         before = [a.tobytes() for a in arrays]
-        spectral_backward(d_y_hat, cache)
-        spectral_backward(d_y_hat, cache, input_gradient=False)
         layer_backward(d_y, cache)
         assert [a.tobytes() for a in arrays] == before
 
@@ -772,6 +765,38 @@ class TestSpectralCore:
         finally:
             tracemalloc.stop()
         assert peak < 10_100_000
+
+
+class TestFootprintTies:
+    """A footprint as wide as the field is refused; one pixel more and it fits."""
+
+    @staticmethod
+    def solve(shape, ma, ar, fits):
+        x = FieldTensor(np.ones(shape))
+        if fits:
+            layer_forward(x, ma, ar)
+        else:
+            with pytest.raises(ValueError, match="does not fit"):
+                layer_forward(x, ma, ar)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["rows", "columns"])
+    @pytest.mark.parametrize("size, fits", [(4, False), (5, True)])
+    def test_dilated_ma_kernel(self, axis, size, fits):
+        # 3 taps at dilation 2 span 4 pixels along the axis
+        taps, shape = [1, 1, 1, 1], [8, 8, 1]
+        taps[axis], shape[axis] = 3, size
+        self.solve(shape, MaKernel(np.ones(taps), dilation=2), SeparableArKernel.identity(1), fits)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["rows", "columns"])
+    @pytest.mark.parametrize("size, fits", [(2, False), (3, True)])
+    def test_ar_factor(self, axis, size, fits):
+        # a depth-1 factor with nonzero outer taps spans 2 pixels; g runs
+        # along the rows and f along the columns
+        factors = [((Length3Filter(0.0, 1.0, 0.0),),)] * 2
+        factors[axis] = ((Length3Filter(0.2, 1.0, 0.1),),)
+        shape = [3, 3, 1]
+        shape[axis] = size
+        self.solve(shape, identity_ma(), SeparableArKernel(factors[1], factors[0]), fits)
 
 
 class TestMaProduct:

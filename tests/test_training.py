@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+import dataclasses
 
 import numpy as np
 import pytest
@@ -63,6 +63,21 @@ class TestToyTask:
         with pytest.raises(ValueError, match="matching shapes"):
             ToyTask(np.zeros((1, 4, 4, 1)), np.zeros((1, 4, 5, 1)))
 
+    def test_channel_counts_may_differ(self):
+        # train runs any S0 -> S_out stack, so a task may hold one
+        task = ToyTask(np.zeros((2, 4, 5, 1)), np.zeros((2, 4, 5, 3)))
+        assert task.samples == 2 and task.targets.shape[3] == 3
+
+    def test_refuses_rank_3(self):
+        with pytest.raises(ValueError, match=r"\(samples, height, width, channels\)"):
+            ToyTask(np.zeros((4, 4, 1)), np.zeros((4, 4, 1)))
+
+    def test_refuses_nan_target(self):
+        targets = np.zeros((1, 4, 4, 1))
+        targets[0, 2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ToyTask(np.zeros((1, 4, 4, 1)), targets)
+
     def test_blur_matches_direct_summation(self):
         # the blur is the circular convolution with outer(profile, profile)
         sigma = 2.0
@@ -98,12 +113,6 @@ class TestConfig:
             TrainConfig(**{name: value})
 
 
-def batch_task(inputs, targets):
-    # a batch whose inputs and targets may differ in channel count, which
-    # train reads through these three members; no ToyTask constructor draws one
-    return SimpleNamespace(inputs=inputs, targets=targets, samples=len(inputs))
-
-
 def small_config(**overrides):
     base = dict(
         channel_sizes=(1, 2, 1), steps=20, learning_rate=1e-2,
@@ -130,14 +139,29 @@ class TestTrain:
         assert all(row[1] == 0.0 for row in trace.rows)
         for layer in trace.layers:
             assert not layer.w.any()
-            assert not layer.ar_f.any()
-            assert not layer.ar_g.any()
+            assert not layer.ar[0].any()
+            assert not layer.ar[1].any()
 
     def test_deterministic(self):
         task = ToyTask.wide_blur(samples=2, size=32, sigma=3.0, seed=2)
         a = train(task, small_config(steps=10))
         b = train(task, small_config(steps=10))
         assert a.rows == b.rows
+
+    def test_first_loss_is_half_the_squared_error_per_sample(self):
+        # the loss column's scale: sum of squared residuals / (2N), with the
+        # residuals of a per-sample layer_forward chain, no moments
+        task = ToyTask.wide_blur(samples=3, size=16, sigma=2.0, seed=7)
+        config = small_config(steps=1)
+        layers = initial_layers(config, np.random.default_rng(config.seed))
+        total = 0.0
+        for x, t in zip(task.inputs, task.targets):
+            y = FieldTensor(x)
+            for layer in layers:
+                y, _ = layer_forward(y, MaKernel(layer.w), layer.ar_kernel())
+            total += float(((y.data - t) ** 2).sum())
+        loss = train(task, config).rows[0][1]
+        assert abs(loss - total / (2 * task.samples)) <= 1e-12 * loss
 
     def test_loss_decreases_and_stays_stable(self):
         task = ToyTask.wide_blur(samples=2, size=32, sigma=3.0, seed=3)
@@ -220,12 +244,12 @@ class TestTrain:
         rng = np.random.default_rng(sum(grid))
         inputs = rng.standard_normal((2,) + grid + (in_channels,))
         targets = rng.standard_normal((2,) + grid + (1,))
-        task = batch_task(inputs, targets)
+        task = ToyTask(inputs, targets)
         config = small_config(steps=1, channel_sizes=(in_channels, 2, 2, 1), learning_rate=1e-2,
                               clip_norm=1e9, seed=8, mode=mode, raw_tap_sum=0.5)
         before = initial_layers(config, np.random.default_rng(config.seed))
         after = train(task, config).layers
-        names = ("w", "ar_f", "ar_g")
+        names = ("w", "ar")
 
         def flat(layers):
             return np.concatenate([getattr(layer, name).ravel() for layer in layers for name in names])
@@ -257,9 +281,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("grid", [(6, 8), (7, 5)])
     @pytest.mark.parametrize("mode", ["reparam", "raw"])
-    @pytest.mark.parametrize("samples, in_channels, out_channels",
-                             [(4, 1, 1), (3, 1, 1), (1, 2, 1), (2, 3, 2)])
-    def test_step_matches_per_sample_reference(self, samples, in_channels, out_channels,
+    @pytest.mark.parametrize("samples, in_channels, out_channels, clip", [
+        pytest.param(4, 1, 1, None, id="4-1-1"), pytest.param(3, 1, 1, None, id="3-1-1"),
+        pytest.param(1, 2, 1, None, id="1-2-1"), pytest.param(2, 3, 2, None, id="2-3-2"),
+        pytest.param(4, 1, 1, 0.25, id="4-1-1-clipped"),
+        pytest.param(2, 3, 2, 0.25, id="2-3-2-clipped"),
+    ])
+    def test_step_matches_per_sample_reference(self, samples, in_channels, out_channels, clip,
                                                mode, grid):
         # the trainer sees the batch only through its second moments; the
         # reference never forms them: it chains layer_forward/layer_backward
@@ -281,16 +309,21 @@ class TestTrain:
                 d_y, d_w, d_f, d_g = layer_backward(d_y, cache)
                 for i, g in enumerate((d_w, d_f[..., ::2], d_g[..., ::2])):
                     total[i] = total[i] + g
-        want, taken = [], []
-        after = train(batch_task(inputs, targets), config).layers
-        for before, updated, (d_w, d_f, d_g) in zip(layers, after, grads):
-            if mode == "reparam":
-                d_f = reparam_gradient(before.ar_f, d_f)
-                d_g = reparam_gradient(before.ar_g, d_g)
-            for name, g in zip(("w", "ar_f", "ar_g"), (d_w, d_f, d_g)):
-                want.append(config.learning_rate * g.ravel())
-                taken.append((getattr(before, name) - getattr(updated, name)).ravel())
-        want, taken = np.concatenate(want), np.concatenate(taken)
+        if mode == "reparam":
+            for before, total in zip(layers, grads):
+                total[1] = reparam_gradient(before.ar[0], total[1])
+                total[2] = reparam_gradient(before.ar[1], total[2])
+        applied = [g for total in grads for g in total]
+        # the clip scales the step by clip_norm over the norm of every
+        # gradient it applies, (alpha, beta) or raw taps
+        norm = np.sqrt(sum(float((g**2).sum()) for g in applied))
+        if clip is not None:
+            config = dataclasses.replace(config, clip_norm=clip * norm)
+        scale = min(1.0, config.clip_norm / norm)
+        after = train(ToyTask(inputs, targets), config).layers
+        want = np.concatenate([config.learning_rate * scale * g.ravel() for g in applied])
+        taken = np.concatenate([(b - a).ravel() for before, updated in zip(layers, after)
+                                for b, a in zip((before.w, *before.ar), (updated.w, *updated.ar))])
         # exact in exact arithmetic, so every parameter's update agrees within
         # 1e-10 of the largest one (measured: under 2e-15), 1e5 times tighter
         # than the central-difference test's relative 1e-5
@@ -348,7 +381,7 @@ class TestTrain:
 
 def tanh_beta_histogram(layers):
     # 41 bins over [-1, 1] of every factor's bounded tap sum tanh(beta)
-    beta = [p[..., 1].ravel() for layer in layers for p in (layer.ar_f, layer.ar_g)]
+    beta = [p[..., 1].ravel() for layer in layers for p in (layer.ar[0], layer.ar[1])]
     return np.histogram(np.tanh(np.concatenate(beta)), bins=41, range=(-1.0, 1.0))
 
 
