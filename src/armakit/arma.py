@@ -21,10 +21,10 @@ formed, and the singularity guard reads its margin off the two 1D spectra in
 a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is built from two small
 phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at the dilated tap
 offsets ``d*p``; ``G_hat`` and ``F_hat`` from the same phase matrices at the
-offsets ``-Q..Q`` of the composed ``g`` and ``f`` taps.  None needs a 2D
-transform.  Fields may carry a leading sample axis ``(N, I1, I2, C)``; the
-kernels and spectra are shared by all samples, so kernel gradients sum over
-the batch.
+offsets ``-Q..Q`` of the ``g`` and ``f`` taps the kernel composed when built.
+None needs a 2D transform.  Fields may carry a leading sample axis ``(N, I1,
+I2, C)``; the kernels and spectra are shared by all samples, so kernel
+gradients sum over the batch.
 
 The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
 gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)``, again
@@ -35,9 +35,9 @@ kernel's tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW``
 and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
 over the offset rows, then an ``irfft`` at the offset columns.  ``dT_hat``
 takes the place of ``dY_hat``, which both callers (the field edge and the
-trainer) give up.  The factor-tap gradients of a layer are one array, the
-``f`` cascades stacked on the ``g`` cascades.  The phase matrices depend only
-on the grid and are memoized.
+trainer) give up.  The factor-tap gradients of a layer are one array in
+the layout of the kernel's ``taps``, the ``f`` cascades then the ``g``
+cascades.  The phase matrices depend only on the grid and are memoized.
 
 The layer is linear, so this core takes spectra in and gives spectra out
 (:func:`spectral_forward` and its adjoint): one layer's output
@@ -235,8 +235,8 @@ def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> Tuple[np.ndarr
     The kernel is ``outer(g, f)``, so its half spectrum is ``A_hat[k1, k2, t]
     = G_hat[k1, t] * F_hat[k2, t]``: ``G_hat`` ``(I1, T)`` is the length-``I1``
     DFT of the composed ``g`` taps and ``F_hat`` ``(I2//2+1, T)`` the
-    length-``I2`` real DFT of the composed ``f`` taps, each a product with the
-    phase matrix at the tap offsets ``-Q..Q`` (wrapped, as on the grid).
+    length-``I2`` real DFT of the composed ``f`` taps (``ar.composed``), each
+    a product with the phase matrix at the tap offsets ``-Q..Q`` (wrapped).
     ``A_hat`` is not formed.  The spectrum is guarded once, here: every
     entry magnitude ``|G_hat[k1]| * |F_hat[k2]|`` is at least
     ``DEFAULT_EPSILON`` (read from this module at call time), so both the
@@ -258,8 +258,9 @@ def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> Tuple[np.ndarr
     9.7`` or ``10``).  See ROADMAP item I.
     """
     offsets = tuple(range(-ar.depth, ar.depth + 1))
-    g_hat = _phases(height, offsets, height) @ compose_1d(ar.g_filters).T
-    f_hat = _phases(width // 2 + 1, offsets, width) @ compose_1d(ar.f_filters).T
+    f_comp, g_comp = ar.composed
+    g_hat = _phases(height, offsets, height) @ g_comp.T
+    f_hat = _phases(width // 2 + 1, offsets, width) @ f_comp.T
     # |g * f| and |g| * |f| differ by a few ulps; the slack covers them at
     # both ends, and a bound it cannot prove (an overflow or NaN included)
     # is judged on the product itself
@@ -310,10 +311,7 @@ def spectral_forward(
     height, width = shape[-3:-1]
     # per channel, the largest |offset| of a nonzero composed tap (identity factors add none)
     offsets = np.abs(np.arange(-ar.depth, ar.depth + 1))
-    g_half, f_half = (
-        np.max(np.where(compose_1d(taps) != 0, offsets, 0), axis=-1)
-        for taps in (ar.g_filters, ar.f_filters)
-    )
+    f_half, g_half = np.max(np.where(ar.composed != 0, offsets, 0), axis=-1)
     too_wide = (2 * g_half >= height) | (2 * f_half >= width)
     if too_wide.any():
         ch = int(np.argmax(too_wide))
@@ -369,19 +367,18 @@ def _spectral_backward(
     d_a_taps = -_read_taps(_sample_sum(cross), offsets, offsets, width)
     # a cross spectrum is dropped once read, so that at most one is alive
     del cross
-    # the composed kernel is outer(G, F): rows follow g, columns follow f;
-    # f and g are stacked on a leading axis from here on
-    factors = np.stack([ar.f_filters, ar.g_filters])
-    f_comp, g_comp = compose_1d(factors)
-    d_comp = np.stack([np.einsum("tp,pqt->tq", g_comp, d_a_taps),
-                       np.einsum("pqt,tq->tp", d_a_taps, f_comp)])
+    # the composed kernel is outer(G, F): rows follow g, columns follow f
+    f_comp, g_comp = ar.composed
+    d_comp = np.empty(ar.composed.shape)
+    d_comp[0] = np.einsum("tp,pqt->tq", g_comp, d_a_taps)
+    d_comp[1] = np.einsum("pqt,tq->tp", d_a_taps, f_comp)
     # d(c_1 * ... * c_Q)/d(c_q) correlates the composition gradient with the
     # convolution of the other factors, leaving exactly 3 taps
     windows = d_comp[..., np.arange(3)[:, None] + np.arange(2 * ar.depth - 1)]
-    d_factors = np.empty(factors.shape)
+    d_factors = np.empty(ar.taps.shape)
     for q in range(ar.depth):
-        rest = (compose_1d(np.delete(factors, q, axis=-2)) if ar.depth > 1
-                else np.ones(factors.shape[:-2] + (1,)))
+        rest = (compose_1d(np.delete(ar.taps, q, axis=-2)) if ar.depth > 1
+                else np.ones(ar.taps.shape[:-2] + (1,)))
         d_factors[..., q, :] = np.einsum("...jk,...k->...j", windows, rest)
     d_x_hat = None
     if input_gradient:
@@ -410,15 +407,15 @@ def layer_forward(
 
 def layer_backward(
     d_y: FieldTensor, cache: LayerCache
-) -> Tuple[FieldTensor, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[FieldTensor, np.ndarray, np.ndarray]:
     """The adjoint of :func:`spectral_forward` on a field: one ``rfft2`` of
     ``dY`` in, one ``irfft2`` of ``dX_hat`` out.  ``dT_hat`` is formed in
     place in that ``rfft2`` output, which nothing else holds.
 
-    Returns ``(dX, dW, dF, dG)``: the input gradient, the moving-average
-    kernel gradient, and the ``(channels, depth, 3)`` gradients of every
-    length-3 factor's taps, the two halves of the core's stacked ``(2,
-    channels, depth, 3)`` array.
+    Returns ``(dX, dW, dFG)``: the input gradient, the moving-average
+    kernel gradient, and the gradients of every length-3 factor's taps, the
+    core's ``(2, channels, depth, 3)`` array in the layout of the kernel's
+    ``taps`` (the ``f`` cascades, then the ``g`` cascades).
     """
     # checked on the field: widths I2 and I2 + 1 share one half spectrum
     if d_y.data.shape != cache.shape:
@@ -429,7 +426,7 @@ def layer_backward(
     # of a 512^2 x 1->4 run by 4 MB, through the heap's layout
     d_y_hat = _rfft2(d_y)
     d_x_hat, d_w, d_factors = _spectral_backward(d_y_hat, cache, True)
-    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, *d_factors
+    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, d_factors
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:
@@ -496,7 +493,7 @@ def arma_backward(
     forward's input, whose spectrum ``cache`` holds, so ``x`` must have the
     forward input's shape.
     """
-    if not params.ar.is_reparam:
+    if params.ar.params is None:
         raise ValueError(
             "autoregressive kernel carries no (alpha, beta) parameters; "
             "use layer_backward for the taps of raw kernels"
@@ -508,8 +505,7 @@ def arma_backward(
         raise ValueError(
             f"input shape {x.data.shape} differs from the forward input's shape {forward_shape}"
         )
-    d_x, d_w, d_f, d_g = layer_backward(d_y, cache)
+    d_x, d_w, d_fg = layer_backward(d_y, cache)
     # the center tap f0 is fixed, so only (fm1, fp1) chain to (alpha, beta)
-    d_f = reparam_gradient(params.ar.f_params, d_f[..., ::2])
-    d_g = reparam_gradient(params.ar.g_params, d_g[..., ::2])
-    return d_x, d_w, ArGradients(d_f[..., 0], d_f[..., 1], d_g[..., 0], d_g[..., 1])
+    d_ab = reparam_gradient(params.ar.params, d_fg[..., ::2])
+    return d_x, d_w, ArGradients(*(d_ab[h, ..., k] for h in (0, 1) for k in (0, 1)))

@@ -384,7 +384,13 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
                 spec["alpha_f"], spec["beta_f"], spec["alpha_g"], spec["beta_g"]
             )
         if mode == "raw":
-            return filters.SeparableArKernel(spec["f"], spec["g"])
+            f, g = (np.array(spec[name], dtype=np.float64) for name in "fg")
+            if f.shape != g.shape:
+                raise ValueError(
+                    f"f and g must be (channels, depth, 3) tap arrays with channels and "
+                    f"depth >= 1, got shapes {f.shape} and {g.shape}"
+                )
+            return filters.SeparableArKernel([f, g])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed AR config {path}: {exc}") from exc
     raise UsageError(f"unknown AR config mode {mode!r}")

@@ -383,7 +383,7 @@ def empirical_erf_2d(
     # guarded as the layer guards it
     causal = np.array([[[0.0, 1.0, -layer.ar_coeff]] for layer in spec.layers])
     u_hat = np.ones(grid // 2 + 1, dtype=np.complex128)
-    for f_hat in ar_spectra(SeparableArKernel(causal, causal), grid, grid)[1].T:
+    for f_hat in ar_spectra(SeparableArKernel([causal, causal]), grid, grid)[1].T:
         u_hat /= np.conj(f_hat)
     u = np.fft.irfft(u_hat, grid)
 

@@ -20,7 +20,7 @@ so in exact arithmetic, gradient descent never steps outside the stable set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -167,11 +167,12 @@ def compose_1d(filters) -> np.ndarray:
     return taps
 
 
-def _check_finite(name: str, array: np.ndarray) -> None:
+def _check_finite(names, array: np.ndarray) -> None:
+    # entry (i, j, ...) of the array is named names[i][j]...
     if not np.isfinite(array).all():
         index = tuple(np.argwhere(~np.isfinite(array))[0])
-        position = "".join(f"[{i}]" for i in index)
-        raise ValueError(f"{name}{position} is {array[index]}, not a finite number")
+        position = "".join(f"[{i}]" for i in index[1:])
+        raise ValueError(f"{names[index[0]]}{position} is {array[index]}, not a finite number")
 
 
 @dataclass(eq=False)
@@ -179,54 +180,55 @@ class SeparableArKernel:
     """Per-channel separable autoregressive kernel.
 
     Each channel's 2D kernel is the outer product of two composed 1D cascades
-    (``Q`` length-3 factors along each axis).  ``f_filters`` and
-    ``g_filters`` are ``(channels, Q, 3)`` arrays of taps ``[fm1, f0, fp1]``;
-    any nested sequence of that shape, :class:`Length3Filter` rows included,
-    is accepted and copied, and every tap must be finite.  When built through
-    :meth:`from_arrays` the generating ``(alpha, beta)`` pairs are kept as
-    ``(channels, Q, 2)`` arrays ``f_params``/``g_params`` so gradients can be
-    chained back to them; kernels built from raw factors carry no parameters
-    and no stability guarantee.
+    (``Q`` length-3 factors along each axis).  ``taps`` is a ``(2, channels,
+    Q, 3)`` array of finite taps ``[fm1, f0, fp1]``, the ``f`` cascades
+    (columns) then the ``g`` cascades (rows), e.g. ``[f, g]`` with
+    :class:`Length3Filter` rows.  :meth:`from_arrays` keeps the generating
+    ``(alpha, beta)`` pairs as ``params``, ``(2, channels, Q, 2)``, so
+    gradients can be chained back to them; kernels built from raw factors
+    carry none and no stability guarantee.  Both are copied and composed
+    once into ``composed``, ``(2, channels, 2Q + 1)``; all three are read-only.
     """
 
-    f_filters: np.ndarray
-    g_filters: np.ndarray
-    f_params: Optional[np.ndarray] = None
-    g_params: Optional[np.ndarray] = None
+    taps: np.ndarray
+    params: Optional[np.ndarray] = None
+    composed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.f_filters = np.array(self.f_filters, dtype=np.float64)
-        self.g_filters = np.array(self.g_filters, dtype=np.float64)
-        shape = self.f_filters.shape
-        if shape != self.g_filters.shape or len(shape) != 3 or shape[2] != 3 or min(shape) < 1:
+        self.taps = np.array(self.taps, dtype=np.float64)
+        shape = self.taps.shape
+        if shape[:1] != (2,):
+            raise ValueError(f"taps must stack the f and g cascades, got shape {shape}")
+        if len(shape) != 4 or shape[3] != 3 or min(shape) < 1:
             raise ValueError(
                 f"f and g must be (channels, depth, 3) tap arrays with channels and depth "
-                f">= 1, got shapes {shape} and {self.g_filters.shape}"
+                f">= 1, got shapes {shape[1:]} and {shape[1:]}"
             )
-        _check_finite("f", self.f_filters)
-        _check_finite("g", self.g_filters)
+        _check_finite("fg", self.taps)
+        if self.params is not None:
+            self.params = np.array(self.params, dtype=np.float64)
+            if self.params.shape != shape[:-1] + (2,):
+                raise ValueError(f"params must be {shape[:-1] + (2,)}, got {self.params.shape}")
+            self.params.flags.writeable = False
+        self.composed = compose_1d(self.taps)
+        self.taps.flags.writeable = self.composed.flags.writeable = False
 
     @property
     def channels(self) -> int:
-        return self.f_filters.shape[0]
+        return self.taps.shape[1]
 
     @property
     def depth(self) -> int:
-        return self.f_filters.shape[1]
-
-    @property
-    def is_reparam(self) -> bool:
-        return self.f_params is not None
+        return self.taps.shape[2]
 
     def unstable_factor(self) -> Optional[str]:
         """Axis, channel, cascade index and taps of the first factor, ``f``
         before ``g``, failing :func:`is_stable`; ``None`` if all pass."""
-        factors = np.stack([self.f_filters, self.g_filters])
-        unstable = ~stable_factors(factors)
+        unstable = ~stable_factors(self.taps)
         if not unstable.any():
             return None
         axis, t, q = np.argwhere(unstable)[0]
-        return f"{'fg'[axis]} factor {q} of channel {t} with taps {factors[axis, t, q].tolist()}"
+        return f"{'fg'[axis]} factor {q} of channel {t} with taps {self.taps[axis, t, q].tolist()}"
 
     @classmethod
     def from_arrays(cls, alpha_f, beta_f, alpha_g, beta_g) -> "SeparableArKernel":
@@ -235,11 +237,11 @@ class SeparableArKernel:
                   (alpha_f, beta_f, alpha_g, beta_g)]
         if len({a.shape for a in arrays}) != 1:
             raise ValueError("parameter arrays must share one (channels, depth) shape")
-        for name, a in zip(("alpha_f", "beta_f", "alpha_g", "beta_g"), arrays):
-            _check_finite(name, a)
-        f_params = np.stack(arrays[:2], axis=-1)
-        g_params = np.stack(arrays[2:], axis=-1)
-        return cls(materialize(f_params), materialize(g_params), f_params, g_params)
+        coordinates = np.stack(arrays)
+        _check_finite(("alpha_f", "beta_f", "alpha_g", "beta_g"), coordinates)
+        # (alpha_f, beta_f, alpha_g, beta_g) -> (f or g, channels, depth, (alpha, beta))
+        params = np.moveaxis(coordinates.reshape((2, 2) + coordinates.shape[1:]), 1, -1)
+        return cls(materialize(params), params)
 
     @classmethod
     def identity(cls, channels: int, depth: int = 1) -> "SeparableArKernel":
@@ -261,4 +263,4 @@ def materialize_2d(kernel: SeparableArKernel, channel: int) -> np.ndarray:
     """
     if not 0 <= channel < kernel.channels:
         raise ValueError(f"channel {channel} out of range [0, {kernel.channels})")
-    return np.outer(compose_1d(kernel.g_filters[channel]), compose_1d(kernel.f_filters[channel]))
+    return np.outer(kernel.composed[1, channel], kernel.composed[0, channel])

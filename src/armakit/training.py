@@ -160,9 +160,9 @@ class LayerState:
 
     def ar_kernel(self) -> SeparableArKernel:
         if self.mode == "reparam":
-            return SeparableArKernel(*materialize(self.ar))
+            return SeparableArKernel(materialize(self.ar))
         # (fm1, fp1) -> (fm1, 1, fp1)
-        return SeparableArKernel(*np.insert(self.ar, 1, 1.0, axis=-1))
+        return SeparableArKernel(np.insert(self.ar, 1, 1.0, axis=-1))
 
 
 @dataclass(eq=False)
@@ -242,11 +242,7 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         if config.mode == "reparam":
             # the last update's result, checked on the kernels this step solves with
             _check_stable([ar for _, ar in kernels])
-        ar_sums = [
-            np.abs(taps[..., 0] + taps[..., 2]).ravel()
-            for _, ar in kernels
-            for taps in (ar.f_filters, ar.g_filters)
-        ]
+        ar_sums = [np.abs(ar.taps[..., 0] + ar.taps[..., 2]).ravel() for _, ar in kernels]
         mean_ar_sum = float(np.mean(np.concatenate(ar_sums)))
 
         # each layer's cache (its input spectrum included) for its backward pass

@@ -31,10 +31,7 @@ def field_1x4(values):
 def causal_kernel(coeff, channels=1):
     causal = Length3Filter(0.0, 1.0, coeff)
     ident = Length3Filter(0.0, 1.0, 0.0)
-    return SeparableArKernel(
-        f_filters=((causal,),) * channels,
-        g_filters=((ident,),) * channels,
-    )
+    return SeparableArKernel([((causal,),) * channels, ((ident,),) * channels])
 
 
 def random_stable_kernel(rng, channels, depth=1, rows=True):
@@ -130,7 +127,7 @@ class TestArForward:
     def test_unstable_kernel_triggers_guard(self):
         # symmetric taps summing to -1 zero out the Nyquist frequency
         bad = Length3Filter(-0.5, 1.0, -0.5)
-        kernel = SeparableArKernel(f_filters=((bad,),), g_filters=((Length3Filter(0, 1, 0),),))
+        kernel = SeparableArKernel([((bad,),), ((Length3Filter(0, 1, 0),),)])
         with pytest.raises(SingularSpectrumError):
             layer_forward(FieldTensor(np.ones((4, 4, 1))), identity_ma(), kernel)
 
@@ -186,7 +183,7 @@ class TestArBackward:
         t = FieldTensor(rng.standard_normal((5, 4, 1)))
         y, cache = layer_forward(t, identity_ma(), SeparableArKernel.identity(1))
         d_y = FieldTensor(rng.standard_normal((5, 4, 1)))
-        d_t, _, d_f, d_g = layer_backward(d_y, cache)
+        d_t, _, d_fg = layer_backward(d_y, cache)
         assert np.max(np.abs(d_t.data - d_y.data)) < 1e-12
         expected = np.zeros((5, 4))
         for q1 in range(5):
@@ -197,8 +194,8 @@ class TestArBackward:
                         total += y.data[(i1 - q1) % 5, (i2 - q2) % 4, 0] * d_y.data[i1, i2, 0]
                 expected[q1, q2] = -total
         offsets = np.arange(-1, 2)
-        assert np.max(np.abs(d_f[0, 0] - expected[0, offsets % 4])) < 1e-10
-        assert np.max(np.abs(d_g[0, 0] - expected[offsets % 5, 0])) < 1e-10
+        assert np.max(np.abs(d_fg[0, 0, 0] - expected[0, offsets % 4])) < 1e-10
+        assert np.max(np.abs(d_fg[1, 0, 0] - expected[offsets % 5, 0])) < 1e-10
 
     def test_transposed_geometric_fixture(self):
         _, cache = layer_forward(field_1x4([1, 0, 0, 0]), identity_ma(), causal_kernel(-0.5))
@@ -221,7 +218,7 @@ class TestArBackward:
     def test_backward_honours_forward_epsilon(self, monkeypatch):
         # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
         near = Length3Filter(0.4999999998, 1.0, 0.4999999998)
-        kernel = SeparableArKernel(f_filters=((near,),), g_filters=((Length3Filter(0, 1, 0),),))
+        kernel = SeparableArKernel([((near,),), ((Length3Filter(0, 1, 0),),)])
         t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
         with monkeypatch.context() as patch:
             # the threshold is read from the module at call time
@@ -251,11 +248,11 @@ class TestArBackward:
         kernel = random_stable_kernel(rng, channels, depth)
         x = FieldTensor(rng.standard_normal(shape))
         y, cache = layer_forward(x, identity_ma(channels), kernel)
-        _, _, d_f, d_g = layer_backward(y, cache)
+        _, _, d_fg = layer_backward(y, cache)
         for t in range(channels):
             energy = -float((y.data[..., t] ** 2).sum())
             for q in range(depth):
-                for grads, factor in ((d_f, kernel.f_filters), (d_g, kernel.g_filters)):
+                for grads, factor in zip(d_fg, kernel.taps):
                     got = float(grads[t, q] @ factor[t][q])
                     assert got == pytest.approx(energy, rel=1e-10)
 
@@ -266,7 +263,7 @@ class TestMaBackward:
         x = FieldTensor(rng.standard_normal((4, 4, 1)))
         d_t = FieldTensor(rng.standard_normal((4, 4, 1)))
         _, cache = layer_forward(x, identity_ma(), SeparableArKernel.identity(1))
-        d_x, d_w, _, _ = layer_backward(d_t, cache)
+        d_x, d_w, _ = layer_backward(d_t, cache)
         assert np.allclose(d_x.data, d_t.data)
         assert d_w.shape == (1, 1, 1, 1)
 
@@ -295,7 +292,7 @@ class TestMaBackward:
 
         kernel = MaKernel(w0, dilation=dilation)
         _, cache = layer_forward(FieldTensor(x0), kernel, SeparableArKernel.identity(2))
-        d_x, d_w, _, _ = layer_backward(FieldTensor(d_y), cache)
+        d_x, d_w, _ = layer_backward(FieldTensor(d_y), cache)
         h = 1e-6
         for i in rng.choice(x0.size, 20, replace=False):
             bump = x0.ravel().copy()
@@ -395,15 +392,15 @@ class TestArmaLayer:
         with pytest.raises(ValueError):
             ArmaLayerParams(
                 ma=MaKernel(rng.standard_normal((3, 3, 1, 1))),
-                ar=SeparableArKernel(f_filters=((unstable,),), g_filters=((unstable,),)),
+                ar=SeparableArKernel([((unstable,),), ((unstable,),)]),
             )
 
     def test_params_refusal_names_first_unstable_factor(self):
         stable, unstable = Length3Filter(0.2, 1.0, 0.3), Length3Filter(0.6, 1.0, 0.6)
-        kernel = SeparableArKernel(
-            f_filters=((stable, stable), (stable, stable)),
-            g_filters=((stable, stable), (stable, unstable)),
-        )
+        kernel = SeparableArKernel([
+            ((stable, stable), (stable, stable)),
+            ((stable, stable), (stable, unstable)),
+        ])
         with pytest.raises(ValueError) as refusal:
             ArmaLayerParams(ma=identity_ma(2), ar=kernel)
         message = str(refusal.value)
@@ -464,10 +461,10 @@ class TestRawTapGradients:
         taps0 = np.array([0.2, -0.3, 0.1, 0.25])  # f (fm1, fp1), g (fm1, fp1)
 
         def kernel_from(taps):
-            return SeparableArKernel(
-                f_filters=((Length3Filter(taps[0], 1.0, taps[1]),),),
-                g_filters=((Length3Filter(taps[2], 1.0, taps[3]),),),
-            )
+            return SeparableArKernel([
+                ((Length3Filter(taps[0], 1.0, taps[1]),),),
+                ((Length3Filter(taps[2], 1.0, taps[3]),),),
+            ])
 
         for shape in ((6, 6, 1), (5, 7, 1), (6, 8, 1), (2, 5, 8, 1)):
             x = FieldTensor(rng.standard_normal(shape))
@@ -479,8 +476,8 @@ class TestRawTapGradients:
                 return 0.5 * float((y.data**2).sum())
 
             y, cache = layer_forward(pre, identity_ma(), kernel_from(taps0))
-            _, _, d_f, d_g = layer_backward(y, cache)
-            analytic = np.array([d_f[0, 0, 0], d_f[0, 0, 2], d_g[0, 0, 0], d_g[0, 0, 2]])
+            _, _, d_fg = layer_backward(y, cache)
+            analytic = d_fg[:, 0, 0, ::2].ravel()  # f (fm1, fp1), g (fm1, fp1)
             h = 1e-6
             for i in range(4):
                 bump = taps0.copy()
@@ -630,7 +627,7 @@ class TestSpectralMaProperties:
         lhs = inner(forward, d_t.data)
         scale = 1e-12 * np.linalg.norm(forward) * np.linalg.norm(d_t.data)
         _, cache = layer_forward(x, w, SeparableArKernel.identity(w.out_channels))
-        d_x, d_w, _, _ = layer_backward(d_t, cache)
+        d_x, d_w, _ = layer_backward(d_t, cache)
         assert abs(lhs - inner(x.data, d_x.data)) <= scale
         assert abs(lhs - inner(w.data, d_w)) <= scale
 
@@ -704,9 +701,9 @@ class TestSpectralCore:
 
         grad, grad_hat = d_y, np.fft.rfft2(d_y.data, axes=(-3, -2))
         for cache, spectral_cache in zip(reversed(caches), reversed(spectral_caches)):
-            grad, d_w, d_f, d_g = layer_backward(grad, cache)
+            grad, d_w, d_fg = layer_backward(grad, cache)
             grad_hat, got_w, got_factors = arma._spectral_backward(grad_hat, spectral_cache, True)
-            for got, want in zip((got_w, *got_factors), (d_w, d_f, d_g)):
+            for got, want in zip((got_w, got_factors), (d_w, d_fg)):
                 assert_close(got, want)
         assert_close(np.fft.irfft2(grad_hat, s=(height, width), axes=(-3, -2)), grad.data)
 
@@ -744,7 +741,7 @@ class TestSpectralCore:
                                     params.ma, params.ar)
         d_y = FieldTensor(rng.standard_normal((2, 6, 8, 3)))
         arrays = [d_y.data, cache.input_spectrum, cache.output_spectrum,
-                  *cache.ar_spectra, cache.ma.data, cache.ar.f_filters, cache.ar.g_filters]
+                  *cache.ar_spectra, cache.ma.data, cache.ar.taps[0], cache.ar.taps[1]]
         before = [a.tobytes() for a in arrays]
         layer_backward(d_y, cache)
         assert [a.tobytes() for a in arrays] == before
@@ -796,7 +793,7 @@ class TestFootprintTies:
         factors[axis] = ((Length3Filter(0.2, 1.0, 0.1),),)
         shape = [3, 3, 1]
         shape[axis] = size
-        self.solve(shape, identity_ma(), SeparableArKernel(factors[1], factors[0]), fits)
+        self.solve(shape, identity_ma(), SeparableArKernel([factors[1], factors[0]]), fits)
 
 
 class TestMaProduct:

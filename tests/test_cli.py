@@ -463,7 +463,10 @@ class TestSolveCommand:
         ({"mode": "raw", "f": [[[0, 1, None]]], "g": [[[0, 1, 0]]]}, "f[0][0][2]"),
         ({"mode": "reparam", "alpha_f": [[None]], "beta_f": [[0]],
           "alpha_g": [[0]], "beta_g": [[0]]}, "alpha_f[0][0]"),
-    ], ids=["raw", "reparam"])
+        ({"mode": "raw", "f": [[[0, 1, 0]]], "g": [[[0, None, 0]]]}, "g[0][0][1]"),
+        ({"mode": "reparam", "alpha_f": [[0]], "beta_f": [[0]],
+          "alpha_g": [[0]], "beta_g": [[float("inf")]]}, "beta_g[0][0]"),
+    ], ids=["raw", "reparam", "raw-g", "reparam-beta-g"])
     def test_non_finite_ar_entry_is_usage_error(self, capsys, tmp_path, spec, entry):
         # a JSON null reads as NaN; it is refused when the kernel is built,
         # before any solve can warn or divide by it
@@ -475,6 +478,18 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: malformed AR config {ar}: ")
         assert entry in err and "not a finite number" in err
+
+    def test_raw_f_and_g_of_different_shapes_are_usage_error(self, capsys, tmp_path):
+        field = tmp_path / "x.csv"
+        field.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps({"mode": "raw", "f": [[[0, 1, 0]]], "g": [[[0, 1, 0]] * 2]}))
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: malformed AR config {ar}: f and g must be (channels, depth, 3) tap arrays "
+            f"with channels and depth >= 1, got shapes (1, 1, 3) and (1, 2, 3)\n"
+        )
 
     def test_identity_depth_up_to_field_side_echoes_input(self, capsys, tmp_path):
         field = tmp_path / "x.csv"

@@ -46,7 +46,7 @@ def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform
     for layer, ma in reversed(list(zip(spec.layers, mas))):
         # the layer's autoregressive part: the causal factor (1, -a) per channel and axis
         causal = np.tile([0.0, 1.0, -layer.ar_coeff], (ma.out_channels, 1, 1))
-        caches.append(layer_forward(zeros, ma, SeparableArKernel(causal, causal))[1])
+        caches.append(layer_forward(zeros, ma, SeparableArKernel([causal, causal]))[1])
     center = grid // 2
     accumulated = np.zeros((grid, grid))
     for out_channel in range(channels):

@@ -244,7 +244,7 @@ class TestMaterialize2d:
 
     def test_causal_outer_product(self):
         causal = Length3Filter(0.0, 1.0, -0.5)
-        kernel = SeparableArKernel(f_filters=((causal,),), g_filters=((causal,),))
+        kernel = SeparableArKernel([((causal,),), ((causal,),)])
         taps = materialize_2d(kernel, 0)
         # offsets (0,0), (0,+1), (+1,0), (+1,+1); nothing at negative offsets
         expected = np.zeros((3, 3))
@@ -257,15 +257,15 @@ class TestMaterialize2d:
             alpha_g=[[-0.7, 0.4]], beta_g=[[0.2, -0.9]],
         )
         taps = materialize_2d(kernel, 0)
-        f = compose_1d(kernel.f_filters[0])
-        g = compose_1d(kernel.g_filters[0])
+        f = compose_1d(kernel.taps[0][0])
+        g = compose_1d(kernel.taps[1][0])
         for p1 in range(5):
             for p2 in range(5):
                 assert taps[p1, p2] == g[p1] * f[p2]
 
     def test_embedded_spectrum_floor(self):
         causal = Length3Filter(0.0, 1.0, -0.5)
-        kernel = SeparableArKernel(f_filters=((causal,),), g_filters=((causal,),))
+        kernel = SeparableArKernel([((causal,),), ((causal,),)])
         spectrum = np.fft.fft2(embed_taps(materialize_2d(kernel, 0), 16, 16))
         assert np.min(np.abs(spectrum)) >= 0.25 - 1e-9
 
@@ -319,17 +319,17 @@ class TestReparamGradient:
 class TestSeparableArKernel:
     def test_channel_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SeparableArKernel(
-                f_filters=((IDENTITY,),),
-                g_filters=((IDENTITY,), (IDENTITY,)),
-            )
+            SeparableArKernel([
+                ((IDENTITY,),),
+                ((IDENTITY,), (IDENTITY,)),
+            ])
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SeparableArKernel(
-                f_filters=((IDENTITY,),),
-                g_filters=((IDENTITY, IDENTITY),),
-            )
+            SeparableArKernel([
+                ((IDENTITY,),),
+                ((IDENTITY, IDENTITY),),
+            ])
 
     def test_from_arrays_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="share one"):
@@ -337,7 +337,28 @@ class TestSeparableArKernel:
 
     def test_from_arrays_round_trip(self):
         kernel = SeparableArKernel.from_arrays([[0.5]], [[1.0]], [[-0.5]], [[2.0]])
-        assert kernel.is_reparam
+        assert kernel.params is not None
         assert kernel.channels == 1 and kernel.depth == 1
-        assert tuple(kernel.f_params[0][0]) == (0.5, 1.0)
-        assert np.array_equal(kernel.f_filters[0][0], materialize([0.5, 1.0]))
+        assert tuple(kernel.params[0][0][0]) == (0.5, 1.0)
+        assert np.array_equal(kernel.taps[0][0][0], materialize([0.5, 1.0]))
+
+    def test_arrays_are_read_only_copies(self):
+        # composed cannot go stale: no array it is built from can change
+        params = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2, 3, 2))
+        kernel = SeparableArKernel(materialize(params), params)
+        for array in (kernel.taps, kernel.params, kernel.composed):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 0.0
+        assert kernel.composed.tobytes() == compose_1d(kernel.taps).tobytes()
+        # the caller's array is copied, and stays the caller's to write
+        assert kernel.params is not params and params.flags.writeable
+        params[0, 0, 0, 0] = 9.0
+        assert kernel.params[0, 0, 0, 0] != 9.0
+
+    def test_taps_must_stack_f_and_g(self):
+        with pytest.raises(ValueError, match="stack the f and g cascades"):
+            SeparableArKernel([((IDENTITY,),)] * 3)
+
+    def test_params_must_pair_every_factor(self):
+        with pytest.raises(ValueError, match=r"params must be \(2, 1, 1, 2\)"):
+            SeparableArKernel([((IDENTITY,),)] * 2, np.zeros((2, 1, 2, 2)))

@@ -47,9 +47,7 @@ def random_kernel(rng, channels, depth=1):
 
 def row_kernel(*factors):
     # one channel, a cascade along the column (f) axis, identity along rows
-    return SeparableArKernel(
-        f_filters=(tuple(factors),), g_filters=((IDENTITY,) * len(factors),)
-    )
+    return SeparableArKernel([(tuple(factors),), ((IDENTITY,) * len(factors),)])
 
 
 def single_channel(taps, dilation=1):
@@ -70,7 +68,7 @@ def kernel_taps(kernel):
 
 def row_taps(kernel):
     # the f cascade as a one-row kernel, for 1-row fields
-    return [compose_1d(kernel.f_filters[0])[None, :]]
+    return [compose_1d(kernel.taps[0][0])[None, :]]
 
 
 class TestFieldTensor:
@@ -178,8 +176,8 @@ class TestDft1:
         kernel = random_kernel(rng, channels=2, depth=2)
         spectrum = ar_spectrum_2d(kernel, 7, 31)
         for c in range(2):
-            g_taps = compose_1d(kernel.g_filters[c])[:, None]
-            f_taps = compose_1d(kernel.f_filters[c])[None, :]
+            g_taps = compose_1d(kernel.taps[1][c])[:, None]
+            f_taps = compose_1d(kernel.taps[0][c])[None, :]
             g_hat = naive_dft1(embed_taps(g_taps, 7, 1)[:, 0])
             f_hat = naive_dft1(embed_taps(f_taps, 1, 31)[0])
             assert np.allclose(spectrum[:, :, c], np.outer(g_hat, f_hat)[:, : 31 // 2 + 1], atol=1e-9)
@@ -365,6 +363,16 @@ class TestSpectralDivide:
             guard_spectrum(spectrum, epsilon=1e-8)
         assert info.value.index == (1, 2, 0)
 
+    def test_threshold_tie_passes_and_one_ulp_below_raises(self):
+        # only magnitudes strictly below epsilon are refused
+        spectrum = np.ones((2, 3, 1), dtype=complex)
+        spectrum[1, 2, 0] = 1e-8
+        guard_spectrum(spectrum, 1e-8)
+        spectrum[1, 2, 0] = np.nextafter(1e-8, 0.0)
+        with pytest.raises(SingularSpectrumError, match=r"index \(1, 2, 0\)") as info:
+            guard_spectrum(spectrum, 1e-8)
+        assert info.value.index == (1, 2, 0)
+
     def test_non_finite_entry_raises(self):
         # NaN and inf compare false against the threshold, yet no division
         # by them is well conditioned
@@ -386,7 +394,7 @@ class TestSpectralDivide:
         # taps near the float64 range: min|G_hat| * min|F_hat| overflows to
         # inf, which used to pass the margin test (and warn)
         huge = (1e300, 1.0, 1e300)
-        kernel = SeparableArKernel(f_filters=((IDENTITY,), (huge,)), g_filters=((IDENTITY,), (huge,)))
+        kernel = SeparableArKernel([((IDENTITY,), (huge,)), ((IDENTITY,), (huge,))])
         with pytest.raises(SingularSpectrumError, match="not finite") as info:
             ar_spectra(kernel, 4, 8)
         assert info.value.index == (0, 0, 1)
@@ -395,7 +403,7 @@ class TestSpectralDivide:
         # |1 + 2i a sin k| >= 1, so the margin is fine, but the product of
         # the peaks, about 4 a^2, overflows where both sines are nonzero
         odd = (1e200, 1.0, -1e200)
-        kernel = SeparableArKernel(f_filters=((odd,),), g_filters=((odd,),))
+        kernel = SeparableArKernel([((odd,),), ((odd,),)])
         with pytest.raises(SingularSpectrumError, match="not finite") as info:
             ar_spectra(kernel, 4, 8)
         assert info.value.index == (1, 1, 0)
@@ -403,9 +411,7 @@ class TestSpectralDivide:
     def test_unit_circle_factor_raises_at_nyquist(self):
         # |fm1 + fp1| = f0 zeroes F_hat at k2 = W/2, on every row
         edge = Length3Filter(0.5, 1.0, 0.5)
-        kernel = SeparableArKernel(
-            f_filters=((IDENTITY,), (edge,)), g_filters=((IDENTITY,), (IDENTITY,))
-        )
+        kernel = SeparableArKernel([((IDENTITY,), (edge,)), ((IDENTITY,), (IDENTITY,))])
         with pytest.raises(SingularSpectrumError) as info:
             ar_spectra(kernel, 4, 8)
         assert info.value.index == (0, 4, 1)
@@ -427,7 +433,7 @@ stable_factors = st.tuples(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45)).map(
 near_singular_factors = st.tuples(st.floats(-3.0, 3.0), st.floats(9.3, 9.9), st.booleans()).map(
     lambda t: tuple(SeparableArKernel.from_arrays(
         [[t[0]]], [[t[1] if t[2] else -t[1]]], [[0.0]], [[0.0]]
-    ).f_filters[0, 0])
+    ).taps[0, 0, 0])
 )
 unit_circle_factors = st.tuples(st.floats(0.1, 0.9), st.sampled_from([1.0, -1.0])).map(
     lambda t: (t[0] * t[1], 1.0, (1.0 - t[0]) * t[1])
@@ -456,7 +462,7 @@ class TestSeparableGuard:
         for _ in range(data.draw(st.integers(1, 2))):
             position = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
             factors[position] = data.draw(st.one_of(near_singular_factors, unit_circle_factors))
-        kernel = SeparableArKernel(*factors)
+        kernel = SeparableArKernel(factors)
         oracle = np.stack([
             naive_dft2(embed_taps(materialize_2d(kernel, c), height, width))[:, : width // 2 + 1]
             for c in range(channels)

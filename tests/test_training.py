@@ -171,7 +171,7 @@ class TestTrain:
         assert losses[-1] < losses[0]
         for layer in trace.layers:
             kernel = layer.ar_kernel()
-            assert is_stable(kernel.f_filters) and is_stable(kernel.g_filters)
+            assert is_stable(kernel.taps[0]) and is_stable(kernel.taps[1])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_small_steps_never_spike_loss(self, seed):
@@ -306,8 +306,8 @@ class TestTrain:
                 caches.append(cache)
             d_y = FieldTensor((y.data - t) / samples)
             for cache, total in zip(reversed(caches), reversed(grads)):
-                d_y, d_w, d_f, d_g = layer_backward(d_y, cache)
-                for i, g in enumerate((d_w, d_f[..., ::2], d_g[..., ::2])):
+                d_y, d_w, d_fg = layer_backward(d_y, cache)
+                for i, g in enumerate((d_w, *d_fg[..., ::2])):
                     total[i] = total[i] + g
         if mode == "reparam":
             for before, total in zip(layers, grads):
