@@ -18,26 +18,23 @@ a ``(T x S)`` product per frequency, then a scaling by ``1/G_hat`` along the
 rows and by ``1/F_hat`` along the columns.  ``A_hat`` itself is never
 formed, and the singularity guard reads its margin off the two 1D spectra in
 ``O(I1 + I2)`` per channel.  Every field is real, so every field spectrum is
-a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat`` is built from two small
-phase matrices, ``I1 x K1`` and ``(I2//2+1) x K2``, at the dilated tap
-offsets ``d*p``; ``G_hat`` and ``F_hat`` from the same phase matrices at the
-offsets ``-Q..Q`` of the ``g`` and ``f`` taps the kernel composed when built.
-None needs a 2D transform.  Fields may carry a leading sample axis ``(N, I1,
-I2, C)``; the kernels and spectra are shared by all samples, so kernel
-gradients sum over the batch.
+a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat``, ``G_hat`` and ``F_hat``
+are built from small phase matrices (``I1 x K`` and ``(I2//2+1) x K``), at
+the dilated tap offsets ``d*p`` of ``W`` and at the offsets ``-Q..Q`` of the
+composed ``g`` and ``f`` taps; none needs a 2D transform.  Fields may carry
+a leading sample axis ``(N, I1, I2, C)``; the kernels and spectra are shared
+by all samples, so kernel gradients sum over the batch.
 
 The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
-gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)``, again
-by broadcasting the 1D spectra, the input gradient's spectrum is ``dX_hat =
-W_hat^H . dT_hat``, and both kernel gradients are cross spectra, formed
-elementwise and summed over the samples of a batch, read only at the
-kernel's tap offsets by one primitive: ``dT_hat . conj(X_hat)`` gives ``dW``
-and ``-conj(Y_hat) . dT_hat`` gives ``dA``.  Each read is a small inverse DFT
-over the offset rows, then an ``irfft`` at the offset columns.  ``dT_hat``
-takes the place of ``dY_hat``, which both callers (the field edge and the
-trainer) give up.  The factor-tap gradients of a layer are one array in
-the layout of the kernel's ``taps``, the ``f`` cascades then the ``g``
-cascades.  The phase matrices depend only on the grid and are memoized.
+gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)`` takes
+its place (both callers, the field edge and the trainer, give it up), the
+input gradient's spectrum is ``dX_hat = W_hat^H . dT_hat``, and both kernel
+gradients are cross spectra, formed elementwise one sample at a time:
+``dT_hat . conj(X_hat)`` gives ``dW`` and ``-conj(Y_hat) . dT_hat`` gives
+``dA``.  Each is read only at the kernel's tap offsets by the adjoint of the
+``W_hat`` build, two products with the conjugate phase matrices and no
+inverse transform; the reads sum over a batch.  A layer's factor-tap
+gradients are one array in the layout of the kernel's ``taps``.
 
 The layer is linear, so this core takes spectra in and gives spectra out
 (:func:`spectral_forward` and its adjoint): one layer's output
@@ -126,11 +123,22 @@ def _phases(count: int, offsets: Tuple[int, ...], n: int) -> np.ndarray:
     offsets ``m`` (columns), with ``k*m`` reduced mod ``n`` in integers first.
 
     The matrices depend only on the grid, so they are memoized (a training
-    step asks for the same few 17 times) and returned read-only.
+    step asks for the same two or three over and over) and returned read-only.
     """
     phases = np.exp(-2j * np.pi * (np.outer(np.arange(count), offsets) % n) / n)
     phases.flags.writeable = False
     return phases
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_phases(count: int, offsets: Tuple[int, ...], n: int) -> np.ndarray:
+    """``conj(_phases(count, offsets, n)).T / n``, memoized and read-only, row
+    ``k`` weighted by the frequencies it stands for: itself, and ``-k mod n``
+    when the rows lack it (a half spectrum's 1 at DC and Nyquist, 2 elsewhere)."""
+    weights = 1 + (-np.arange(count) % n >= count)
+    inverse = _phases(count, offsets, n).conj().T * (weights / n)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def _dilated_offsets(w: MaKernel) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -146,16 +154,18 @@ def _ma_spectrum(w: MaKernel, height: int, width: int, adjoint: bool = False) ->
 
     ``W_hat[k1, k2] = sum_p E1[k1, p1] * E2[k2, p2] * W[p1, p2]`` with the
     phase matrices ``E1`` (``I1 x K1``) and ``E2`` (``(I2//2+1) x K2``) taken
-    at the dilated offsets ``d*p``.  With ``adjoint`` it is the conjugate
-    transpose ``W_hat^H``, ``(I1, I2//2+1, S, T)``: the spectrum of the
-    reversed kernel with its channel roles swapped.
+    at the dilated offsets ``d*p``: two ``@`` products, ``E2`` on each tap
+    row, then ``E1`` on all of them at once.  With ``adjoint`` it is the
+    conjugate transpose ``W_hat^H``, ``(I1, I2//2+1, S, T)``: the spectrum of
+    the reversed kernel with its channel roles swapped.
     """
     rows, cols = _dilated_offsets(w)
     e1, e2 = _phases(height, rows, height), _phases(width // 2 + 1, cols, width)
     taps = w.data
     if adjoint:
         e1, e2, taps = e1.conj(), e2.conj(), taps.transpose(0, 1, 3, 2)
-    return np.tensordot(e1, np.tensordot(e2, taps, axes=(1, 1)), axes=(1, 1))
+    w_hat = e1 @ (e2 @ taps.reshape(taps.shape[:2] + (-1,))).reshape(len(rows), -1)
+    return w_hat.reshape((height, width // 2 + 1) + taps.shape[2:])
 
 
 def _ma_product(field_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
@@ -174,29 +184,22 @@ def _ma_product(field_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     return np.einsum("...ijs,ijts->...ijt", field_hat, w_hat)
 
 
-def _sample_sum(spectra: np.ndarray) -> np.ndarray:
-    # the sum over the samples of ([N,] I1, I2//2+1, C) spectra, accumulated
-    # in place in the first one, which it returns (a view)
-    spectra = spectra.reshape((-1,) + spectra.shape[-3:])
-    for n in range(1, len(spectra)):
-        spectra[0] += spectra[n]
-    return spectra[0]
-
-
 def _read_taps(
     cross_hat: np.ndarray, rows: Tuple[int, ...], cols: Tuple[int, ...], width: int
 ) -> np.ndarray:
     """A real circular cross-correlation read only at the grid offsets ``rows x cols``.
 
-    ``cross_hat`` is its half spectrum ``(I1, I2//2+1, ...)``.  The offset
-    rows come from a direct inverse DFT over the ``I1`` frequencies; each is
-    the spectrum of a real row, so one ``irfft`` per row gives its columns.
+    ``cross_hat`` is its half spectrum ``(I1, I2//2+1, ...)``.  The read is
+    the adjoint of :func:`_ma_spectrum`'s build, ``Re(E1^H . C . E2w^H) /
+    (I1*I2)`` for every trailing index: two ``@`` products with the inverse
+    phase matrices, whose Hermitian weights ``w`` on the half spectrum's
+    columns make the real part the inverse real transform at those offsets.
     Returns ``(len(rows), len(cols), ...)``.
     """
-    height = cross_hat.shape[0]
-    inverse_rows = _phases(height, rows, height).conj().T / height
-    read = np.tensordot(inverse_rows, cross_hat, axes=(1, 0))
-    return np.fft.irfft(read, n=width, axis=1)[:, np.mod(cols, width)]
+    height, half = cross_hat.shape[:2]
+    read = _inverse_phases(height, rows, height) @ cross_hat.reshape(height, -1)
+    read = _inverse_phases(half, cols, width) @ read.reshape(len(rows), half, -1)
+    return read.real.reshape((len(rows), len(cols)) + cross_hat.shape[2:])
 
 
 def _check_ma(shape: Tuple[int, ...], w: MaKernel) -> None:
@@ -334,25 +337,22 @@ def _spectral_backward(
     """Backward pass of :func:`spectral_forward`, spectrum in and spectrum out.
 
     ``d_y_hat`` is the half spectrum of the gradient with respect to the
-    forward output, in its half spectrum's shape; the caller gives it up and
-    has checked its shape (:func:`layer_backward` on the field, the trainer
-    by its caches).  Returns ``(dX_hat, dW, dFG)``: the half spectrum of the
-    input gradient (``None`` unless ``input_gradient``), the moving-average
-    kernel gradient, and the gradients of every length-3 factor's taps at
-    offsets (-1, 0, +1), one ``(2, channels, depth, 3)`` array holding the
-    ``f`` cascades, then the ``g`` cascades; kernel gradients sum over the
-    samples of a batch.  In the frequency domain:
+    forward output; the caller gives it up and has checked its shape.
+    Returns ``(dX_hat, dW, dFG)``: the half spectrum of the input gradient
+    (``None`` unless ``input_gradient``), the moving-average kernel
+    gradient, and the gradients of every length-3 factor's taps at offsets
+    (-1, 0, +1), one ``(2, channels, depth, 3)`` array, the ``f`` cascades
+    then the ``g`` cascades; kernel gradients sum over the samples of a batch.
+    In the frequency domain:
 
         dT_hat = dY_hat / conj(G_hat) / conj(F_hat)
         dX_hat = W_hat^H . dT_hat
         dA_hat = -conj(Y_hat) . dT_hat
 
-    ``dT_hat`` is formed in place in ``d_y_hat``.  ``dW`` and ``dA`` are the
-    cross spectra ``dT_hat . conj(X_hat)`` (from the forward's input
-    spectrum, one input channel at a time) and ``dA_hat``, formed
-    elementwise, summed over the samples only when there are several, and
-    read only at the kernels' tap offsets.  ``dA`` is then chained through
-    the outer product and the cascade to the factor taps.
+    ``dT_hat`` is formed in place in ``d_y_hat``.  The cross spectra
+    ``dT_hat . conj(X_hat)`` (every channel pair at once) and ``dA_hat`` are
+    read at the kernels' tap offsets once per sample and summed, then ``dA``
+    is chained through the outer product and the cascade to the factor taps.
     """
     ma, ar = cache.ma, cache.ar
     height, width = cache.shape[-3:-1]
@@ -361,12 +361,25 @@ def _spectral_backward(
     d_t_hat = d_y_hat
     d_t_hat *= np.conj(1.0 / g_hat)[:, None, :]
     d_t_hat *= np.conj(1.0 / f_hat)
+    d_x_hat = None
+    if input_gradient:
+        d_x_hat = _ma_product(d_t_hat, _ma_spectrum(ma, height, width, adjoint=True))
+    # each sample's cross spectra, read and dropped in turn so that at most one is
+    # alive: dA's -conj(Y_hat) . dT_hat, then dW's dT_hat . conj(X_hat) for every
+    # (t, s), the size of W_hat^H, with X_hat conjugated into it (no temporary)
     offsets = tuple(range(-ar.depth, ar.depth + 1))
-    cross = np.conj(cache.output_spectrum)
-    cross *= d_t_hat
-    d_a_taps = -_read_taps(_sample_sum(cross), offsets, offsets, width)
-    # a cross spectrum is dropped once read, so that at most one is alive
-    del cross
+    d_a_taps = d_w = 0.0
+    samples = (a.reshape((-1,) + a.shape[-3:])
+               for a in (d_t_hat, cache.output_spectrum, cache.input_spectrum))
+    for d_t, y_hat, x_hat in zip(*samples):
+        cross = np.conj(y_hat)
+        cross *= d_t
+        d_a_taps = d_a_taps - _read_taps(cross, offsets, offsets, width)
+        del cross
+        cross = np.conj(np.broadcast_to(x_hat[..., None, :], d_t.shape + x_hat.shape[-1:]))
+        cross *= d_t[..., None]
+        d_w = d_w + _read_taps(cross, *_dilated_offsets(ma), width)
+    del cross  # held to the return, it raised a 512^2 x 1->4 run's peak RSS by 6 MB
     # the composed kernel is outer(G, F): rows follow g, columns follow f
     f_comp, g_comp = ar.composed
     d_comp = np.empty(ar.composed.shape)
@@ -380,19 +393,6 @@ def _spectral_backward(
         rest = (compose_1d(np.delete(ar.taps, q, axis=-2)) if ar.depth > 1
                 else np.ones(ar.taps.shape[:-2] + (1,)))
         d_factors[..., q, :] = np.einsum("...jk,...k->...j", windows, rest)
-    d_x_hat = None
-    if input_gradient:
-        d_x_hat = _ma_product(d_t_hat, _ma_spectrum(ma, height, width, adjoint=True))
-    # dW[p, t, s] is the cross spectrum dT_hat . conj(X_hat), read one input
-    # channel at a time, which keeps it at the size of dT_hat
-    rows, cols = _dilated_offsets(ma)
-    x_hat = cache.input_spectrum
-    d_w = np.empty_like(ma.data)
-    for s in range(ma.in_channels):
-        # conjugated into a full-size array, so no temporary beside it
-        cross = np.conj(np.broadcast_to(x_hat[..., s, None], d_t_hat.shape))
-        cross *= d_t_hat
-        d_w[:, :, :, s] = _read_taps(_sample_sum(cross), rows, cols, width)
     return d_x_hat, d_w, d_factors
 
 

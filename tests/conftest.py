@@ -69,6 +69,17 @@ def naive_circular_conv2(plane, taps, dilation=1):
     return out
 
 
+def naive_circular_correlation(a, b, m1, m2):
+    """``sum_n a[n] * b[n - m]`` of two real planes on the circle, at the one
+    offset ``m = (m1, m2)``, by direct summation."""
+    i1, i2 = a.shape
+    total = 0.0
+    for n1 in range(i1):
+        for n2 in range(i2):
+            total += a[n1, n2] * b[(n1 - m1) % i1, (n2 - m2) % i2]
+    return total
+
+
 def _tap_offsets(tap_count):
     # taps are centered: index k holds the tap at offset k - (K-1)//2
     half = (tap_count - 1) // 2

@@ -21,7 +21,7 @@ from armakit.filters import (
     materialize_2d,
 )
 from armakit.numerics import FieldTensor, MaKernel, SingularSpectrumError
-from conftest import identity_ma, ma_stage, naive_circular_conv2
+from conftest import identity_ma, ma_stage, naive_circular_conv2, naive_circular_correlation
 
 
 def field_1x4(values):
@@ -763,6 +763,73 @@ class TestSpectralCore:
             tracemalloc.stop()
         assert peak < 10_100_000
 
+    def test_layer_memory_peak_many_channels(self):
+        # 128^2 x 8->8: dW's cross spectrum for every (t, s) at once is the
+        # size of W_hat^H, which the backward pass builds anyway.  tracemalloc
+        # peak 14.25 MB; 14.02 MB reading one input channel at a time
+        rng = np.random.default_rng(46)
+        params = random_params(rng, 8, 8, depth=2)
+        x = FieldTensor(rng.standard_normal((128, 128, 8)))
+        tracemalloc.start()
+        try:
+            y, cache = layer_forward(x, params.ma, params.ar)
+            layer_backward(y, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14_400_000
+
+
+class TestReadTaps:
+    """The kernel-gradient read against a direct circular cross-correlation."""
+
+    @pytest.mark.parametrize("height", [1, 2, 5])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("trail, rows, cols", [
+        ((), (-1, 0, 1), (0,)),
+        ((2, 3), (-2, 0, 2), (-3, 0, 3)),
+        ((3, 2, 2), (0, 1), (-1, 2)),
+    ], ids=["plain", "channel-pairs-dilated", "batch-channel-pairs"])
+    def test_matches_direct_correlation(self, height, width, trail, rows, cols):
+        # the cross spectrum of real fields a and b is rfft2(a) . conj(rfft2(b)),
+        # each trailing index (a sample, a channel pair) read on its own
+        rng = np.random.default_rng(height * 10 + width)
+        a, b = (rng.standard_normal((height, width) + trail) for _ in range(2))
+        cross = np.fft.rfft2(a, axes=(0, 1)) * np.conj(np.fft.rfft2(b, axes=(0, 1)))
+        got = arma._read_taps(cross, rows, cols, width)
+        want = np.zeros((len(rows), len(cols)) + trail)
+        for i, m1 in enumerate(rows):
+            for j, m2 in enumerate(cols):
+                for index in np.ndindex(*trail):
+                    plane = (slice(None), slice(None)) + index
+                    want[(i, j) + index] = naive_circular_correlation(a[plane], b[plane], m1, m2)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestFootprintRefusals:
+    """The numbers in a footprint refusal, pinned whole."""
+
+    def test_dilated_ma_footprint(self):
+        # 5x3 taps at dilation 2 span 2*(4, 2) pixels, too tall for 8 rows
+        ma = MaKernel(np.ones((5, 3, 1, 1)), dilation=2)
+        with pytest.raises(ValueError) as info:
+            layer_forward(FieldTensor(np.ones((8, 9, 1))), ma, SeparableArKernel.identity(1))
+        assert str(info.value) == "dilated kernel footprint 2*(4, 2) does not fit a 8x9 field"
+
+    def test_autoregressive_footprint(self):
+        # channel 1's g cascade reaches offset 2 and its f cascade offset 1: a
+        # 5x3 footprint, too tall for 4 rows; channel 0 is the identity
+        identity, factor = (0.0, 1.0, 0.0), (0.2, 1.0, 0.1)
+        f = [[identity, identity], [factor, identity]]
+        g = [[identity, identity], [factor, factor]]
+        x = FieldTensor(np.ones((4, 8, 1)))
+        with pytest.raises(ValueError) as info:
+            layer_forward(x, MaKernel(np.ones((1, 1, 2, 1))), SeparableArKernel([f, g]))
+        assert str(info.value) == (
+            "autoregressive footprint (5, 3) of channel 1 does not fit a 4x8 field"
+        )
+
 
 class TestFootprintTies:
     """A footprint as wide as the field is refused; one pixel more and it fits."""
@@ -829,4 +896,20 @@ class TestMaProduct:
         assert np.allclose(phases, np.exp(-2j * np.pi * k * m / 8), rtol=0, atol=1e-14)
         with pytest.raises(ValueError):
             phases[0, 0] = 0.0
-        assert 0 < arma._phases.cache_info().maxsize < 1000
+        # the inverse matrices weight each frequency by those it stands for
+        for count, n, weights in [
+            (8, 8, [1] * 8),  # a full spectrum: each frequency stands for itself
+            (5, 8, [1, 2, 2, 2, 1]),  # half spectrum, even width: DC and Nyquist once
+            (4, 7, [1, 2, 2, 2]),  # half spectrum, odd width: no Nyquist
+            (2, 2, [1, 1]),
+            (1, 1, [1]),
+        ]:
+            inverse = arma._inverse_phases(count, (-2, 0, 3), n)
+            assert arma._inverse_phases(count, (-2, 0, 3), n) is inverse
+            k = np.arange(count)
+            want = np.array(weights) * np.exp(2j * np.pi * m[:, None] * k / n) / n
+            assert np.allclose(inverse, want, rtol=0, atol=1e-15)
+            with pytest.raises(ValueError):
+                inverse[0, 0] = 0.0
+        for cache in (arma._phases, arma._inverse_phases):
+            assert 0 < cache.cache_info().maxsize < 1000

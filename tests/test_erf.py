@@ -407,6 +407,30 @@ class TestEmpirical2d:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
 
+    def test_working_set_estimate_in_refusal(self):
+        # C = 500 channels, grid 6000, K = 3 and 5 composing n = 2*(1 + 2*2) + 1
+        # = 11 taps; float64 slots: the kernels C^2 (3^2 + 5^2), P's spectra
+        # and products C^2 6 n (n//2 + 1), P and its shifted copy 2 C^2 n^2,
+        # U and its products grid n (C + 2), and four grid^2 arrays.  Each
+        # term is 2-42% of the sum, which stays over the limit without any one
+        slots = (500**2 * (3**2 + 5**2 + 6 * 11 * 6) + 2 * 500**2 * 11**2
+                 + 6000 * 11 * 502 + 4 * 6000**2)
+        assert f"{8 * slots / 2**30:.3g}" == "2.57"
+        spec = LinearNetSpec((LayerSpec1D(3, 1, 0.5), LayerSpec1D(5, 2, 0.5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                empirical_erf_2d(spec, grid=6000, channels=500, seed=0, kernel_mode="xavier")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "the 2D map needs about 2.57 GiB for --grid 6000, --channels 500 and --layers "
+            "spanning 11 taps; the working-set limit is 1 GiB"
+        )
+        # refused before the kernels, spectra or map are built
+        assert peak < 2**20
+
     def test_wraparound_rejection(self):
         with pytest.raises(WraparoundError):
             empirical_erf_2d(stack(LayerSpec1D(3, 1, 0.9), 2), grid=32)

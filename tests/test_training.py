@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from armakit import training
+from armakit import arma, training
 from armakit.arma import layer_backward, layer_forward
 from armakit.filters import is_stable, reparam_gradient
 from armakit.numerics import FieldTensor, MaKernel
@@ -213,6 +213,26 @@ class TestTrain:
         train(task, small_config(steps=3, channel_sizes=(1, 2, 2, 1)))
         assert len(input_gradients) == 3 * 3
         assert sum(input_gradients) == 3 * 2
+
+    def test_phase_caches_hold_every_matrix_of_a_run(self, monkeypatch):
+        # the memoized phase matrices a run asks for are all built in its
+        # first step, and none is evicted: no later step misses
+        caches = (arma._phases, arma._inverse_phases)
+        misses = []
+        original = training._spectral_backward
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            misses.append(tuple(cache.cache_info().misses for cache in caches))
+            return result
+
+        monkeypatch.setattr(training, "_spectral_backward", counted)
+        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=5)
+        for cache in caches:
+            cache.cache_clear()
+        train(task, TrainConfig(steps=4))  # two layers, (1, 4, 1)
+        assert len(misses) == 4 * 2 and min(misses[1]) > 0
+        assert set(misses[1:]) == {misses[1]}
 
     @pytest.mark.parametrize("channel_sizes", [(1, 1), (1, 2, 2, 1)])
     def test_one_2d_transform_per_step(self, monkeypatch, channel_sizes):
