@@ -290,31 +290,25 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 
 
 # --scan draws at most this many points, tested as arrays: the points, their
-# taps and the zero test's companion matrices take about 100 bytes a point
+# taps and the zero test's arrays peak at about 126 bytes a point (tracemalloc)
 SCAN_LIMIT = 10**6
 
 
 def _filter_report(flag: str, taps) -> dict:
     """The JSON report of one factor, from its finite taps.
 
-    Extreme taps can overflow the tap sum, a companion matrix entry or a
-    modulus, or round the tap sum or a zero's modulus past the unit-circle
-    test (``--reparam 1e16,0.5`` sums to 0 with both moduli 1).  A report
-    value that is not finite, or a verdict that its zeros contradict
-    (stable but not ``|z1| < 1 < |z2|``, or the reverse), is refused,
-    naming ``--flag``.
+    A linear factor (``fm1 == 0``) lists its one finite zero.  A tap sum,
+    zero or modulus beyond float64's range, or a verdict that the zeros
+    contradict (stable but not ``|z1| < 1 < |z2|``, or the reverse, as
+    ``--reparam 1e16,0.5`` rounds the tap sum to 0 and both moduli to 1),
+    is refused, naming ``--flag``.
     """
     f = filters.Length3Filter(*taps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            z1, z2 = filters.zeros_of(f)
-        except np.linalg.LinAlgError:  # the companion matrix overflowed
-            z1 = z2 = complex(math.nan)
-        pairs = [[z1.real, z1.imag]]
-        moduli = [abs(z1)]
-        if np.isfinite(z2.real):
-            pairs.append([z2.real, z2.imag])
-            moduli.append(abs(z2))
+    z1, z2 = filters.zeros_of(f)
+    zeros = [z1, z2] if f.fm1 != 0.0 else [z1]
+    pairs = [[z.real, z.imag] for z in zeros]
+    with np.errstate(over="ignore"):
+        moduli = [abs(z) for z in zeros]
         stable = filters.is_stable(f)
     tap_sum = f.fm1 + f.fp1
     if not np.all(np.isfinite([tap_sum, *moduli, *(v for pair in pairs for v in pair)])):

@@ -113,31 +113,37 @@ def zeros_of(taps) -> np.ndarray:
     """Zeros ``(z1, z2)`` of ``fm1*z^2 + f0*z + fp1``, ordered ``|z1| <= |z2|``.
 
     ``taps`` is one :class:`Length3Filter` or a ``(..., 3)`` tap array; the
-    result is a ``(..., 2)`` complex array.  Rows with ``fm1 != 0`` take the
-    eigenvalues of their companion matrices ``[[-f0/fm1, -fp1/fm1], [1, 0]]``
-    (the matrix ``np.roots`` builds), found in one call.  Linear rows
-    (``fm1 == 0``) have the one zero ``-fp1/f0`` and complex infinity, so
-    the straddle test reduces to ``|fp1| < f0``, as :func:`is_stable` does.
+    result is ``(..., 2)`` complex, from one closed form for every row.  With
+    ``q = -(f0 + sign(f0)*sqrt(f0^2 - 4*fm1*fp1))/2`` a real pair is ``fp1/q``
+    and ``q/fm1`` (a linear row's ``-fp1/f0`` and infinity), a conjugate pair
+    ``(-f0 +- i*sqrt(4*fm1*fp1 - f0^2)) / (2*fm1)``, positive imaginary first.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    fm1, f0, fp1 = taps.reshape(-1, 3).T
-    if np.any((fm1 == 0.0) & (f0 == 0.0)):
+    rows = np.asarray(taps, dtype=np.float64).reshape(-1, 3)
+    if np.any((rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)):
         raise ValueError("filter with fm1 = f0 = 0 has no zeros")
-    quadratic, linear = fm1 != 0.0, fm1 == 0.0
-    companion = np.zeros((int(quadratic.sum()), 2, 2))
-    companion[:, 0] = -np.stack([f0, fp1], axis=-1)[quadratic] / fm1[quadratic, None]
-    companion[:, 1, 0] = 1.0
-    roots = np.linalg.eigvals(companion)
-    del companion  # freed early, as roots below: a scan then peaks at ~80 B a point
-    zeros = np.empty(fm1.shape + (2,), dtype=complex)
-    zeros[quadratic] = roots
-    del roots
-    zeros[linear, 0] = -fp1[linear] / f0[linear]
-    zeros[linear, 1] = np.inf
-    moduli = np.abs(zeros)
-    swap = moduli[:, 0] > moduli[:, 1]  # a stable sort of each pair by modulus
+    # z = 2^k w balances fm1 4^k against fp1 (or, beside a zero outer tap, the other
+    # against f0 2^k); w's taps over a power of two near the largest then square in range
+    scaled, e = np.frexp(rows)
+    k = np.where(rows[:, 2] == 0.0, e[:, 1] - e[:, 0], (e[:, 2] - e[:, 0]) // 2)
+    k = np.where(rows[:, 0] == 0.0, e[:, 2] - e[:, 1], k)[:, None]
+    e += k * np.int32([2, 1, 0])
+    e -= np.where(rows == 0.0, np.iinfo(e.dtype).min, e).max(axis=1, keepdims=True)
+    fm1, f0, fp1 = np.ldexp(scaled, e, out=scaled).T
+    del e
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        disc = f0 * f0 - 4.0 * fm1 * fp1
+        q = -0.5 * (f0 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), f0))
+        zeros = np.zeros(fm1.shape + (2,), dtype=complex)
+        np.divide(q, fm1, out=zeros.real[:, 1])
+        np.divide(fp1, q, out=zeros.real[:, 0])
+        del q  # freed as soon as read: --scan peaks in this function
+        np.copyto(zeros.real[:, 0], zeros.real[:, 1], where=disc <= 0.0)  # one real part
+        np.divide(np.sqrt(-disc), 2.0 * np.abs(fm1), out=zeros.imag[:, 0], where=disc < 0.0)
+        np.subtract(0.0, zeros.imag[:, 0], out=zeros.imag[:, 1])  # a real pair keeps +0.0
+        np.ldexp(zeros.view(np.float64), k, out=zeros.view(np.float64))  # z = 2^k w
+    swap = np.abs(zeros.real[:, 0]) > np.abs(zeros.real[:, 1])  # equal moduli round either way
     zeros[swap] = zeros[swap, ::-1]
-    return zeros.reshape(taps.shape[:-1] + (2,))
+    return zeros.reshape(np.shape(taps)[:-1] + (2,))
 
 
 def straddles_unit_circle(taps) -> np.ndarray:

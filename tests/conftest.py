@@ -133,3 +133,16 @@ def exact_uniform_erf_2d(spec, grid, origin):
     reversed_h = h[(origin - m) % grid]
     plane = np.outer(reversed_h, reversed_h)
     return plane / plane.sum()
+
+
+def quadratic_root_moduli(fm1, f0, fp1):
+    """Root moduli ``(lo, hi)`` of ``fm1*z^2 + f0*z + fp1`` by the textbook
+    quadratic formula in complex float64, elementwise: the straddle oracle.
+
+    No scaling and no guard against cancellation, so it judges the
+    algorithm (which zeros straddle the unit circle), not its rounding.
+    """
+    disc = np.sqrt(np.asarray(f0**2 - 4.0 * fm1 * fp1, dtype=complex))
+    r1 = (-f0 + disc) / (2.0 * fm1)
+    r2 = (-f0 - disc) / (2.0 * fm1)
+    return np.minimum(np.abs(r1), np.abs(r2)), np.maximum(np.abs(r1), np.abs(r2))

@@ -21,7 +21,7 @@ from armakit.arma import ar_forward_dense, layer_forward
 from armakit.cli import gradcheck_report
 from armakit.filters import SeparableArKernel, materialize_2d
 from armakit.numerics import FieldTensor
-from conftest import identity_ma
+from conftest import identity_ma, quadratic_root_moduli
 
 
 def _report(number, name, elapsed, budget):
@@ -141,7 +141,7 @@ def test_criterion_5_stability_re_parameterization_bulk():
     fm1 = 0.5 * (np.tanh(beta) - alpha)
     fp1 = 0.5 * (np.tanh(beta) + alpha)
     assert np.all(np.abs(fm1 + fp1) < 1.0)
-    lo, hi = _root_moduli(fm1, np.ones_like(fm1), fp1)
+    lo, hi = quadratic_root_moduli(fm1, np.ones_like(fm1), fp1)
     assert np.all((lo < 1.0) & (hi > 1.0))
 
     # 10^5 raw filters: the tap-sum test is exactly zero-straddling
@@ -150,18 +150,11 @@ def test_criterion_5_stability_re_parameterization_bulk():
     f0 = rng.uniform(1e-6, 3, 100_000)
     keep = np.abs(fm1) > 1e-12
     stable = np.abs(fm1 + fp1)[keep] < f0[keep]
-    lo, hi = _root_moduli(fm1[keep], f0[keep], fp1[keep])
+    lo, hi = quadratic_root_moduli(fm1[keep], f0[keep], fp1[keep])
     assert np.array_equal(stable, (lo < 1.0) & (hi > 1.0))
     elapsed = time.perf_counter() - began
     assert elapsed < 5.0
     _report(5, "re-parameterization total; stability equals zero-straddling", elapsed, 5)
-
-
-def _root_moduli(fm1, f0, fp1):
-    disc = np.sqrt((f0**2 - 4.0 * fm1 * fp1).astype(complex))
-    r1 = (-f0 + disc) / (2.0 * fm1)
-    r2 = (-f0 - disc) / (2.0 * fm1)
-    return np.minimum(np.abs(r1), np.abs(r2)), np.maximum(np.abs(r1), np.abs(r2))
 
 
 def test_criterion_6_solver_scaling(tmp_path):

@@ -151,6 +151,13 @@ class TestArForwardDense:
         with pytest.raises(ValueError):
             ar_forward_dense(FieldTensor(np.zeros((65, 65, 1))), [np.ones((1, 1))])
 
+    def test_size_guard_admits_exactly_the_limit(self, monkeypatch):
+        monkeypatch.setattr(arma, "DENSE_SOLVE_LIMIT", 16)
+        t = FieldTensor(np.random.default_rng(25).standard_normal((4, 4, 1)))
+        assert np.allclose(ar_forward_dense(t, [np.ones((1, 1))]).data, t.data)
+        with pytest.raises(ValueError, match="17 pixels, dense solve limited to 16"):
+            ar_forward_dense(FieldTensor(np.zeros((1, 17, 1))), [np.ones((1, 1))])
+
     def test_kernel_count_must_match_channels(self):
         with pytest.raises(ValueError, match="1 kernels supplied for 2 channels"):
             ar_forward_dense(FieldTensor(np.zeros((3, 3, 2))), [np.ones((1, 1))])

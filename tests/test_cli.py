@@ -332,6 +332,19 @@ class TestStabilityCommand:
         assert err.startswith("error:") and "scan" in err and str(cli.SCAN_LIMIT) in err
         assert peak < 1_000_000
 
+    def test_scan_peak_memory(self, capsys):
+        # the points, their taps and the zero test's arrays; the companion
+        # matrix eigensolver peaked at 13.27 MB here, the bound is 3% above it
+        run(capsys, "stability", "--scan", "10")  # imports and first-call setup
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "stability", "--scan", "100000", "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and strict_json(out)["failures"] == 0
+        assert peak < 13_650_000
+
     def test_requires_exactly_one_selector(self, capsys):
         assert run(capsys, "stability")[0] == 1
         assert run(capsys, "stability", "--filter", "0,1,0", "--scan", "5")[0] == 1
@@ -359,7 +372,7 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("flag, value", [
         ("filter", "1e308,1,1e308"),  # the tap sum overflows
         ("filter", "-1e308,1,-1e308"),
-        ("filter", "1e-320,1,0.5"),  # a companion matrix entry overflows
+        ("filter", "1e-320,1,0.5"),  # the larger zero, about -f0/fm1, overflows
         ("filter", "0,1e-320,0.5"),  # the one zero of a linear factor overflows
         ("reparam", "1e-320,0"),
         # the tap sum rounds to 0 (stable) and both zero moduli to 1

@@ -14,7 +14,7 @@ from armakit.filters import (
     straddles_unit_circle,
     zeros_of,
 )
-from conftest import embed_taps
+from conftest import embed_taps, quadratic_root_moduli
 
 IDENTITY = Length3Filter(0.0, 1.0, 0.0)
 
@@ -71,6 +71,22 @@ class TestZeros:
         z1, z2 = zeros_of(Length3Filter(0.3, 1.0, 0.5))
         assert z1 == pytest.approx(-0.612574, abs=1e-6)
         assert z2 == pytest.approx(-2.720760, abs=1e-6)
+        assert z1.imag == z2.imag == 0.0 and not np.signbit([z1.imag, z2.imag]).any()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_conjugate_pair_positive_imaginary_part_first(self, sign):
+        z1, z2 = zeros_of(Length3Filter(0.75 * sign, 1.0, 0.75 * sign))
+        assert z1 == np.conj(z2) and z1.imag > 0.0
+        assert abs(z1) == abs(z2) == 1.0
+
+    def test_equal_real_moduli_are_ordered(self):
+        # f0 = 0 between outer taps of opposite signs: zeros +-sqrt(-fp1/fm1),
+        # whose computed moduli rounding orders either way
+        rng = np.random.default_rng(20)
+        rows = np.zeros((1000, 3))
+        rows[:, 0], rows[:, 2] = -rng.uniform(0.1, 3.0, 1000), rng.uniform(0.1, 3.0, 1000)
+        moduli = np.abs(zeros_of(rows))
+        assert np.all(moduli[:, 0] <= moduli[:, 1])
 
     def test_complex_pair_on_unit_circle(self):
         f = Length3Filter(0.75, 1.0, 0.75)
@@ -99,15 +115,86 @@ class TestZeros:
             assert z1 + z2 == pytest.approx(-f.f0 / f.fm1, rel=1e-9, abs=1e-9)
 
 
-def quadratic_root_moduli(fm1, f0, fp1):
-    """Vectorized closed-form root moduli, the straddle oracle."""
-    fm1 = np.asarray(fm1, dtype=complex)
-    disc = np.sqrt(f0**2 - 4.0 * fm1 * fp1)
-    r1 = (-f0 + disc) / (2.0 * fm1)
-    r2 = (-f0 - disc) / (2.0 * fm1)
-    lo = np.minimum(np.abs(r1), np.abs(r2))
-    hi = np.maximum(np.abs(r1), np.abs(r2))
-    return lo, hi
+def long_double_zero_moduli(rows):
+    """Zero moduli ``(lo, hi)`` of ``fm1*z^2 + f0*z + fp1`` per row, in
+    ``np.longdouble`` and written apart from ``filters``, and their condition.
+
+    The stable form in long double, with one Newton step on each real zero; a
+    conjugate pair's modulus is ``sqrt(fp1/fm1)``.  Long double's exponent
+    range holds every product of float64 taps, so nothing is scaled.  The
+    condition is Gautschi's: a zero's relative change per relative change of
+    the taps, ``(|fm1| |z|^2 + |f0| |z| + |fp1|) / (|z| |fm1| |z1 - z2|)``.
+    """
+    fm1, f0, fp1 = (column[:, None] for column in np.asarray(rows, dtype=np.longdouble).T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = f0 * f0 - 4 * fm1 * fp1
+        q = -(f0 + np.copysign(np.sqrt(np.maximum(disc, 0)), f0)) / 2
+        z = np.concatenate([fp1 / q, q / fm1], axis=1)
+        slope = 2 * fm1 * z + f0
+        step = ((fm1 * z + f0) * z + fp1) / slope
+        z -= np.where(np.isfinite(step), step, 0)
+        moduli = np.sort(np.where(disc < 0, np.sqrt(fp1 / fm1), np.abs(z)), axis=1)
+        condition = (np.abs(fm1) * moduli**2 + np.abs(f0) * moduli + np.abs(fp1)) / (
+            moduli * np.sqrt(np.abs(disc)))
+    return moduli, condition
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than float64 on this platform")
+class TestZerosAgainstLongDouble:
+    """``zeros_of``'s rounding, judged by long-double moduli; the float64
+    textbook oracle above judges the algorithm."""
+
+    EPS = np.finfo(np.float64).eps
+
+    def relative_errors(self, rows):
+        want, condition = long_double_zero_moduli(rows)
+        got = np.abs(zeros_of(rows))
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))  # a linear row's second zero
+        assert np.array_equal(got == 0.0, want == 0.0)  # fp1 = 0
+        judged = np.isfinite(want) & (want > 0.0)
+        err = np.zeros(want.shape)
+        err[judged] = np.abs(got[judged] - want[judged]) / want[judged]
+        return got, want, err, condition
+
+    def test_extreme_reparam_and_linear_rows_within_8_eps(self):
+        # the companion-matrix eigensolver erred by up to 22 eps on these rows
+        rng = np.random.default_rng(5)
+        n = 200_000
+        alpha = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 7, n)
+        reparam = materialize(np.stack([alpha, rng.uniform(-4, 4, n)], axis=-1))
+        linear = rng.uniform(-3, 3, (20_000, 3))
+        linear[:, 0] = 0.0
+        linear[:, 1] = np.abs(linear[:, 1]) + 1e-3
+        got, want, err, _ = self.relative_errors(np.concatenate([reparam, linear]))
+        assert err.max() <= 8 * self.EPS
+        # the float64 zeros straddle the unit circle exactly where the truth's do
+        straddles = (got[:, 0] < 1.0) & (got[:, 1] > 1.0)
+        assert np.array_equal(straddles, (want[:, 0] < 1.0) & (want[:, 1] > 1.0))
+
+    def test_raw_rows_within_8_eps_of_their_condition(self):
+        # near a double zero the zeros themselves are ill-conditioned, so the
+        # bound scales with the condition (at least 1)
+        rows = np.random.default_rng(6).uniform(-3, 3, (50_000, 3))
+        rows[:, 1] = np.abs(rows[:, 1])
+        _, _, err, condition = self.relative_errors(rows)
+        assert condition.min() >= 1.0 and condition.max() > 100.0
+        assert np.all(err <= 8 * self.EPS * condition)
+
+    def test_taps_spanning_float64_range_within_8_eps(self):
+        # taps of magnitudes 1e-300 to 1e300, a tenth with fm1 = 0 and a tenth
+        # with fp1 = 0, kept where no zero is a nonzero number outside
+        # float64's normal range: no square or product of taps may leave it
+        rng = np.random.default_rng(7)
+        rows = rng.choice([-1.0, 1.0], (40_000, 3)) * 10.0 ** rng.uniform(-300, 300, (40_000, 3))
+        rows[:4000, 0] = rows[4000:8000, 2] = 0.0
+        want, _ = long_double_zero_moduli(rows)
+        info = np.finfo(np.float64)
+        normal = (want == 0.0) | (want == np.inf) | ((want > info.tiny) & (want < info.max))
+        rows = rows[normal.all(axis=1)]
+        assert len(rows) > 20_000 and (rows[:, 0] == 0.0).sum() > 1000
+        _, _, err, _ = self.relative_errors(rows)
+        assert err.max() <= 8 * self.EPS
 
 
 class TestStabilityEquivalence:
