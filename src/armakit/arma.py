@@ -72,24 +72,19 @@ DENSE_SOLVE_LIMIT = 4096
 class ArmaLayerParams:
     """Validated parameter bundle for one ARMA layer.
 
-    Requires a stability-certified autoregressive kernel, i.e. one whose
-    every materialized factor passes :func:`armakit.filters.is_stable`
-    (anything built through the re-parameterization qualifies).  A refusal
-    names the first unstable factor.
+    Requires an autoregressive kernel built from ``(alpha, beta)`` parameters,
+    which certified every factor's stability when it was built.
     """
 
     ma: MaKernel
     ar: SeparableArKernel
 
     def __post_init__(self):
-        if self.ma.out_channels != self.ar.channels:
+        if self.ar.params is None:
             raise ValueError(
-                f"kernel channel mismatch: moving-average has {self.ma.out_channels} "
-                f"output channels, autoregressive has {self.ar.channels}"
+                "autoregressive kernel carries no (alpha, beta) parameters; "
+                "use layer_forward/layer_backward for raw kernels"
             )
-        unstable = self.ar.unstable_factor()
-        if unstable is not None:
-            raise ValueError(f"autoregressive {unstable} violates |fm1 + fp1| < f0")
 
 
 @dataclass(eq=False)
@@ -493,11 +488,6 @@ def arma_backward(
     forward's input, whose spectrum ``cache`` holds, so ``x`` must have the
     forward input's shape.
     """
-    if params.ar.params is None:
-        raise ValueError(
-            "autoregressive kernel carries no (alpha, beta) parameters; "
-            "use layer_backward for the taps of raw kernels"
-        )
     if cache.ar is not params.ar or cache.ma is not params.ma:
         raise ValueError("cache was not built by arma_forward with these params")
     forward_shape = cache.shape[:-1] + (params.ma.in_channels,)

@@ -289,14 +289,14 @@ def _window_sums(taps: np.ndarray, grid: int) -> np.ndarray:
     return cumulative[grid:] - cumulative[:-grid]
 
 
-def _select_window(spec: LinearNetSpec, grid: int, epsilon: float, tolerance: float):
+def _select_window(spec: LinearNetSpec, grid: int, epsilon: float):
     """Choose the length-``grid`` offset window that best holds the composed filter.
 
     Returns the window's first forward offset ``w0`` (the reading window in
     ERF offsets is then ``[-(w0 + grid - 1), -w0]``).  Raises
     :class:`WraparoundError` when even the best window leaks at least
-    ``tolerance`` of the mass, since the wrapped map would alias that mass to
-    wrong offsets.
+    :data:`DEFAULT_WRAP_TOLERANCE` of the mass, since the wrapped map would
+    alias that mass to wrong offsets.
     """
     taps, start = _axis_mass_profile(spec, epsilon)
     if taps.size <= grid:
@@ -305,10 +305,10 @@ def _select_window(spec: LinearNetSpec, grid: int, epsilon: float, tolerance: fl
     window_sums = _window_sums(taps, grid)
     best = int(np.argmax(window_sums))
     leak = float(1.0 - window_sums[best])
-    if leak >= tolerance:
+    if leak >= DEFAULT_WRAP_TOLERANCE:
         raise WraparoundError(
             f"composed filter leaks {leak:.3e} of its mass outside any "
-            f"{grid}-wide window (tolerance {tolerance:.1e}); use a larger grid"
+            f"{grid}-wide window (tolerance {DEFAULT_WRAP_TOLERANCE:.1e}); use a larger grid"
         )
     return start + best
 
@@ -361,7 +361,7 @@ def empirical_erf_2d(
             raise ValueError("xavier kernel mode needs a seed")
     else:
         raise ValueError(f"unknown kernel mode {kernel_mode!r}")
-    w0 = _select_window(spec, grid, epsilon, DEFAULT_WRAP_TOLERANCE)
+    w0 = _select_window(spec, grid, epsilon)
     # P[:, :, s, t] over the offsets [-half, half] of the composed footprint
     half = sum(layer.dilation * (layer.taps - 1) // 2 for layer in spec.layers)
     n = 2 * half + 1

@@ -113,12 +113,15 @@ def zeros_of(taps) -> np.ndarray:
     """Zeros ``(z1, z2)`` of ``fm1*z^2 + f0*z + fp1``, ordered ``|z1| <= |z2|``.
 
     ``taps`` is one :class:`Length3Filter` or a ``(..., 3)`` tap array; the
-    result is ``(..., 2)`` complex, from one closed form for every row.  With
+    result is ``(..., 2)`` complex, from one closed form for every row of
+    finite taps (a non-finite tap raises ``ValueError``).  With
     ``q = -(f0 + sign(f0)*sqrt(f0^2 - 4*fm1*fp1))/2`` a real pair is ``fp1/q``
     and ``q/fm1`` (a linear row's ``-fp1/f0`` and infinity), a conjugate pair
     ``(-f0 +- i*sqrt(4*fm1*fp1 - f0^2)) / (2*fm1)``, positive imaginary first.
     """
     rows = np.asarray(taps, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"taps must be finite, got {rows[~np.isfinite(rows).all(1)][0].tolist()}")
     if np.any((rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)):
         raise ValueError("filter with fm1 = f0 = 0 has no zeros")
     # z = 2^k w balances fm1 4^k against fp1 (or, beside a zero outer tap, the other
@@ -186,35 +189,46 @@ class SeparableArKernel:
     """Per-channel separable autoregressive kernel.
 
     Each channel's 2D kernel is the outer product of two composed 1D cascades
-    (``Q`` length-3 factors along each axis).  ``taps`` is a ``(2, channels,
-    Q, 3)`` array of finite taps ``[fm1, f0, fp1]``, the ``f`` cascades
-    (columns) then the ``g`` cascades (rows), e.g. ``[f, g]`` with
-    :class:`Length3Filter` rows.  :meth:`from_arrays` keeps the generating
-    ``(alpha, beta)`` pairs as ``params``, ``(2, channels, Q, 2)``, so
-    gradients can be chained back to them; kernels built from raw factors
-    carry none and no stability guarantee.  Both are copied and composed
-    once into ``composed``, ``(2, channels, 2Q + 1)``; all three are read-only.
+    (``Q`` length-3 factors per axis), ``f`` (columns) then ``g`` (rows).  It
+    is built from one finite array: raw ``taps``, ``(2, channels, Q, 3)``
+    factors ``[fm1, f0, fp1]`` with no stability guarantee, or ``params``,
+    ``(2, channels, Q, 2)`` ``(alpha, beta)`` pairs, which it keeps for
+    gradients, materializes into ``taps`` and refuses if float64 left a
+    factor unstable.  Both are copied and composed once into ``composed``,
+    ``(2, channels, 2Q + 1)``; all are read-only.
     """
 
-    taps: np.ndarray
+    taps: Optional[np.ndarray] = None
     params: Optional[np.ndarray] = None
     composed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.taps = np.array(self.taps, dtype=np.float64)
-        shape = self.taps.shape
+        if (self.taps is None) == (self.params is None):
+            raise ValueError("a kernel is built from exactly one of taps and params")
+        given, width = ("taps", 3) if self.params is None else ("params", 2)
+        array = np.array(getattr(self, given), dtype=np.float64)
+        shape = array.shape
         if shape[:1] != (2,):
-            raise ValueError(f"taps must stack the f and g cascades, got shape {shape}")
-        if len(shape) != 4 or shape[3] != 3 or min(shape) < 1:
+            raise ValueError(f"{given} must stack the f and g cascades, got shape {shape}")
+        if len(shape) != 4 or shape[3] != width or min(shape) < 1:
             raise ValueError(
-                f"f and g must be (channels, depth, 3) tap arrays with channels and depth "
-                f">= 1, got shapes {shape[1:]} and {shape[1:]}"
+                f"f and g {given} must be (channels, depth, {width}) arrays with channels "
+                f"and depth >= 1, got shape {shape[1:]}"
             )
-        _check_finite("fg", self.taps)
-        if self.params is not None:
-            self.params = np.array(self.params, dtype=np.float64)
-            if self.params.shape != shape[:-1] + (2,):
-                raise ValueError(f"params must be {shape[:-1] + (2,)}, got {self.params.shape}")
+        _check_finite("fg", array)
+        if self.params is None:
+            self.taps = array
+        else:
+            self.params, self.taps = array, materialize(array)
+            # stable in exact arithmetic, not always in float64 (materialize)
+            unstable = ~stable_factors(self.taps)
+            if unstable.any():
+                axis, t, q = np.argwhere(unstable)[0]
+                raise ValueError(
+                    f"re-parameterized {'fg'[axis]} factor {q} of channel {t} with taps "
+                    f"{self.taps[axis, t, q].tolist()} left the stable region: float64 "
+                    f"rounding put |fm1 + fp1| at or above 1, which exact arithmetic never does"
+                )
             self.params.flags.writeable = False
         self.composed = compose_1d(self.taps)
         self.taps.flags.writeable = self.composed.flags.writeable = False
@@ -227,15 +241,6 @@ class SeparableArKernel:
     def depth(self) -> int:
         return self.taps.shape[2]
 
-    def unstable_factor(self) -> Optional[str]:
-        """Axis, channel, cascade index and taps of the first factor, ``f``
-        before ``g``, failing :func:`is_stable`; ``None`` if all pass."""
-        unstable = ~stable_factors(self.taps)
-        if not unstable.any():
-            return None
-        axis, t, q = np.argwhere(unstable)[0]
-        return f"{'fg'[axis]} factor {q} of channel {t} with taps {self.taps[axis, t, q].tolist()}"
-
     @classmethod
     def from_arrays(cls, alpha_f, beta_f, alpha_g, beta_g) -> "SeparableArKernel":
         """Build from four ``(channels, depth)`` arrays of finite reparam coordinates."""
@@ -247,7 +252,7 @@ class SeparableArKernel:
         _check_finite(("alpha_f", "beta_f", "alpha_g", "beta_g"), coordinates)
         # (alpha_f, beta_f, alpha_g, beta_g) -> (f or g, channels, depth, (alpha, beta))
         params = np.moveaxis(coordinates.reshape((2, 2) + coordinates.shape[1:]), 1, -1)
-        return cls(materialize(params), params)
+        return cls(params=params)
 
     @classmethod
     def identity(cls, channels: int, depth: int = 1) -> "SeparableArKernel":

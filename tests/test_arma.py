@@ -389,51 +389,47 @@ class TestArmaLayer:
         assert max(report.values()) < 1e-5
 
     def test_params_validation(self):
+        # a channel mismatch surfaces at the solve, which checks it on every path
         rng = np.random.default_rng(35)
-        with pytest.raises(ValueError):
-            ArmaLayerParams(
-                ma=MaKernel(rng.standard_normal((3, 3, 2, 1))),
-                ar=SeparableArKernel.identity(3),
-            )
+        params = ArmaLayerParams(
+            ma=MaKernel(rng.standard_normal((3, 3, 2, 1))),
+            ar=SeparableArKernel.identity(3),
+        )
+        with pytest.raises(ValueError, match="produces 2 channels"):
+            arma_forward(FieldTensor(rng.standard_normal((5, 5, 1))), params)
         unstable = Length3Filter(0.6, 1.0, 0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no \\(alpha, beta\\) parameters"):
             ArmaLayerParams(
                 ma=MaKernel(rng.standard_normal((3, 3, 1, 1))),
                 ar=SeparableArKernel([((unstable,),), ((unstable,),)]),
             )
 
     def test_params_refusal_names_first_unstable_factor(self):
-        stable, unstable = Length3Filter(0.2, 1.0, 0.3), Length3Filter(0.6, 1.0, 0.6)
-        kernel = SeparableArKernel([
-            ((stable, stable), (stable, stable)),
-            ((stable, stable), (stable, unstable)),
-        ])
+        zeros = np.zeros((2, 2))
+        beta_g = zeros.copy()
+        beta_g[1, 1] = 20.0
         with pytest.raises(ValueError) as refusal:
-            ArmaLayerParams(ma=identity_ma(2), ar=kernel)
+            SeparableArKernel.from_arrays(zeros, zeros, zeros, beta_g)
         message = str(refusal.value)
         assert "g factor 1 of channel 1" in message
-        assert "[0.6, 1.0, 0.6]" in message
+        assert "[0.5, 1.0, 0.5]" in message and "left the stable region" in message
 
     @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
     def test_params_at_float64_tanh_edge(self, beta, stable):
         # math.tanh(19) < 1 while math.tanh(20) rounds to 1, the boundary
         zero = np.zeros((1, 1))
-        kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
         if stable:
+            kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
             ArmaLayerParams(ma=identity_ma(), ar=kernel)
         else:
             with pytest.raises(ValueError, match="f factor 0 of channel 0"):
-                ArmaLayerParams(ma=identity_ma(), ar=kernel)
+                SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
 
     def test_raw_kernel_backward_rejected_without_params(self):
         # a raw stable kernel is a valid layer, but it has no (alpha, beta)
         # coordinates for arma_backward to differentiate
-        rng = np.random.default_rng(36)
-        x = FieldTensor(rng.standard_normal((5, 5, 1)))
-        params = ArmaLayerParams(ma=identity_ma(), ar=causal_kernel(-0.5))
-        y, cache = arma_forward(x, params)
-        with pytest.raises(ValueError):
-            arma_backward(y, x, params, cache)
+        with pytest.raises(ValueError, match="layer_forward/layer_backward"):
+            ArmaLayerParams(ma=identity_ma(), ar=causal_kernel(-0.5))
 
     def test_cache_from_other_params_rejected(self):
         # the factor taps would come from the cache's kernel and the chain

@@ -333,8 +333,8 @@ class TestStabilityCommand:
         assert peak < 1_000_000
 
     def test_scan_peak_memory(self, capsys):
-        # the points, their taps and the zero test's arrays; the companion
-        # matrix eigensolver peaked at 13.27 MB here, the bound is 3% above it
+        # the points, their taps and the zero test's arrays; the closed form
+        # peaks at 12.66 MB here, the bound is 8% above it
         run(capsys, "stability", "--scan", "10")  # imports and first-call setup
         tracemalloc.start()
         try:
@@ -512,6 +512,22 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 0
         assert [float(v) for v in out.strip().splitlines()[1].split(",")] == [4, 5, 6]
+
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_float64_unstable_reparam_config_is_usage_error(self, capsys, tmp_path, size):
+        # tanh(20) rounds to 1, so f's taps sum to 1: never solved, whatever the field
+        field = tmp_path / "x.csv"
+        np.savetxt(field, np.random.default_rng(size).standard_normal((size, size)), delimiter=",")
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps({"mode": "reparam", "alpha_f": [[0]], "beta_f": [[20]],
+                                  "alpha_g": [[0]], "beta_g": [[0]]}))
+        out_path = tmp_path / "y.csv"
+        code, out, err = run(
+            capsys, "solve", "--input", str(field), "--ar-config", str(ar), "--out", str(out_path)
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith(f"error: malformed AR config {ar}: ")
+        assert "f factor 0 of channel 0" in err and "left the stable region" in err
 
     def test_needs_input(self, capsys):
         code, out, err = run(capsys, "solve")

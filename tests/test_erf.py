@@ -38,7 +38,7 @@ def backward_pass_erf_2d(spec, grid, channels=1, seed=None, kernel_mode="uniform
     ``layer_backward`` on the layer's cache from ``layer_forward``.
     Returns the unwrapped map and its origin, like the library.
     """
-    w0 = erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, erf.DEFAULT_WRAP_TOLERANCE)
+    w0 = erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION)
     rng = np.random.default_rng(seed) if kernel_mode == "xavier" else None
     mas = erf._layer_kernels(spec, channels, kernel_mode, rng)
     zeros = FieldTensor(np.zeros((grid, grid, channels)))
@@ -320,7 +320,7 @@ class TestEmpirical2d:
             taps, _ = erf._axis_mass_profile(spec, erf.DEFAULT_TRUNCATION)
             assert taps.size > 96
 
-    def test_window_scan_matches_convolution(self):
+    def test_window_scan_matches_convolution(self, monkeypatch):
         # 276k composed taps against a 4096-wide window
         spec = stack(LayerSpec1D(3, 1, 0.9998), 2)
         grid = 4096
@@ -330,9 +330,10 @@ class TestEmpirical2d:
         assert sums.shape == want.shape
         assert np.abs(sums - want).max() <= 1e-12
         best = int(np.argmax(want))
-        assert erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, 1.0) == start + best
         with pytest.raises(WraparoundError, match=f"leaks {1.0 - want[best]:.3e} "):
-            erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION, 1e-6)
+            erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION)
+        monkeypatch.setattr(erf, "DEFAULT_WRAP_TOLERANCE", 1.0)
+        assert erf._select_window(spec, grid, erf.DEFAULT_TRUNCATION) == start + best
 
     def test_identity_network_is_delta(self):
         m = empirical_erf_2d(stack(LayerSpec1D(1, 1, 0.0), 1), grid=16)

@@ -244,6 +244,16 @@ class TestStraddleArray:
         assert moduli.shape == (len(rows), 2) and np.all(moduli[:, 0] <= moduli[:, 1])
         assert np.allclose(moduli[quadratic], np.stack([lo, hi], axis=-1), rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, entry", [([0.5, 1.0, 0.5], 0), ([0.0, 1.0, 0.5], 2)],
+                             ids=["quadratic", "linear"])
+    def test_rejects_non_finite_taps(self, bad, row, entry):
+        row = row[:entry] + [bad] + row[entry + 1:]
+        with pytest.raises(ValueError, match="taps must be finite"):
+            zeros_of([[0.3, 1.0, 0.5], row])
+        with pytest.raises(ValueError, match="taps must be finite"):
+            straddles_unit_circle(row)
+
     def test_rejects_row_without_zeros(self):
         with pytest.raises(ValueError, match="no zeros"):
             straddles_unit_circle([[0.5, 1.0, 0.5], [0.0, 0.0, 1.0]])
@@ -432,7 +442,7 @@ class TestSeparableArKernel:
     def test_arrays_are_read_only_copies(self):
         # composed cannot go stale: no array it is built from can change
         params = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2, 3, 2))
-        kernel = SeparableArKernel(materialize(params), params)
+        kernel = SeparableArKernel(params=params)
         for array in (kernel.taps, kernel.params, kernel.composed):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0, 0] = 0.0
@@ -447,5 +457,25 @@ class TestSeparableArKernel:
             SeparableArKernel([((IDENTITY,),)] * 3)
 
     def test_params_must_pair_every_factor(self):
-        with pytest.raises(ValueError, match=r"params must be \(2, 1, 1, 2\)"):
-            SeparableArKernel([((IDENTITY,),)] * 2, np.zeros((2, 1, 2, 2)))
+        with pytest.raises(ValueError, match=r"f and g params must be \(channels, depth, 2\)"):
+            SeparableArKernel(params=np.zeros((2, 1, 2, 3)))
+
+    def test_built_from_exactly_one_of_taps_and_params(self):
+        # taps that params does not generate would chain gradients through the wrong pairs
+        params = np.random.default_rng(4).uniform(-1.0, 1.0, (2, 1, 1, 2))
+        with pytest.raises(ValueError, match="exactly one of taps and params"):
+            SeparableArKernel(materialize(params), params)
+        with pytest.raises(ValueError, match="exactly one of taps and params"):
+            SeparableArKernel()
+
+    def test_params_kernel_holds_their_materialized_taps(self):
+        params = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 3, 2, 2))
+        kernel = SeparableArKernel(params=params)
+        assert kernel.taps.tobytes() == materialize(params).tobytes()
+        assert kernel.params.tobytes() == params.tobytes()
+
+    def test_non_finite_params_named_before_the_stability_check(self):
+        params = np.zeros((2, 1, 1, 2))
+        params[1, 0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"g\[0\]\[0\]\[1\] is nan, not a finite number"):
+            SeparableArKernel(params=params)

@@ -350,8 +350,8 @@ class TestTrain:
         assert np.max(np.abs(taken - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_reparam_kernels_built_once_per_step(self, monkeypatch):
-        # the stability check reads the kernels each step solves with, plus
-        # one check after the last update: steps * layers + layers builds
+        # building a kernel checks its factors' stability: the kernels each step
+        # solves with, plus one build after the last update, steps * layers + layers
         task = ToyTask.wide_blur(samples=1, size=16, sigma=2.0, seed=5)
         built = []
         original = LayerState.ar_kernel
