@@ -8,13 +8,7 @@ the autoregressive filters, an effective-receptive-field toolkit with both
 analytic and empirical radii, a small training harness, and a CLI.
 """
 
-from .numerics import (
-    DEFAULT_EPSILON,
-    FieldTensor,
-    MaKernel,
-    SingularSpectrumError,
-    guard_spectrum,
-)
+from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, SingularSpectrumError
 from .filters import (
     Length3Filter,
     SeparableArKernel,

@@ -16,14 +16,16 @@ is one spectral solve:
 
 a ``(T x S)`` product per frequency, then a scaling by ``1/G_hat`` along the
 rows and by ``1/F_hat`` along the columns.  ``A_hat`` itself is never
-formed, and the singularity guard reads its margin off the two 1D spectra in
-``O(I1 + I2)`` per channel.  Every field is real, so every field spectrum is
-a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat``, ``G_hat`` and ``F_hat``
-are built from small phase matrices (``I1 x K`` and ``(I2//2+1) x K``), at
-the dilated tap offsets ``d*p`` of ``W`` and at the offsets ``-Q..Q`` of the
-composed ``g`` and ``f`` taps; none needs a 2D transform.  Fields may carry
-a leading sample axis ``(N, I1, I2, C)``; the kernels and spectra are shared
-by all samples, so kernel gradients sum over the batch.
+formed: the singularity guard reads the least and largest entry magnitude of
+each channel exactly off the two 1D spectra, in ``O(I1 + I2)``, and builds
+the 2D magnitude only to name the entry it refuses.  Every field is real, so
+every field spectrum is a half spectrum ``(I1, I2//2 + 1, C)``.  ``W_hat``,
+``G_hat`` and ``F_hat`` are built from small phase matrices (``I1 x K`` and
+``(I2//2+1) x K``), at the dilated tap offsets ``d*p`` of ``W`` and at the
+offsets ``-Q..Q`` of the composed ``g`` and ``f`` taps; none needs a 2D
+transform.  Fields may carry a leading sample axis ``(N, I1, I2, C)``; the
+kernels and spectra are shared by all samples, so kernel gradients sum over
+the batch.
 
 The backward pass is the spectral adjoint.  With ``dY_hat`` the incoming
 gradient's spectrum, ``dT_hat = dY_hat / conj(G_hat) / conj(F_hat)`` takes
@@ -55,13 +57,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .filters import SeparableArKernel, compose_1d, reparam_gradient
-from .numerics import (
-    DEFAULT_EPSILON,
-    FieldTensor,
-    MaKernel,
-    SingularSpectrumError,
-    guard_spectrum,
-)
+from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, SingularSpectrumError
 
 #: Largest grid (I1*I2) the dense oracle will assemble; beyond this the
 #: quadratic-size matrix is an accident, not a test.
@@ -236,38 +232,35 @@ def ar_spectra(ar: SeparableArKernel, height: int, width: int) -> Tuple[np.ndarr
     length-``I2`` real DFT of the composed ``f`` taps (``ar.composed``), each
     a product with the phase matrix at the tap offsets ``-Q..Q`` (wrapped).
     ``A_hat`` is not formed.  The spectrum is guarded once, here: every
-    entry magnitude ``|G_hat[k1]| * |F_hat[k2]|`` is at least
+    ``|G_hat[k1, t]| * |F_hat[k2, t]|`` is finite and at least
     ``DEFAULT_EPSILON`` (read from this module at call time), so both the
     forward solve and its adjoint may divide by the two spectra (or their
-    conjugates) without checking again.  The check
-    takes each channel's margin ``min|G_hat| * min|F_hat|``, ``O(I1 +
-    I2)``.  Only when a margin is not above the threshold by a relative
-    ``1e-12`` is the 2D magnitude built and checked, so that
+    conjugates) without checking again.  Float products of non-negative
+    numbers are monotone, so each channel's ``min|G_hat| * min|F_hat|`` and
+    ``max|G_hat| * max|F_hat|`` are exactly the least and largest of those
+    products, and the ``O(I1 + I2)`` check decides.  Otherwise
     :class:`armakit.numerics.SingularSpectrumError` names the first
-    ``(k1, k2, t)`` index below the threshold and its magnitude, as a check
-    of the full product would.  The same holds at the other end: a channel
-    whose peak ``max|G_hat| * max|F_hat|`` is not finite (taps near the
-    float64 range, or NaN) is judged on the product too, and the error names
-    the first entry that is not finite.  Kernels materialized from the
-    re-parameterization can trigger it too, although
-    :func:`armakit.filters.is_stable` passes them: a factor's spectrum falls
-    to ``1 - tanh|beta|`` at frequency 0 or pi, below the threshold once
-    ``|beta|`` exceeds about 9.56 (measured on an 8x8 field, e.g. ``beta =
-    9.7`` or ``10``).  See ROADMAP item I.
+    ``(k1, k2, t)`` entry that is not finite, else the first below the
+    threshold.  Re-parameterized kernels can fail it too: a factor's
+    spectrum falls to ``1 - tanh|beta|``, below the default threshold once
+    ``|beta|`` exceeds about 9.56 (ROADMAP item I).
     """
     offsets = tuple(range(-ar.depth, ar.depth + 1))
     f_comp, g_comp = ar.composed
-    g_hat = _phases(height, offsets, height) @ g_comp.T
-    f_hat = _phases(width // 2 + 1, offsets, width) @ f_comp.T
-    # |g * f| and |g| * |f| differ by a few ulps; the slack covers them at
-    # both ends, and a bound it cannot prove (an overflow or NaN included)
-    # is judged on the product itself
+    # an overflow or NaN is refused below, with its index, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        g_hat = _phases(height, offsets, height) @ g_comp.T
+        f_hat = _phases(width // 2 + 1, offsets, width) @ f_comp.T
         g_abs, f_abs = np.abs(g_hat), np.abs(f_hat)
         margin = g_abs.min(axis=0) * f_abs.min(axis=0)
-        peak = g_abs.max(axis=0) * f_abs.max(axis=0) * (1.0 + 1e-12)
-        if not (np.all(margin >= DEFAULT_EPSILON * (1.0 + 1e-12)) and np.all(np.isfinite(peak))):
-            guard_spectrum(g_hat[:, None, :] * f_hat[None, :, :], DEFAULT_EPSILON)
+        peak = g_abs.max(axis=0) * f_abs.max(axis=0)
+        if not (np.all(margin >= DEFAULT_EPSILON) and np.all(np.isfinite(peak))):
+            magnitude = g_abs[:, None, :] * f_abs[None, :, :]
+            bad = ~np.isfinite(magnitude)
+            if not bad.any():
+                bad = magnitude < DEFAULT_EPSILON
+            index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise SingularSpectrumError(index, magnitude[index], DEFAULT_EPSILON)
     return g_hat, f_hat
 
 

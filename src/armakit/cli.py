@@ -217,7 +217,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--size must be at least 3, the smallest depth-1 footprint, got {size}")
     if size * size > arma.DENSE_SOLVE_LIMIT:
         raise UsageError(
-            f"size {size} exceeds the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
+            f"--size {size} gives {size * size} pixels, "
+            f"over the {arma.DENSE_SOLVE_LIMIT}-pixel gradcheck guard"
         )
     if not 1 <= depth <= (size - 1) // 2:
         raise UsageError(
@@ -363,7 +364,7 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read AR config {path}: {exc}") from exc
     if not isinstance(spec, dict):
-        raise UsageError(f"malformed AR config {path}: expected a JSON object, got {spec!r}")
+        raise UsageError(f"invalid AR config {path}: expected a JSON object, got {spec!r}")
     mode = spec.get("mode", "raw")
     try:
         if mode == "identity":
@@ -386,7 +387,7 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
                 )
             return filters.SeparableArKernel([f, g])
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed AR config {path}: {exc}") from exc
+        raise UsageError(f"invalid AR config {path}: {exc}") from exc
     raise UsageError(f"unknown AR config mode {mode!r}")
 
 

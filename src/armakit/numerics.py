@@ -1,4 +1,5 @@
-"""Field and kernel tensors and the spectral singularity guard.
+"""Field and kernel tensors, and the error of the spectral singularity guard
+(the guard itself is :func:`armakit.arma.ar_spectra`).
 
 Conventions used throughout the package:
 
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default guard threshold for frequency-domain division.  Stable separable
-#: autoregressive kernels have spectra bounded well away from zero, so any
-#: magnitude below this indicates a degenerate kernel rather than roundoff.
+#: Default guard threshold for frequency-domain division, an absolute bound
+#: on every ``|G_hat| * |F_hat|``.  Re-parameterized kernels fall below it
+#: once ``|beta|`` exceeds about 9.56; a guard on conditioning is ROADMAP item I.
 DEFAULT_EPSILON = 1e-8
 
 
@@ -129,18 +130,3 @@ class MaKernel:
     def in_channels(self) -> int:
         return self.data.shape[3]
 
-
-def guard_spectrum(spectrum: np.ndarray, epsilon: float) -> None:
-    """Singularity guard for a frequency-domain denominator.
-
-    Raises :class:`SingularSpectrumError` at the first entry whose magnitude
-    is not finite (NaN, or an overflow), else at the first one below
-    ``epsilon`` (signaling an unstable or degenerate autoregressive kernel);
-    otherwise dividing by ``spectrum`` or its conjugate is well conditioned.
-    """
-    with np.errstate(over="ignore"):
-        magnitude = np.abs(spectrum)
-    for bad in (~np.isfinite(magnitude), magnitude < epsilon):
-        if bad.any():
-            index = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise SingularSpectrumError(index, magnitude[index], epsilon)

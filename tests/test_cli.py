@@ -247,6 +247,17 @@ class TestGradcheckCommand:
         code, _, _ = run(capsys, "gradcheck", "--size", "70")
         assert code == 1
 
+    def test_size_guard_names_flag_and_pixels(self, capsys, monkeypatch):
+        # 65^2 = 4225 pixels are refused; 64^2 = 4096 pass the guard
+        built = []
+        monkeypatch.setattr(cli, "gradcheck_report", lambda **kw: built.append(kw) or ({}, []))
+        code, out, err = run(capsys, "gradcheck", "--size", "65")
+        assert code == 1 and out == "" and not built
+        assert err == "error: --size 65 gives 4225 pixels, over the 4096-pixel gradcheck guard\n"
+        code, _, err = run(capsys, "gradcheck", "--size", "64")
+        assert code == 0 and err == ""
+        assert [kw["size"] for kw in built] == [64]
+
     @pytest.mark.parametrize("q", ["0", "3", "200000"])
     def test_q_outside_footprint_refused_before_building(self, capsys, q):
         # at size 6 a cascade of q factors spans 2q+1 > 6 from q = 3; q = 200000
@@ -459,7 +470,7 @@ class TestSolveCommand:
         ar.write_text(json.dumps({"mode": "identity", "depth": depth}))
         code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 1 and out == ""
-        assert err.startswith("error: malformed AR config") and "depth" in err
+        assert err.startswith("error: invalid AR config") and "depth" in err
 
     @pytest.mark.parametrize("spec", [[1, 2], "x", 3])
     def test_ar_config_must_be_json_object(self, capsys, tmp_path, spec):
@@ -469,7 +480,7 @@ class TestSolveCommand:
         ar.write_text(json.dumps(spec))
         code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 1 and out == ""
-        assert err.startswith("error: malformed AR config") and str(ar) in err
+        assert err.startswith("error: invalid AR config") and str(ar) in err
         assert "JSON object" in err
 
     @pytest.mark.parametrize("spec, entry", [
@@ -489,7 +500,7 @@ class TestSolveCommand:
         ar.write_text(json.dumps(spec))
         code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: malformed AR config {ar}: ")
+        assert err.startswith(f"error: invalid AR config {ar}: ")
         assert entry in err and "not a finite number" in err
 
     def test_raw_f_and_g_of_different_shapes_are_usage_error(self, capsys, tmp_path):
@@ -500,7 +511,7 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
         assert code == 1 and out == ""
         assert err == (
-            f"error: malformed AR config {ar}: f and g must be (channels, depth, 3) tap arrays "
+            f"error: invalid AR config {ar}: f and g must be (channels, depth, 3) tap arrays "
             f"with channels and depth >= 1, got shapes (1, 1, 3) and (1, 2, 3)\n"
         )
 
@@ -526,7 +537,7 @@ class TestSolveCommand:
             capsys, "solve", "--input", str(field), "--ar-config", str(ar), "--out", str(out_path)
         )
         assert code == 1 and out == "" and not out_path.exists()
-        assert err.startswith(f"error: malformed AR config {ar}: ")
+        assert err.startswith(f"error: invalid AR config {ar}: ")
         assert "f factor 0 of channel 0" in err and "left the stable region" in err
 
     def test_needs_input(self, capsys):

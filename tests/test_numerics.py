@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from armakit import arma
 from armakit.arma import ar_spectra, layer_backward, layer_forward
 from armakit.filters import (
     Length3Filter,
@@ -14,7 +17,6 @@ from armakit.numerics import (
     FieldTensor,
     MaKernel,
     SingularSpectrumError,
-    guard_spectrum,
 )
 from conftest import (
     embed_taps,
@@ -334,7 +336,7 @@ class TestEmbedKernel:
 
 
 class TestSpectralDivide:
-    """The guard on ``|A_hat|`` and the adjoint division by ``conj(G_hat)``, ``conj(F_hat)``."""
+    """The guard on ``|G_hat| * |F_hat|`` and the adjoint division by its conjugate factors."""
 
     def test_unit_denominator(self):
         d_y = random_field((3, 4, 2), seed=11)
@@ -343,7 +345,6 @@ class TestSpectralDivide:
         g_hat, f_hat = cache.ar_spectra
         a_hat = g_hat[:, None, :] * f_hat[None, :, :]
         assert np.array_equal(a_hat, np.ones((3, 4 // 2 + 1, 2), dtype=complex))
-        guard_spectrum(a_hat, 1e-8)
         assert np.allclose(layer_backward(d_y, cache)[0].data, d_y.data)
 
     def test_geometric_solve(self):
@@ -357,38 +358,55 @@ class TestSpectralDivide:
         assert np.allclose(out, [1.0667, 0.1333, 0.2667, 0.5333], atol=1e-4)
 
     def test_zero_entry_raises_with_index(self):
-        spectrum = np.ones((2, 3, 1), dtype=complex)
-        spectrum[1, 2, 0] = 0.0
-        with pytest.raises(SingularSpectrumError) as info:
-            guard_spectrum(spectrum, epsilon=1e-8)
-        assert info.value.index == (1, 2, 0)
+        # g = (1, 1, 1) zeroes G_hat at k1 = 1 of 3 in channel 1, on every column
+        ones = (1.0, 1.0, 1.0)
+        kernel = SeparableArKernel([((IDENTITY,), (IDENTITY,)), ((IDENTITY,), (ones,))])
+        with pytest.raises(SingularSpectrumError, match="below guard") as info:
+            ar_spectra(kernel, 3, 4)
+        assert info.value.index == (1, 0, 1)
+        assert info.value.magnitude < 1e-15
 
-    def test_threshold_tie_passes_and_one_ulp_below_raises(self):
-        # only magnitudes strictly below epsilon are refused
-        spectrum = np.ones((2, 3, 1), dtype=complex)
-        spectrum[1, 2, 0] = 1e-8
-        guard_spectrum(spectrum, 1e-8)
-        spectrum[1, 2, 0] = np.nextafter(1e-8, 0.0)
-        with pytest.raises(SingularSpectrumError, match=r"index \(1, 2, 0\)") as info:
-            guard_spectrum(spectrum, 1e-8)
-        assert info.value.index == (1, 2, 0)
+    def test_threshold_tie_passes_and_one_ulp_below_raises(self, monkeypatch):
+        # f = (a, 1, b) and g = (b, 1, a) on a 5x7 field: a threshold equal
+        # to the least |G_hat| * |F_hat| passes, and one ulp above it is
+        # refused at the first entry below it, which holds that least value
+        for a, b in itertools.product((-0.3, -0.1, 0.0, 0.05, 0.1, 0.3), repeat=2):
+            kernel = SeparableArKernel([[[(a, 1.0, b)]], [[(b, 1.0, a)]]])
+            g_hat, f_hat = ar_spectra(kernel, 5, 7)
+            magnitude = np.abs(g_hat)[:, None] * np.abs(f_hat)[None]
+            margin = np.abs(g_hat).min() * np.abs(f_hat).min()
+            threshold = np.nextafter(margin, np.inf)
+            with monkeypatch.context() as patch:
+                patch.setattr(arma, "DEFAULT_EPSILON", margin)
+                ar_spectra(kernel, 5, 7)
+                patch.setattr(arma, "DEFAULT_EPSILON", threshold)
+                with pytest.raises(SingularSpectrumError) as info:
+                    ar_spectra(kernel, 5, 7)
+            below = magnitude < threshold
+            assert info.value.index == np.unravel_index(np.argmax(below), below.shape), (a, b)
+            assert info.value.magnitude == margin and info.value.epsilon == threshold
 
     def test_non_finite_entry_raises(self):
-        # NaN and inf compare false against the threshold, yet no division
-        # by them is well conditioned
-        for value in (np.nan, np.inf):
+        # F_hat(0) overflows by itself; times G_hat(0) = 0 it is NaN.  Both
+        # compare false against the threshold, yet no division by them is
+        # well conditioned
+        huge = (1e308, 1.0, 1e308)
+        for g, problem in ((IDENTITY, "inf"), ((-0.5, 1.0, -0.5), "nan")):
+            kernel = SeparableArKernel([((huge,),), ((g,),)])
             with pytest.raises(SingularSpectrumError, match="not finite") as info:
-                guard_spectrum(np.array([1.0, value]), 1e-8)
-            assert info.value.index == (1,)
+                ar_spectra(kernel, 4, 8)
+            assert info.value.index == (0, 0, 0)
+            assert str(info.value.magnitude) == problem
 
     def test_first_non_finite_index_is_named_before_small_entries(self):
-        spectrum = np.ones((2, 3, 2), dtype=complex)
-        spectrum[0, 1, 0] = 0.0
-        spectrum[1, 0, 1] = complex(0.0, np.nan)
-        spectrum[1, 2, 0] = complex(-np.inf, 1.0)
+        # channel 0 is zero at (0, 0, 0), ahead of channel 1's first overflow
+        # at (1, 1, 1), where both of its sines are nonzero
+        zero_at_0 = (-0.5, 1.0, -0.5)
+        odd = (1e200, 1.0, -1e200)
+        kernel = SeparableArKernel([((zero_at_0,), (odd,)), ((IDENTITY,), (odd,))])
         with pytest.raises(SingularSpectrumError, match="is not finite") as info:
-            guard_spectrum(spectrum, 1e-8)
-        assert info.value.index == (1, 0, 1)
+            ar_spectra(kernel, 4, 8)
+        assert info.value.index == (1, 1, 1)
 
     def test_overflowing_margin_raises(self):
         # taps near the float64 range: min|G_hat| * min|F_hat| overflows to
@@ -400,13 +418,14 @@ class TestSpectralDivide:
         assert info.value.index == (0, 0, 1)
 
     def test_overflowing_peak_raises(self):
-        # |1 + 2i a sin k| >= 1, so the margin is fine, but the product of
-        # the peaks, about 4 a^2, overflows where both sines are nonzero
-        odd = (1e200, 1.0, -1e200)
-        kernel = SeparableArKernel([((odd,),), ((odd,),)])
+        # |1 + 2a cos k| is about 1e144 where cos k rounds near 0, so the
+        # margin is finite and far above the threshold, but the product of
+        # the peaks, (2a)^2, overflows
+        even = (1e160, 1.0, 1e160)
+        kernel = SeparableArKernel([((even,),), ((even,),)])
         with pytest.raises(SingularSpectrumError, match="not finite") as info:
             ar_spectra(kernel, 4, 8)
-        assert info.value.index == (1, 1, 0)
+        assert info.value.index == (0, 0, 0)
 
     def test_unit_circle_factor_raises_at_nyquist(self):
         # |fm1 + fp1| = f0 zeroes F_hat at k2 = W/2, on every row
@@ -438,10 +457,34 @@ near_singular_factors = st.tuples(st.floats(-3.0, 3.0), st.floats(9.3, 9.9), st.
 unit_circle_factors = st.tuples(st.floats(0.1, 0.9), st.sampled_from([1.0, -1.0])).map(
     lambda t: (t[0] * t[1], 1.0, (1.0 - t[0]) * t[1])
 )
+# taps from 1e155 to 1e200: one such factor in a cascade leaves its taps and
+# its spectrum finite, and the spectra of an f and a g cascade that hold one
+# each multiply to an overflow where neither is small
+overflowing_factors = st.tuples(st.floats(155.0, 200.0), st.sampled_from([1.0, -1.0])).map(
+    lambda t: (10.0 ** t[0], 1.0, t[1] * 10.0 ** t[0])
+)
+
+
+def reference_guard(magnitude, epsilon):
+    """The index of the first entry that is not finite, else of the first
+    below ``epsilon``; ``None`` if there is neither."""
+    for bad in (~np.isfinite(magnitude), magnitude < epsilon):
+        if bad.any():
+            return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    return None
+
+
+def guarded_index(kernel, height, width):
+    """The index that :func:`ar_spectra` refuses, or ``None`` if it passes."""
+    try:
+        ar_spectra(kernel, height, width)
+    except SingularSpectrumError as exc:
+        return exc.index
+    return None
 
 
 class TestSeparableGuard:
-    """The 1D margin ``min|G_hat| * min|F_hat|`` raises exactly where the 2D guard does."""
+    """The guard in :func:`ar_spectra` raises exactly where a guard on every 2D entry does."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -469,14 +512,53 @@ class TestSeparableGuard:
         ], axis=-1)
         # where the oracle's own roundoff decides, the two cannot be compared
         assume(not np.any(np.abs(np.abs(oracle) / DEFAULT_EPSILON - 1.0) < 1e-6))
-        try:
-            guard_spectrum(oracle, DEFAULT_EPSILON)
-            expected = None
-        except SingularSpectrumError as exc:
-            expected = exc.index
-        try:
-            ar_spectra(kernel, height, width)
-            index = None
-        except SingularSpectrumError as exc:
-            index = exc.index
-        assert index == expected
+        expected = reference_guard(np.abs(oracle), DEFAULT_EPSILON)
+        assert guarded_index(kernel, height, width) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        height=st.integers(1, 6),
+        width=st.integers(1, 7),
+        channels=st.integers(1, 3),
+        depth=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_decides_as_the_reference_guard_on_magnitude_products(
+        self, height, width, channels, depth, data
+    ):
+        # stable cascades with edge-case factors, including ones whose
+        # spectra overflow when multiplied, under thresholds that tie an
+        # entry |G_hat| * |F_hat| exactly or sit one ulp from it
+        shape = (2, channels, depth)
+        factors = np.array(data.draw(st.lists(
+            stable_factors, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+        ))).reshape(shape + (3,))
+        for _ in range(data.draw(st.integers(1, 4))):
+            axis, channel = data.draw(st.integers(0, 1)), data.draw(st.integers(0, channels - 1))
+            if data.draw(st.booleans()):
+                # at most one overflowing factor per cascade, so that its taps stay finite
+                factors[axis, channel, 0] = data.draw(overflowing_factors)
+            else:
+                factors[axis, channel, data.draw(st.integers(0, depth - 1))] = data.draw(
+                    st.one_of(near_singular_factors, unit_circle_factors)
+                )
+        kernel = SeparableArKernel(factors)
+        # each axis's spectrum alone (the other axis identity, so its
+        # spectrum is exactly 1) is finite, and passes a zero threshold
+        identity = np.broadcast_to(IDENTITY, factors.shape[1:])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arma, "DEFAULT_EPSILON", 0.0)
+            _, f_hat = ar_spectra(SeparableArKernel([factors[0], identity]), height, width)
+            g_hat, _ = ar_spectra(SeparableArKernel([identity, factors[1]]), height, width)
+        with np.errstate(over="ignore"):
+            magnitude = np.abs(g_hat)[:, None, :] * np.abs(f_hat)[None, :, :]
+        finite = np.sort(magnitude[np.isfinite(magnitude)])
+        threshold = DEFAULT_EPSILON
+        if finite.size:
+            entry = finite[data.draw(st.integers(0, finite.size - 1))]
+            threshold = data.draw(st.sampled_from(
+                [DEFAULT_EPSILON, entry, np.nextafter(entry, np.inf), np.nextafter(entry, 0.0)]
+            ))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arma, "DEFAULT_EPSILON", threshold)
+            assert guarded_index(kernel, height, width) == reference_guard(magnitude, threshold)
