@@ -69,7 +69,7 @@ class ArmaLayerParams:
     """Validated parameter bundle for one ARMA layer.
 
     Requires an autoregressive kernel built from ``(alpha, beta)`` parameters,
-    which certified every factor's stability when it was built.
+    whose every factor is stable by construction.
     """
 
     ma: MaKernel

@@ -14,8 +14,8 @@ the stack to get ``M``, and takes one 2D transform, the ``irfft2`` of the
 batch's output spectrum for the loss.  Two modes:
 
 * ``reparam``: autoregressive factors live in unconstrained ``(alpha, beta)``
-  coordinates, provably stable in exact arithmetic; a factor that float64
-  rounding leaves unstable raises ``ValueError``;
+  coordinates, and every step's factors are stable, in float64 too; a step
+  that takes a factor's spectrum below the guard is recorded as divergence;
 * ``raw``: factor taps ``(fm1, fp1)`` are updated directly with no
   constraint, which lets the output recursively amplify itself once the taps
   leave the stable region.  Divergence is a recorded outcome, not an error.
@@ -201,9 +201,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
 
     Each record holds the loss at the current parameters, the largest output
     magnitude over the batch, and the mean materialized ``|fm1 + fp1|`` over
-    all autoregressive factors.  In reparam mode every factor is checked
-    against the stability bound at every step.  That failure and others,
-    such as a kernel that does not fit the field, are raised.
+    all autoregressive factors.  A setup error, such as a kernel that does
+    not fit the field, is raised.
     """
     if config.channel_sizes[0] != task.inputs.shape[3]:
         raise ValueError(
@@ -238,7 +237,6 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
     virtual_shape = (s0,) + task.inputs.shape[1:]
 
     for step in range(config.steps):
-        # in reparam mode, building a kernel checks the last update's factors
         kernels = [(MaKernel(layer.w), layer.ar_kernel()) for layer in layers]
         ar_sums = [np.abs(ar.taps[..., 0] + ar.taps[..., 2]).ravel() for _, ar in kernels]
         mean_ar_sum = float(np.mean(np.concatenate(ar_sums)))
@@ -252,7 +250,8 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
                 shape = cache.shape
                 caches.append(cache)
         except SingularSpectrumError:
-            # raw taps left the stable region and zeroed a spectral mode
+            # raw taps past the stable bound, or a reparam factor's tap sum
+            # neared +-1: the guard refused a (nearly) zero spectral mode
             loss = max_out = float("inf")
         else:
             y_hat = np.einsum("nijs,sijt->nijt", inputs_hat, m_hat)
@@ -291,10 +290,6 @@ def train(task: ToyTask, config: TrainConfig) -> TrainTrace:
         for layer, (d_w, d_ar) in zip(layers, grads):
             layer.w -= config.learning_rate * scale * d_w
             layer.ar -= config.learning_rate * scale * d_ar
-
-    if config.mode == "reparam":
-        for layer in layers:
-            layer.ar_kernel()  # refuses the final update's float64-unstable factors
     return trace
 
 

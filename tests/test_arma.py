@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from armakit.filters import (
     Length3Filter,
     SeparableArKernel,
     materialize_2d,
+    stable_factors,
 )
 from armakit.numerics import FieldTensor, MaKernel, SingularSpectrumError
 from conftest import identity_ma, ma_stage, naive_circular_conv2, naive_circular_correlation
@@ -404,26 +406,15 @@ class TestArmaLayer:
                 ar=SeparableArKernel([((unstable,),), ((unstable,),)]),
             )
 
-    def test_params_refusal_names_first_unstable_factor(self):
-        zeros = np.zeros((2, 2))
-        beta_g = zeros.copy()
-        beta_g[1, 1] = 20.0
-        with pytest.raises(ValueError) as refusal:
-            SeparableArKernel.from_arrays(zeros, zeros, zeros, beta_g)
-        message = str(refusal.value)
-        assert "g factor 1 of channel 1" in message
-        assert "[0.5, 1.0, 0.5]" in message and "left the stable region" in message
-
-    @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
-    def test_params_at_float64_tanh_edge(self, beta, stable):
-        # math.tanh(19) < 1 while math.tanh(20) rounds to 1, the boundary
+    @pytest.mark.parametrize("beta, below_one", [(19.0, True), (20.0, False)])
+    def test_params_at_float64_tanh_edge(self, beta, below_one):
+        # math.tanh(19) < 1 while math.tanh(20) rounds to 1, and materialize
+        # clamps it below 1: both kernels are layers
+        assert (math.tanh(beta) < 1.0) is below_one
         zero = np.zeros((1, 1))
-        if stable:
-            kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
-            ArmaLayerParams(ma=identity_ma(), ar=kernel)
-        else:
-            with pytest.raises(ValueError, match="f factor 0 of channel 0"):
-                SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
+        kernel = SeparableArKernel.from_arrays(zero, np.full((1, 1), beta), zero, zero)
+        ArmaLayerParams(ma=identity_ma(), ar=kernel)
+        assert stable_factors(kernel.taps).all()
 
     def test_raw_kernel_backward_rejected_without_params(self):
         # a raw stable kernel is a valid layer, but it has no (alpha, beta)

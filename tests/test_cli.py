@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 
@@ -360,13 +361,14 @@ class TestStabilityCommand:
         assert run(capsys, "stability")[0] == 1
         assert run(capsys, "stability", "--filter", "0,1,0", "--scan", "5")[0] == 1
 
-    @pytest.mark.parametrize("beta, stable", [("19", True), ("20", False)])
-    def test_reparam_at_float64_tanh_edge(self, capsys, beta, stable):
+    @pytest.mark.parametrize("beta, below_one", [("19", True), ("20", False)])
+    def test_reparam_at_float64_tanh_edge(self, capsys, beta, below_one):
+        # materialize clamps math.tanh(20) = 1 below 1, so both are stable
         code, out, _ = run(capsys, "stability", "--reparam", "0," + beta)
         assert code == 0
         report = strict_json(out)
-        assert report["stable"] is stable
-        assert (report["sum"] < 1.0) is stable
+        assert report["stable"] is True
+        assert report["sum"] == (math.tanh(float(beta)) if below_one else np.nextafter(1.0, 0.0))
 
     def test_nonpositive_center_tap_is_usage_error(self, capsys):
         assert run(capsys, "stability", "--filter", "0.3,0,0.5")[0] == 1
@@ -524,22 +526,6 @@ class TestSolveCommand:
         assert code == 0
         assert [float(v) for v in out.strip().splitlines()[1].split(",")] == [4, 5, 6]
 
-    @pytest.mark.parametrize("size", [7, 8])
-    def test_float64_unstable_reparam_config_is_usage_error(self, capsys, tmp_path, size):
-        # tanh(20) rounds to 1, so f's taps sum to 1: never solved, whatever the field
-        field = tmp_path / "x.csv"
-        np.savetxt(field, np.random.default_rng(size).standard_normal((size, size)), delimiter=",")
-        ar = tmp_path / "ar.json"
-        ar.write_text(json.dumps({"mode": "reparam", "alpha_f": [[0]], "beta_f": [[20]],
-                                  "alpha_g": [[0]], "beta_g": [[0]]}))
-        out_path = tmp_path / "y.csv"
-        code, out, err = run(
-            capsys, "solve", "--input", str(field), "--ar-config", str(ar), "--out", str(out_path)
-        )
-        assert code == 1 and out == "" and not out_path.exists()
-        assert err.startswith(f"error: invalid AR config {ar}: ")
-        assert "f factor 0 of channel 0" in err and "left the stable region" in err
-
     def test_needs_input(self, capsys):
         code, out, err = run(capsys, "solve")
         assert code == 1 and out == ""
@@ -672,14 +658,6 @@ class TestTrainCommand:
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [("--clip", "1e9"), ("--steps", "3", "--lr", "1e14")])
-    def test_reparam_factor_rounded_out_of_stable_region_is_usage_error(self, capsys, argv):
-        # a huge step pushes (alpha, beta) where float64 rounds the tap sum to +-1
-        code, out, err = run(capsys, "train", "--size", "40", "--sigma", "2", "--samples", "1", *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "left the stable region" in err
-        assert "Traceback" not in err
-
     def test_kernel_larger_than_field_is_usage_error(self, capsys):
         code, out, err = run(capsys, "train", "--task", "zero", "--size", "2")
         assert code == 1
@@ -695,6 +673,63 @@ class TestTrainCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestExitCodes:
+    """One row per refusal path: the argv (``{name}`` is a file the fixture
+    writes), the exit code, a fragment of the one stderr line (empty: no
+    stderr) and the count of lines written to ``--out``, or else to stdout."""
+
+    ROWS = {
+        # a valid reparam setup that reaches float64's limits is never exit 1
+        "train-lr1-clip1e6": (("train", "--lr", "1", "--clip", "1e6"), 3, "diverged at step 1", 3),
+        "train-clip1e9": (("train", "--size", "40", "--sigma", "2", "--samples", "1",
+                           "--clip", "1e9"), 3, "diverged at step 2", 4),
+        "train-clip1e9-lr1e14": (("train", "--size", "40", "--sigma", "2", "--samples", "1",
+                                  "--clip", "1e9", "--steps", "3", "--lr", "1e14"),
+                                 3, "diverged at step 1", 3),
+        # tanh(20) rounds to 1 and is clamped below it: a 7x7 field never meets
+        # the Nyquist mode, where the clamped f spectrum is 1.1e-16 on 8x8
+        "solve-beta20-7x7": (("solve", "--input", "{x7}", "--ar-config", "{beta20}",
+                              "--out", "{y}"), 0, "", 7),
+        "solve-beta20-8x8": (("solve", "--input", "{x8}", "--ar-config", "{beta20}",
+                              "--out", "{y}"), 2,
+                             "spectrum magnitude 1.345e-16 below guard 1.000e-08 at frequency "
+                             "index (0, 4, 0)", 0),
+        # stable taps [-0.2500000000000001, 1, 1.25], but |z1| rounds to 1
+        "stability-reparam-1.5,19": (("stability", "--reparam", "1.5,19"), 1,
+                                     "beyond float64's range for a verdict", 0),
+        "stability-reparam-0,20": (("stability", "--reparam", "0,20"), 0, "", 1),
+        # raw taps whose cascade overflows when composed
+        "solve-raw-overflow": (("solve", "--input", "{x5}", "--ar-config", "{overflow}"), 2,
+                               "numeric failure: spectrum magnitude nan is not finite at "
+                               "frequency index (0, 0, 0)", 0),
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("x5", "x7", "x8", "y")}
+        for size in (5, 7, 8):
+            field = np.random.default_rng(size).standard_normal((size, size))
+            np.savetxt(paths[f"x{size}"], field, delimiter=",")
+        paths["beta20"], paths["overflow"] = tmp_path / "beta20.json", tmp_path / "overflow.json"
+        paths["beta20"].write_text(json.dumps(
+            {"mode": "reparam", "alpha_f": [[0]], "beta_f": [[20]], "alpha_g": [[0]],
+             "beta_g": [[0]]}))
+        cascade = [[[1e200, 1, 1e200], [1e200, 1, 1e200]]]
+        paths["overflow"].write_text(json.dumps({"mode": "raw", "f": cascade, "g": cascade}))
+        return paths
+
+    @pytest.mark.parametrize("argv, code, fragment, lines", ROWS.values(), ids=ROWS.keys())
+    def test_exit_code(self, capsys, files, argv, code, fragment, lines):
+        argv = [arg.format(**files) for arg in argv]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert fragment in err and err.count("\n") == (1 if fragment else 0)
+        if "--out" in argv:
+            assert out == ""
+            out = files["y"].read_text() if files["y"].exists() else ""
+        assert len(out.splitlines()) == lines
 
 
 class TestParser:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from armakit.filters import (
     Length3Filter,
@@ -11,6 +12,7 @@ from armakit.filters import (
     materialize,
     materialize_2d,
     reparam_gradient,
+    stable_factors,
     straddles_unit_circle,
     zeros_of,
 )
@@ -38,16 +40,51 @@ class TestMaterialize:
         assert fm1 + fp1 == pytest.approx(0.995055, abs=1e-6)
         assert fm1 + fp1 < 1.0
 
-    @pytest.mark.parametrize("beta, stable", [(19.0, True), (20.0, False)])
-    def test_float64_tanh_edge(self, beta, stable):
+    @pytest.mark.parametrize("beta, below_one", [(19.0, True), (20.0, False)])
+    def test_float64_tanh_edge(self, beta, below_one):
         # np.tanh(19) already rounds to 1.0; materialize keeps math.tanh's
-        # values, which stay below 1 up to beta ~ 19.06
+        # values, which stay below 1 up to beta ~ 19.06, and clamps them there
+        assert (math.tanh(beta) < 1.0) is below_one
         f = materialize([0.0, beta])
-        assert f[0] + f[2] == math.tanh(beta)
-        assert is_stable(f) is stable
+        assert f[0] + f[2] == (math.tanh(beta) if below_one else np.nextafter(1.0, 0.0))
+        assert is_stable(f)
+        if not below_one:
+            assert f.tolist() == [0.49999999999999994, 1.0, 0.49999999999999994]
         taps = materialize(np.array([[0.0, beta], [0.3, -beta]]))
         assert np.array_equal(taps[0], f)
-        assert is_stable(taps) is stable
+        assert is_stable(taps)
+
+    def test_rounded_tap_sum_moves_the_smaller_outer_tap(self):
+        # the plain formula rounds (1.5, 19) to [-0.25000000000000006, 1, 1.25],
+        # tap sum exactly 1; one ulp off fm1, toward the stable side, mends it
+        assert materialize([1.5, 19.0]).tolist() == [-0.2500000000000001, 1.0, 1.25]
+        assert materialize([-1.5, -19.0]).tolist() == [0.2500000000000001, 1.0, -1.25]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(1.5, 19.0)
+    @example(0.0, 20.0)
+    @example(-1e308, 1e308)
+    @example(5e-324, -0.0)
+    def test_every_finite_pair_is_stable(self, alpha, beta):
+        f = materialize([alpha, beta])
+        assert np.isfinite(f).all() and f[1] == 1.0
+        assert stable_factors(f)
+        kernel = SeparableArKernel(params=np.broadcast_to([alpha, beta], (2, 1, 1, 2)))
+        assert kernel.taps.tobytes() == np.broadcast_to(f, (2, 1, 1, 3)).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(-19.1, 19.1, allow_nan=False))
+    @example(0.3, 19.0)
+    @example(-0.0, -0.0)
+    def test_plain_formula_kept_where_it_is_stable(self, alpha, beta):
+        # the map without clamp or nudge, wherever float64 leaves it stable
+        t = math.tanh(beta)
+        plain = np.array([0.5 * (t - alpha), 1.0, 0.5 * (t + alpha)])
+        assume(abs(t) < 1.0 and stable_factors(plain))
+        assert materialize([alpha, beta]).tobytes() == plain.tobytes()
 
 
 class TestIsStable:
