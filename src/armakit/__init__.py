@@ -10,10 +10,8 @@ analytic and empirical radii, a small training harness, and a CLI.
 
 from .numerics import DEFAULT_EPSILON, FieldTensor, MaKernel, SingularSpectrumError
 from .filters import (
-    Length3Filter,
     SeparableArKernel,
     compose_1d,
-    is_stable,
     materialize,
     materialize_2d,
     reparam_gradient,

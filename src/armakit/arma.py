@@ -388,9 +388,14 @@ def layer_forward(
     x: FieldTensor, ma: MaKernel, ar: SeparableArKernel
 ) -> Tuple[FieldTensor, LayerCache]:
     """:func:`spectral_forward` on a field: one ``rfft2`` of ``x`` in, one
-    ``irfft2`` of ``Y_hat`` out.  Returns the output field and the cache."""
-    y_hat, cache = spectral_forward(_rfft2(x), x.data.shape, ma, ar)
-    return _irfft2(y_hat, x.height, x.width), cache
+    ``irfft2`` of ``Y_hat`` out.  Returns the output field and the cache.
+    Raises ``OverflowError`` if the output leaves float64's range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_hat, cache = spectral_forward(_rfft2(x), x.data.shape, ma, ar)
+        try:  # the output field's finiteness check is the one pass over it
+            return _irfft2(y_hat, x.height, x.width), cache
+        except ValueError as exc:
+            raise OverflowError("the layer output is beyond float64's range") from exc
 
 
 def layer_backward(

@@ -7,8 +7,9 @@ forward solve with optional dense oracle and timing), and ``train`` (the toy
 training demo).
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure (singular spectrum,
-wraparound rejection, tolerance breach), 3 divergence detected during
-training.  Primary data and JSON go to stdout, diagnostics to stderr.
+an output beyond float64's range, wraparound rejection, tolerance breach), 3
+divergence detected during training.  Primary data and JSON go to stdout,
+diagnostics to stderr.
 Every flag of a subcommand can instead be supplied through ``--config FILE``
 (a flat JSON object keyed by flag name); explicit flags win, unknown keys are
 rejected, and each value must have the JSON type of its flag: a bool for a
@@ -291,7 +292,7 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 
 
 # --scan draws at most this many points, tested as arrays: the points, their
-# taps and the zero test's arrays peak at about 126 bytes a point (tracemalloc)
+# taps and materialize's temporaries peak at about 82 bytes a point (tracemalloc)
 SCAN_LIMIT = 10**6
 
 
@@ -304,25 +305,25 @@ def _filter_report(flag: str, taps) -> dict:
     ``--reparam 1e16,0.5`` rounds the tap sum to 0 and both moduli to 1),
     is refused, naming ``--flag``.
     """
-    f = filters.Length3Filter(*taps)
-    z1, z2 = filters.zeros_of(f)
-    zeros = [z1, z2] if f.fm1 != 0.0 else [z1]
+    fm1, _, fp1 = taps
+    z1, z2 = filters.zeros_of(taps)
+    zeros = [z1, z2] if fm1 != 0.0 else [z1]
     pairs = [[z.real, z.imag] for z in zeros]
     with np.errstate(over="ignore"):
         moduli = [abs(z) for z in zeros]
-        stable = filters.is_stable(f)
-    tap_sum = f.fm1 + f.fp1
+        stable = bool(filters.stable_factors(taps))
+    tap_sum = fm1 + fp1
     if not np.all(np.isfinite([tap_sum, *moduli, *(v for pair in pairs for v in pair)])):
         raise UsageError(
-            f"--{flag} taps {list(f)} give a tap sum, zero or modulus beyond float64's range"
+            f"--{flag} taps {taps} give a tap sum, zero or modulus beyond float64's range"
         )
     if stable != (abs(z1) < 1.0 < abs(z2)):
         raise UsageError(
-            f"--{flag} taps {list(f)} are beyond float64's range for a verdict: the tap "
+            f"--{flag} taps {taps} are beyond float64's range for a verdict: the tap "
             f"sum says {'' if stable else 'un'}stable, the zero moduli "
             f"{[float(m) for m in moduli]} do not"
         )
-    return {"stable": stable, "sum": tap_sum, "taps": list(f), "zeros": pairs, "moduli": moduli}
+    return {"stable": stable, "sum": tap_sum, "taps": taps, "zeros": pairs, "moduli": moduli}
 
 
 def cmd_stability(args) -> int:
@@ -344,7 +345,7 @@ def cmd_stability(args) -> int:
     rng = np.random.default_rng(opts["seed"])
     points = rng.uniform(-10.0, 10.0, size=(count, 2))
     taps = filters.materialize(points)
-    bad = points[~(filters.stable_factors(taps) & filters.straddles_unit_circle(taps))]
+    bad = points[~filters.stable_factors(taps)]
     print(json.dumps({"scanned": count, "all_stable": not len(bad), "failures": len(bad)}))
     if len(bad):
         for alpha, beta in bad[:10].tolist():  # Python floats, so !r prints bare numbers
@@ -543,7 +544,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularSpectrumError, erf.WraparoundError) as exc:
+    except (SingularSpectrumError, erf.WraparoundError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,11 +1,13 @@
 """Length-3 autoregressive factors: stability, re-parameterization, and
 separable 2D composition.
 
-A length-3 factor ``(fm1, f0, fp1)`` acts on a sequence as the convolution
-constraint ``fm1*y[i+1] + f0*y[i] + fp1*y[i-1] = x[i]``.  Solving for ``y``
-is a bounded operation exactly when the zeros of the characteristic
-polynomial ``fm1*z^2 + f0*z + fp1`` straddle the unit circle, which for real
-taps reduces to the strict inequality ``|fm1 + fp1| < f0``.
+A length-3 factor is a row ``(fm1, f0, fp1)`` of a ``(..., 3)`` tap array.
+It acts on a sequence as the convolution constraint
+``fm1*y[i+1] + f0*y[i] + fp1*y[i-1] = x[i]``.  Solving for ``y`` is a
+bounded operation exactly when the zeros of the characteristic polynomial
+``fm1*z^2 + f0*z + fp1`` straddle the unit circle, which for real taps
+reduces to the strict inequality ``|fm1 + fp1| < f0``: :func:`stable_factors`
+is that one test.
 
 The unconstrained parameterization maps any ``(alpha, beta)`` pair into that
 open stability region, with the center tap fixed to ``f0 = 1``, by routing
@@ -22,22 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-
-
-class Length3Filter(NamedTuple):
-    """Three-tap 1D autoregressive factor.
-
-    ``fm1``/``fp1`` are the taps at offsets -1/+1 and ``f0`` the center tap,
-    which is expected to be positive.  As a tuple it reads as the taps in
-    offset order, so a nested sequence of factors is a ``(..., 3)`` tap array.
-    """
-
-    fm1: float
-    f0: float
-    fp1: float
 
 
 # math.tanh elementwise: np.tanh rounds to 1.0 from beta ~ 18.99, while
@@ -100,6 +89,8 @@ def reparam_gradient(p, d_taps):
 def stable_factors(taps) -> np.ndarray:
     """``|fm1 + fp1| < f0`` per factor of a ``(..., 3)`` tap array.
 
+    Equivalent to the zeros of ``fm1*z^2 + f0*z + fp1`` straddling the unit
+    circle, so the inverse filter's region of convergence contains it.
     Raises ``ValueError`` if any center tap is not positive.
     """
     taps = np.asarray(taps, dtype=np.float64)
@@ -109,23 +100,12 @@ def stable_factors(taps) -> np.ndarray:
     return np.abs(taps[..., 0] + taps[..., 2]) < f0
 
 
-def is_stable(f) -> bool:
-    """Strict stability test ``|fm1 + fp1| < f0``.
-
-    Equivalent to the zeros of ``fm1*z^2 + f0*z + fp1`` straddling the unit
-    circle, so the inverse filter's region of convergence contains it.
-    ``f`` is one :class:`Length3Filter` or a ``(..., 3)`` tap array; the
-    result is True iff every factor passes.
-    """
-    return bool(np.all(stable_factors(f)))
-
-
 def zeros_of(taps) -> np.ndarray:
     """Zeros ``(z1, z2)`` of ``fm1*z^2 + f0*z + fp1``, ordered ``|z1| <= |z2|``.
 
-    ``taps`` is one :class:`Length3Filter` or a ``(..., 3)`` tap array; the
-    result is ``(..., 2)`` complex, from one closed form for every row of
-    finite taps (a non-finite tap raises ``ValueError``).  With
+    ``taps`` is a ``(..., 3)`` tap array; the result is ``(..., 2)`` complex,
+    from one closed form for every row of finite taps (a non-finite tap
+    raises ``ValueError``).  With
     ``q = -(f0 + sign(f0)*sqrt(f0^2 - 4*fm1*fp1))/2`` a real pair is ``fp1/q``
     and ``q/fm1`` (a linear row's ``-fp1/f0`` and infinity), a conjugate pair
     ``(-f0 +- i*sqrt(4*fm1*fp1 - f0^2)) / (2*fm1)``, positive imaginary first.
@@ -150,7 +130,7 @@ def zeros_of(taps) -> np.ndarray:
         zeros = np.zeros(fm1.shape + (2,), dtype=complex)
         np.divide(q, fm1, out=zeros.real[:, 1])
         np.divide(fp1, q, out=zeros.real[:, 0])
-        del q  # freed as soon as read: --scan peaks in this function
+        del q  # freed as soon as read
         np.copyto(zeros.real[:, 0], zeros.real[:, 1], where=disc <= 0.0)  # one real part
         np.divide(np.sqrt(-disc), 2.0 * np.abs(fm1), out=zeros.imag[:, 0], where=disc < 0.0)
         np.subtract(0.0, zeros.imag[:, 0], out=zeros.imag[:, 1])  # a real pair keeps +0.0
@@ -160,19 +140,12 @@ def zeros_of(taps) -> np.ndarray:
     return zeros.reshape(np.shape(taps)[:-1] + (2,))
 
 
-def straddles_unit_circle(taps) -> np.ndarray:
-    """``|z1| < 1 < |z2|``, the bounded-solve condition, per :func:`zeros_of` row."""
-    moduli = np.abs(zeros_of(taps))
-    return (moduli[..., 0] < 1.0) & (moduli[..., 1] > 1.0)
-
-
 def compose_1d(filters) -> np.ndarray:
     """Convolve a cascade of length-3 factors into one tap array.
 
-    ``filters`` is a ``(..., Q, 3)`` tap array (or a sequence of ``Q``
-    :class:`Length3Filter`); every cascade along the leading axes is
-    composed at once.  Returns ``(..., 2Q + 1)`` taps indexed from offset
-    ``-Q`` to ``+Q``.
+    ``filters`` is a ``(..., Q, 3)`` tap array; every cascade along the
+    leading axes is composed at once.  Returns ``(..., 2Q + 1)`` taps
+    indexed from offset ``-Q`` to ``+Q``.
     """
     factors = np.asarray(filters, dtype=np.float64)
     if factors.ndim < 2 or factors.shape[-2] < 1 or factors.shape[-1] != 3:

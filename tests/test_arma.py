@@ -17,7 +17,6 @@ from armakit.arma import (
     spectral_forward,
 )
 from armakit.filters import (
-    Length3Filter,
     SeparableArKernel,
     materialize_2d,
     stable_factors,
@@ -31,8 +30,8 @@ def field_1x4(values):
 
 
 def causal_kernel(coeff, channels=1):
-    causal = Length3Filter(0.0, 1.0, coeff)
-    ident = Length3Filter(0.0, 1.0, 0.0)
+    causal = (0.0, 1.0, coeff)
+    ident = (0.0, 1.0, 0.0)
     return SeparableArKernel([((causal,),) * channels, ((ident,),) * channels])
 
 
@@ -128,8 +127,8 @@ class TestArForward:
 
     def test_unstable_kernel_triggers_guard(self):
         # symmetric taps summing to -1 zero out the Nyquist frequency
-        bad = Length3Filter(-0.5, 1.0, -0.5)
-        kernel = SeparableArKernel([((bad,),), ((Length3Filter(0, 1, 0),),)])
+        bad = (-0.5, 1.0, -0.5)
+        kernel = SeparableArKernel([((bad,),), (((0, 1, 0),),)])
         with pytest.raises(SingularSpectrumError):
             layer_forward(FieldTensor(np.ones((4, 4, 1))), identity_ma(), kernel)
 
@@ -226,8 +225,8 @@ class TestArBackward:
 
     def test_backward_honours_forward_epsilon(self, monkeypatch):
         # min|A_hat| = 1 - 2*0.4999999998 = 4e-10, at the Nyquist column
-        near = Length3Filter(0.4999999998, 1.0, 0.4999999998)
-        kernel = SeparableArKernel([((near,),), ((Length3Filter(0, 1, 0),),)])
+        near = (0.4999999998, 1.0, 0.4999999998)
+        kernel = SeparableArKernel([((near,),), (((0, 1, 0),),)])
         t = FieldTensor(np.random.default_rng(29).standard_normal((4, 8, 1)))
         with monkeypatch.context() as patch:
             # the threshold is read from the module at call time
@@ -399,7 +398,7 @@ class TestArmaLayer:
         )
         with pytest.raises(ValueError, match="produces 2 channels"):
             arma_forward(FieldTensor(rng.standard_normal((5, 5, 1))), params)
-        unstable = Length3Filter(0.6, 1.0, 0.6)
+        unstable = (0.6, 1.0, 0.6)
         with pytest.raises(ValueError, match="no \\(alpha, beta\\) parameters"):
             ArmaLayerParams(
                 ma=MaKernel(rng.standard_normal((3, 3, 1, 1))),
@@ -456,8 +455,8 @@ class TestRawTapGradients:
 
         def kernel_from(taps):
             return SeparableArKernel([
-                ((Length3Filter(taps[0], 1.0, taps[1]),),),
-                ((Length3Filter(taps[2], 1.0, taps[3]),),),
+                (((taps[0], 1.0, taps[1]),),),
+                (((taps[2], 1.0, taps[3]),),),
             ])
 
         for shape in ((6, 6, 1), (5, 7, 1), (6, 8, 1), (2, 5, 8, 1)):
@@ -850,8 +849,8 @@ class TestFootprintTies:
     def test_ar_factor(self, axis, size, fits):
         # a depth-1 factor with nonzero outer taps spans 2 pixels; g runs
         # along the rows and f along the columns
-        factors = [((Length3Filter(0.0, 1.0, 0.0),),)] * 2
-        factors[axis] = ((Length3Filter(0.2, 1.0, 0.1),),)
+        factors = [(((0.0, 1.0, 0.0),),)] * 2
+        factors[axis] = (((0.2, 1.0, 0.1),),)
         shape = [3, 3, 1]
         shape[axis] = size
         self.solve(shape, identity_ma(), SeparableArKernel([factors[1], factors[0]]), fits)

@@ -5,20 +5,23 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from armakit.filters import (
-    Length3Filter,
     SeparableArKernel,
     compose_1d,
-    is_stable,
     materialize,
     materialize_2d,
     reparam_gradient,
     stable_factors,
-    straddles_unit_circle,
     zeros_of,
 )
 from conftest import embed_taps, quadratic_root_moduli
 
-IDENTITY = Length3Filter(0.0, 1.0, 0.0)
+IDENTITY = (0.0, 1.0, 0.0)
+
+
+def zeros_straddle(taps):
+    # |z1| < 1 < |z2| per row, from the zeros as zeros_of rounds them
+    moduli = np.abs(zeros_of(taps))
+    return (moduli[..., 0] < 1.0) & (moduli[..., 1] > 1.0)
 
 
 class TestMaterialize:
@@ -31,7 +34,7 @@ class TestMaterialize:
         z1, z2 = zeros_of(f)
         assert abs(z1) == pytest.approx(0.618034, abs=1e-6)
         assert abs(z2) == pytest.approx(1.618034, abs=1e-6)
-        assert straddles_unit_circle(f)
+        assert zeros_straddle(f)
 
     def test_pure_beta_approaches_bound(self):
         fm1, _, fp1 = materialize([0.0, 3.0])
@@ -47,12 +50,12 @@ class TestMaterialize:
         assert (math.tanh(beta) < 1.0) is below_one
         f = materialize([0.0, beta])
         assert f[0] + f[2] == (math.tanh(beta) if below_one else np.nextafter(1.0, 0.0))
-        assert is_stable(f)
+        assert stable_factors(f)
         if not below_one:
             assert f.tolist() == [0.49999999999999994, 1.0, 0.49999999999999994]
         taps = materialize(np.array([[0.0, beta], [0.3, -beta]]))
         assert np.array_equal(taps[0], f)
-        assert is_stable(taps)
+        assert stable_factors(taps).all()
 
     def test_rounded_tap_sum_moves_the_smaller_outer_tap(self):
         # the plain formula rounds (1.5, 19) to [-0.25000000000000006, 1, 1.25],
@@ -89,30 +92,29 @@ class TestMaterialize:
 
 class TestIsStable:
     def test_spec_triples(self):
-        assert is_stable(Length3Filter(0.3, 1.0, 0.5)) is True
-        assert is_stable(Length3Filter(0.75, 1.0, 0.75)) is False
-        assert is_stable(IDENTITY) is True
+        assert stable_factors([(0.3, 1.0, 0.5), (0.75, 1.0, 0.75), IDENTITY]).tolist() == [
+            True, False, True]
 
     def test_boundary_is_excluded(self):
-        assert is_stable(Length3Filter(0.5, 1.0, 0.5)) is False
+        assert not stable_factors((0.5, 1.0, 0.5))
 
     def test_nonpositive_center_tap_rejected(self):
         with pytest.raises(ValueError):
-            is_stable(Length3Filter(0.1, 0.0, 0.1))
+            stable_factors((0.1, 0.0, 0.1))
         with pytest.raises(ValueError):
-            is_stable(Length3Filter(0.1, -1.0, 0.1))
+            stable_factors((0.1, -1.0, 0.1))
 
 
 class TestZeros:
     def test_real_pair(self):
-        z1, z2 = zeros_of(Length3Filter(0.3, 1.0, 0.5))
+        z1, z2 = zeros_of((0.3, 1.0, 0.5))
         assert z1 == pytest.approx(-0.612574, abs=1e-6)
         assert z2 == pytest.approx(-2.720760, abs=1e-6)
         assert z1.imag == z2.imag == 0.0 and not np.signbit([z1.imag, z2.imag]).any()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_conjugate_pair_positive_imaginary_part_first(self, sign):
-        z1, z2 = zeros_of(Length3Filter(0.75 * sign, 1.0, 0.75 * sign))
+        z1, z2 = zeros_of((0.75 * sign, 1.0, 0.75 * sign))
         assert z1 == np.conj(z2) and z1.imag > 0.0
         assert abs(z1) == abs(z2) == 1.0
 
@@ -126,19 +128,19 @@ class TestZeros:
         assert np.all(moduli[:, 0] <= moduli[:, 1])
 
     def test_complex_pair_on_unit_circle(self):
-        f = Length3Filter(0.75, 1.0, 0.75)
+        f = (0.75, 1.0, 0.75)
         z1, z2 = zeros_of(f)
         assert abs(z1.imag) > 0
         assert abs(z1) == pytest.approx(1.0, abs=1e-12)
         assert abs(z2) == pytest.approx(1.0, abs=1e-12)
-        assert not straddles_unit_circle(f)
+        assert not zeros_straddle(f)
 
     def test_degenerate_linear_case(self):
-        f = Length3Filter(0.0, 1.0, -0.5)
+        f = (0.0, 1.0, -0.5)
         z1, z2 = zeros_of(f)
         assert z1 == pytest.approx(0.5)
         assert not np.isfinite(z2.real)
-        assert straddles_unit_circle(f)
+        assert zeros_straddle(f)
 
     def test_vieta_relations(self):
         rng = np.random.default_rng(12)
@@ -146,10 +148,10 @@ class TestZeros:
             fm1 = rng.uniform(-3, 3)
             if abs(fm1) < 1e-3:
                 continue
-            f = Length3Filter(fm1, rng.uniform(0.1, 3), rng.uniform(-3, 3))
-            z1, z2 = zeros_of(f)
-            assert z1 * z2 == pytest.approx(f.fp1 / f.fm1, rel=1e-9, abs=1e-9)
-            assert z1 + z2 == pytest.approx(-f.f0 / f.fm1, rel=1e-9, abs=1e-9)
+            f0, fp1 = rng.uniform(0.1, 3), rng.uniform(-3, 3)
+            z1, z2 = zeros_of((fm1, f0, fp1))
+            assert z1 * z2 == pytest.approx(fp1 / fm1, rel=1e-9, abs=1e-9)
+            assert z1 + z2 == pytest.approx(-f0 / fm1, rel=1e-9, abs=1e-9)
 
 
 def long_double_zero_moduli(rows):
@@ -243,20 +245,15 @@ class TestStabilityEquivalence:
         f0 = rng.uniform(0, 3, n)
         keep = (f0 > 1e-9) & (np.abs(fm1) > 1e-9)
         fm1, fp1, f0 = fm1[keep], fp1[keep], f0[keep]
-        stable = np.abs(fm1 + fp1) < f0
+        stable = stable_factors(np.stack([fm1, f0, fp1], axis=-1))
+        assert np.array_equal(stable, np.abs(fm1 + fp1) < f0)
         lo, hi = quadratic_root_moduli(fm1, f0, fp1)
         straddle = (lo < 1.0) & (hi > 1.0)
         assert np.array_equal(stable, straddle)
 
-    def test_object_api_agrees_on_sample(self):
-        rng = np.random.default_rng(14)
-        for _ in range(500):
-            f = Length3Filter(rng.uniform(-3, 3), rng.uniform(0.01, 3), rng.uniform(-3, 3))
-            assert is_stable(f) == straddles_unit_circle(f)
-
 
 class TestStraddleArray:
-    """``straddles_unit_circle`` against the closed-form root moduli, row by row."""
+    """``zeros_of``'s moduli against the closed-form root moduli, row by row."""
 
     def test_matches_zeros_of(self):
         rng = np.random.default_rng(16)
@@ -273,7 +270,7 @@ class TestStraddleArray:
         # a linear row's one zero is -fp1/f0; the other is infinite
         want = np.abs(fp1) < np.abs(f0)
         want[quadratic] = (lo < 1.0) & (hi > 1.0)
-        got = straddles_unit_circle(rows)
+        got = zeros_straddle(rows)
         assert got.dtype == bool and got.shape == (len(rows),)
         assert got.tolist() == want.tolist()
         assert 0 < got.sum() < len(rows)
@@ -289,11 +286,11 @@ class TestStraddleArray:
         with pytest.raises(ValueError, match="taps must be finite"):
             zeros_of([[0.3, 1.0, 0.5], row])
         with pytest.raises(ValueError, match="taps must be finite"):
-            straddles_unit_circle(row)
+            zeros_of(row)
 
     def test_rejects_row_without_zeros(self):
         with pytest.raises(ValueError, match="no zeros"):
-            straddles_unit_circle([[0.5, 1.0, 0.5], [0.0, 0.0, 1.0]])
+            zeros_of([[0.5, 1.0, 0.5], [0.0, 0.0, 1.0]])
 
 
 class TestReparamTotality:
@@ -303,10 +300,9 @@ class TestReparamTotality:
         # materialized tap sums are tanh(beta), strictly inside (-1, 1)
         sums = np.tanh(beta)
         assert np.all(np.abs(sums) < 1.0)
-        for a, b in zip(alpha[:300], beta[:300]):
-            f = materialize([a, b])
-            assert is_stable(f)
-            assert straddles_unit_circle(f)
+        taps = materialize(np.stack([alpha[:300], beta[:300]], axis=-1))
+        assert stable_factors(taps).all()
+        assert zeros_straddle(taps).all()
 
 
 class TestSpectrumLowerBound:
@@ -316,34 +312,34 @@ class TestSpectrumLowerBound:
         omega = 2 * np.pi * np.arange(4096) / 4096
         for _ in range(200):
             while True:
-                f = Length3Filter(rng.uniform(-2, 2), rng.uniform(0.05, 2), rng.uniform(-2, 2))
-                if is_stable(f):
+                fm1, f0, fp1 = rng.uniform(-2, 2), rng.uniform(0.05, 2), rng.uniform(-2, 2)
+                if stable_factors((fm1, f0, fp1)):
                     break
-            response = f.fm1 * np.exp(1j * omega) + f.f0 + f.fp1 * np.exp(-1j * omega)
-            bound = f.f0 - abs(f.fm1 + f.fp1)
+            response = fm1 * np.exp(1j * omega) + f0 + fp1 * np.exp(-1j * omega)
+            bound = f0 - abs(fm1 + fp1)
             assert bound > 0
             assert np.min(np.abs(response)) >= bound - 1e-9
 
 
 class TestCompose:
     def test_single_filter_is_itself(self):
-        f = Length3Filter(0.2, 1.0, -0.3)
+        f = (0.2, 1.0, -0.3)
         assert np.allclose(compose_1d([f]), f)
 
     def test_geometric_squared(self):
-        f = Length3Filter(0.0, 1.0, -0.5)
+        f = (0.0, 1.0, -0.5)
         taps = compose_1d([f, f])
         assert np.allclose(taps, [0, 0, 1, -1, 0.25])
 
     def test_identity_factor_is_neutral(self):
-        f = Length3Filter(-1.0, 1.0, 1.0)
+        f = (-1.0, 1.0, 1.0)
         taps = compose_1d([f, IDENTITY])
         assert np.allclose(taps, [0, -1, 1, 1, 0])
 
     def test_order_independence(self):
         rng = np.random.default_rng(17)
         fs = [
-            Length3Filter(rng.uniform(-1, 1), rng.uniform(0.1, 1), rng.uniform(-1, 1))
+            (rng.uniform(-1, 1), rng.uniform(0.1, 1), rng.uniform(-1, 1))
             for _ in range(4)
         ]
         a = compose_1d(fs)
@@ -377,7 +373,7 @@ class TestMaterialize2d:
         assert np.allclose(taps, expected)
 
     def test_causal_outer_product(self):
-        causal = Length3Filter(0.0, 1.0, -0.5)
+        causal = (0.0, 1.0, -0.5)
         kernel = SeparableArKernel([((causal,),), ((causal,),)])
         taps = materialize_2d(kernel, 0)
         # offsets (0,0), (0,+1), (+1,0), (+1,+1); nothing at negative offsets
@@ -398,7 +394,7 @@ class TestMaterialize2d:
                 assert taps[p1, p2] == g[p1] * f[p2]
 
     def test_embedded_spectrum_floor(self):
-        causal = Length3Filter(0.0, 1.0, -0.5)
+        causal = (0.0, 1.0, -0.5)
         kernel = SeparableArKernel([((causal,),), ((causal,),)])
         spectrum = np.fft.fft2(embed_taps(materialize_2d(kernel, 0), 16, 16))
         assert np.min(np.abs(spectrum)) >= 0.25 - 1e-9

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from armakit import arma
 from armakit.arma import ar_spectra, layer_backward, layer_forward
 from armakit.filters import (
-    Length3Filter,
     SeparableArKernel,
     compose_1d,
     materialize_2d,
@@ -27,7 +26,7 @@ from conftest import (
     naive_dft2,
 )
 
-IDENTITY = Length3Filter(0.0, 1.0, 0.0)
+IDENTITY = (0.0, 1.0, 0.0)
 
 
 def random_field(shape, seed):
@@ -146,14 +145,14 @@ class TestDft1:
 
     def test_shifted_impulse(self):
         # a lone +1 tap is a pure shift: against the oracle and the hand value
-        spectrum = ar_spectrum_2d(row_kernel(Length3Filter(0.0, 0.0, 1.0)), 1, 4)[0, :, 0]
+        spectrum = ar_spectrum_2d(row_kernel((0.0, 0.0, 1.0)), 1, 4)[0, :, 0]
         assert np.allclose(spectrum, [1, -1j, -1], atol=1e-12)
         assert np.allclose(spectrum, naive_dft1([0, 1, 0, 0])[: 4 // 2 + 1], atol=1e-12)
 
     def test_round_trip(self):
         # solving then re-convolving with the kernel returns the input
         x = FieldTensor(np.array([0.3, -1.2, 4.5]).reshape(1, 3, 1))
-        kernel = row_kernel(Length3Filter(0.2, 1.0, -0.3))
+        kernel = row_kernel((0.2, 1.0, -0.3))
         y, _ = layer_forward(x, identity_ma(), kernel)
         assert np.allclose(reconvolve(y, row_taps(kernel)), x.data, atol=1e-12)
 
@@ -167,7 +166,7 @@ class TestDft1:
         # prime and large lengths take different FFT routes inside the solve
         rng = np.random.default_rng(n)
         x = FieldTensor(rng.standard_normal((1, n, 1)))
-        kernel = row_kernel(Length3Filter(0.3, 1.0, -0.45))
+        kernel = row_kernel((0.3, 1.0, -0.45))
         y, _ = layer_forward(x, identity_ma(), kernel)
         back = reconvolve(y, row_taps(kernel))
         assert np.max(np.abs(back - x.data)) / np.max(np.abs(x.data)) < 1e-12
@@ -325,7 +324,7 @@ class TestEmbedKernel:
 
     def test_footprint_guard(self):
         # the solve refuses a kernel that would alias when embedded
-        kernel = row_kernel(Length3Filter(0.2, 1.0, 0.1), Length3Filter(0.1, 1.0, 0.2))
+        kernel = row_kernel((0.2, 1.0, 0.1), (0.1, 1.0, 0.2))
         with pytest.raises(ValueError):
             layer_forward(FieldTensor(np.ones((4, 4, 1))), identity_ma(), kernel)
 
@@ -349,7 +348,7 @@ class TestSpectralDivide:
 
     def test_geometric_solve(self):
         # the transposed geometric fixture: a~ * dT = delta for a = (1, -0.5)
-        kernel = row_kernel(Length3Filter(0.0, 1.0, -0.5))
+        kernel = row_kernel((0.0, 1.0, -0.5))
         _, cache = layer_forward(FieldTensor(np.zeros((1, 4, 1))), identity_ma(), kernel)
         impulse = FieldTensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1))
         out = layer_backward(impulse, cache)[0].data.ravel()
@@ -429,7 +428,7 @@ class TestSpectralDivide:
 
     def test_unit_circle_factor_raises_at_nyquist(self):
         # |fm1 + fp1| = f0 zeroes F_hat at k2 = W/2, on every row
-        edge = Length3Filter(0.5, 1.0, 0.5)
+        edge = (0.5, 1.0, 0.5)
         kernel = SeparableArKernel([((IDENTITY,), (edge,)), ((IDENTITY,), (IDENTITY,))])
         with pytest.raises(SingularSpectrumError) as info:
             ar_spectra(kernel, 4, 8)
