@@ -15,7 +15,6 @@ from .filters import (
     materialize,
     materialize_2d,
     reparam_gradient,
-    zeros_of,
 )
 from .arma import (
     ArGradients,

@@ -408,18 +408,26 @@ def layer_backward(
     Returns ``(dX, dW, dFG)``: the input gradient, the moving-average
     kernel gradient, and the gradients of every length-3 factor's taps, the
     core's ``(2, channels, depth, 3)`` array in the layout of the kernel's
-    ``taps`` (the ``f`` cascades, then the ``g`` cascades).
+    ``taps`` (the ``f`` cascades, then the ``g`` cascades).  Raises
+    ``OverflowError`` if any of them leaves float64's range.
     """
     # checked on the field: widths I2 and I2 + 1 share one half spectrum
     if d_y.data.shape != cache.shape:
         raise ValueError(
             f"gradient shape {d_y.data.shape} does not match the forward output {cache.shape}"
         )
-    # held until the irfft2 is done: freeing it before raised the peak RSS
-    # of a 512^2 x 1->4 run by 4 MB, through the heap's layout
-    d_y_hat = _rfft2(d_y)
-    d_x_hat, d_w, d_factors = _spectral_backward(d_y_hat, cache, True)
-    return _irfft2(d_x_hat, d_y.height, d_y.width), d_w, d_factors
+    with np.errstate(over="ignore", invalid="ignore"):
+        # held until the irfft2 is done: freeing it before raised the peak RSS
+        # of a 512^2 x 1->4 run by 4 MB, through the heap's layout
+        d_y_hat = _rfft2(d_y)
+        d_x_hat, d_w, d_factors = _spectral_backward(d_y_hat, cache, True)
+        try:  # the input gradient's finiteness check is the one pass over it
+            d_x = _irfft2(d_x_hat, d_y.height, d_y.width)
+        except ValueError:
+            d_x = None
+    if d_x is None or not (np.isfinite(d_w).all() and np.isfinite(d_factors).all()):
+        raise OverflowError("the layer gradients are beyond float64's range")
+    return d_x, d_w, d_factors
 
 
 def ar_forward_dense(t: FieldTensor, taps_per_channel: Sequence[np.ndarray]) -> FieldTensor:

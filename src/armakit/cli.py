@@ -26,6 +26,8 @@ import json
 import math
 import sys
 import time
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -296,34 +298,51 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 SCAN_LIMIT = 10**6
 
 
+def _exact_zeros(fm1, f0, fp1):
+    """Zeros ``[re, im]`` of ``fm1*z^2 + f0*z + fp1`` (finite taps, ``f0 > 0``)
+    and their moduli, each the float64 nearest its exact value.
+
+    The discriminant is exact; square roots and quotients are taken to 60
+    digits.  A real pair is ``fp1/q``, then ``q/fm1``, with ``q = -(f0 +
+    sqrt(disc))/2`` (a linear factor, ``fm1 == 0``, has ``q = -f0`` and the
+    first only); a conjugate pair ``-f0/(2*fm1) +- i*sqrt(-disc)/(2*|fm1|)``,
+    positive imaginary part first, both of modulus ``sqrt(fp1/fm1)``.
+    """
+    with localcontext(Context(prec=60)):
+        a, b, c = Decimal(fm1), Decimal(f0), Decimal(fp1)
+        disc = Fraction(f0) ** 2 - 4 * Fraction(fm1) * Fraction(fp1)
+        root = (Decimal(abs(disc.numerator)) / disc.denominator).sqrt()
+        if disc < 0:
+            re, im = float(-b / (2 * a)), float(root / (2 * abs(a)))
+            modulus = float((c / a).sqrt())
+            return [[re, im], [re, -im]], [modulus, modulus]
+        q = -(b + root) / 2  # negative, so fp1 = 0 gives the zero -0.0
+        zeros = [float(c / q)] + ([float(q / a)] if fm1 else [])
+    return [[z, 0.0] for z in zeros], [abs(z) for z in zeros]
+
+
 def _filter_report(flag: str, taps) -> dict:
     """The JSON report of one factor, from its finite taps.
 
-    A linear factor (``fm1 == 0``) lists its one finite zero.  A tap sum,
-    zero or modulus beyond float64's range, or a verdict that the zeros
-    contradict (stable but not ``|z1| < 1 < |z2|``, or the reverse, as
-    ``--reparam 1e16,0.5`` rounds the tap sum to 0 and both moduli to 1),
-    is refused, naming ``--flag``.
+    A tap sum, zero or modulus beyond float64's range, or a verdict that the
+    moduli contradict (stable but not ``|z1| < 1 < |z2|``, or the reverse, as
+    ``--reparam 1e16,0.5`` rounds the tap sum to 0 and ``|z2|`` to 1), is
+    refused, naming ``--flag``.
     """
-    fm1, _, fp1 = taps
-    z1, z2 = filters.zeros_of(taps)
-    zeros = [z1, z2] if fm1 != 0.0 else [z1]
-    pairs = [[z.real, z.imag] for z in zeros]
     with np.errstate(over="ignore"):
-        moduli = [abs(z) for z in zeros]
-        stable = bool(filters.stable_factors(taps))
-    tap_sum = fm1 + fp1
-    if not np.all(np.isfinite([tap_sum, *moduli, *(v for pair in pairs for v in pair)])):
+        stable = bool(filters.stable_factors(taps))  # refuses f0 <= 0 first
+    zeros, moduli = _exact_zeros(*taps)
+    tap_sum = taps[0] + taps[2]
+    if not all(math.isfinite(v) for v in [tap_sum, *moduli, *(v for z in zeros for v in z)]):
         raise UsageError(
             f"--{flag} taps {taps} give a tap sum, zero or modulus beyond float64's range"
         )
-    if stable != (abs(z1) < 1.0 < abs(z2)):
+    if stable != (moduli[0] < 1.0 and all(m > 1.0 for m in moduli[1:])):
         raise UsageError(
             f"--{flag} taps {taps} are beyond float64's range for a verdict: the tap "
-            f"sum says {'' if stable else 'un'}stable, the zero moduli "
-            f"{[float(m) for m in moduli]} do not"
+            f"sum says {'' if stable else 'un'}stable, the zero moduli {moduli} do not"
         )
-    return {"stable": stable, "sum": tap_sum, "taps": taps, "zeros": pairs, "moduli": moduli}
+    return {"stable": stable, "sum": tap_sum, "taps": taps, "zeros": zeros, "moduli": moduli}
 
 
 def cmd_stability(args) -> int:
@@ -369,27 +388,27 @@ def _ar_from_config(path, channels, max_depth) -> filters.SeparableArKernel:
     mode = spec.get("mode", "raw")
     try:
         if mode == "identity":
-            # identity factors cost work per factor but widen nothing, so the
-            # field size is the only scale that bounds the cascade
             depth = spec.get("depth", 1)
-            if type(depth) is not int or not 1 <= depth <= max_depth:
-                raise ValueError(f"depth must be an integer in [1, {max_depth}], got {depth!r}")
-            return filters.SeparableArKernel.identity(channels, depth=depth)
-        if mode == "reparam":
-            return filters.SeparableArKernel.from_arrays(
-                spec["alpha_f"], spec["beta_f"], spec["alpha_g"], spec["beta_g"]
-            )
-        if mode == "raw":
+        elif mode == "reparam":
+            depth = max(np.atleast_2d(spec[name]).shape[-1] for name in _AR_NAMES)
+        elif mode == "raw":
             f, g = (np.array(spec[name], dtype=np.float64) for name in "fg")
             if f.shape != g.shape:
-                raise ValueError(
-                    f"f and g must be (channels, depth, 3) tap arrays with channels and "
-                    f"depth >= 1, got shapes {f.shape} and {g.shape}"
-                )
-            return filters.SeparableArKernel([f, g])
+                raise ValueError(f"f and g must be (channels, depth, 3) tap arrays with channels "
+                                 f"and depth >= 1, got shapes {f.shape} and {g.shape}")
+            depth = f.shape[1] if f.ndim == 3 else 1  # the kernel refuses other shapes
+        else:
+            raise UsageError(f"unknown AR config mode {mode!r}")
+        # every factor costs work, identity ones too: the field bounds the depth
+        if type(depth) is not int or not 1 <= depth <= max_depth:
+            raise ValueError(f"depth must be an integer in [1, {max_depth}], got {depth!r}")
+        if mode == "identity":
+            return filters.SeparableArKernel.identity(channels, depth=depth)
+        if mode == "reparam":
+            return filters.SeparableArKernel.from_arrays(*(spec[name] for name in _AR_NAMES))
+        return filters.SeparableArKernel([f, g])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid AR config {path}: {exc}") from exc
-    raise UsageError(f"unknown AR config mode {mode!r}")
 
 
 def cmd_solve(args) -> int:

@@ -100,46 +100,6 @@ def stable_factors(taps) -> np.ndarray:
     return np.abs(taps[..., 0] + taps[..., 2]) < f0
 
 
-def zeros_of(taps) -> np.ndarray:
-    """Zeros ``(z1, z2)`` of ``fm1*z^2 + f0*z + fp1``, ordered ``|z1| <= |z2|``.
-
-    ``taps`` is a ``(..., 3)`` tap array; the result is ``(..., 2)`` complex,
-    from one closed form for every row of finite taps (a non-finite tap
-    raises ``ValueError``).  With
-    ``q = -(f0 + sign(f0)*sqrt(f0^2 - 4*fm1*fp1))/2`` a real pair is ``fp1/q``
-    and ``q/fm1`` (a linear row's ``-fp1/f0`` and infinity), a conjugate pair
-    ``(-f0 +- i*sqrt(4*fm1*fp1 - f0^2)) / (2*fm1)``, positive imaginary first.
-    """
-    rows = np.asarray(taps, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(rows).all():
-        raise ValueError(f"taps must be finite, got {rows[~np.isfinite(rows).all(1)][0].tolist()}")
-    if np.any((rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)):
-        raise ValueError("filter with fm1 = f0 = 0 has no zeros")
-    # z = 2^k w balances fm1 4^k against fp1 (or, beside a zero outer tap, the other
-    # against f0 2^k); w's taps over a power of two near the largest then square in range
-    scaled, e = np.frexp(rows)
-    k = np.where(rows[:, 2] == 0.0, e[:, 1] - e[:, 0], (e[:, 2] - e[:, 0]) // 2)
-    k = np.where(rows[:, 0] == 0.0, e[:, 2] - e[:, 1], k)[:, None]
-    e += k * np.int32([2, 1, 0])
-    e -= np.where(rows == 0.0, np.iinfo(e.dtype).min, e).max(axis=1, keepdims=True)
-    fm1, f0, fp1 = np.ldexp(scaled, e, out=scaled).T
-    del e
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        disc = f0 * f0 - 4.0 * fm1 * fp1
-        q = -0.5 * (f0 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), f0))
-        zeros = np.zeros(fm1.shape + (2,), dtype=complex)
-        np.divide(q, fm1, out=zeros.real[:, 1])
-        np.divide(fp1, q, out=zeros.real[:, 0])
-        del q  # freed as soon as read
-        np.copyto(zeros.real[:, 0], zeros.real[:, 1], where=disc <= 0.0)  # one real part
-        np.divide(np.sqrt(-disc), 2.0 * np.abs(fm1), out=zeros.imag[:, 0], where=disc < 0.0)
-        np.subtract(0.0, zeros.imag[:, 0], out=zeros.imag[:, 1])  # a real pair keeps +0.0
-        np.ldexp(zeros.view(np.float64), k, out=zeros.view(np.float64))  # z = 2^k w
-    swap = np.abs(zeros.real[:, 0]) > np.abs(zeros.real[:, 1])  # equal moduli round either way
-    zeros[swap] = zeros[swap, ::-1]
-    return zeros.reshape(np.shape(taps)[:-1] + (2,))
-
-
 def compose_1d(filters) -> np.ndarray:
     """Convolve a cascade of length-3 factors into one tap array.
 

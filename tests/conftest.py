@@ -6,6 +6,9 @@ tap embedding are explicit index arithmetic, so agreement is evidence rather
 than tautology.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from armakit.arma import layer_forward
@@ -146,3 +149,70 @@ def quadratic_root_moduli(fm1, f0, fp1):
     r1 = (-f0 + disc) / (2.0 * fm1)
     r2 = (-f0 - disc) / (2.0 * fm1)
     return np.minimum(np.abs(r1), np.abs(r2)), np.maximum(np.abs(r1), np.abs(r2))
+
+
+def float_interval(value):
+    """The reals that round to the float64 ``value``, ``(lo, hi)`` as exact
+    Fractions: the half-ulp neighbours on either side (ties included)."""
+    magnitude = Fraction(abs(value))
+    away = Fraction(math.ulp(abs(value))) / 2
+    # toward zero the gap is half as wide at a power of two, and as wide at 0
+    toward = (magnitude - Fraction(math.nextafter(abs(value), 0.0))) / 2 or away
+    lo, hi = magnitude - toward, magnitude + away
+    return (lo, hi) if value >= 0.0 else (-hi, -lo)
+
+
+def _signed_root_at_most(sign, square, bound):
+    # sign * sqrt(square) <= bound, for square >= 0, by comparing squares
+    if sign > 0:
+        return bound >= 0 and square <= bound * bound
+    return bound >= 0 or square >= bound * bound
+
+
+def misrounded_zeros(taps, zeros, moduli):
+    """The reported zeros ``[re, im]`` and moduli of ``fm1*z^2 + f0*z + fp1``
+    (``f0 > 0``) that are not the float64 nearest their exact value; ``[]``
+    if every one is.
+
+    Exact rational arithmetic throughout.  With ``v = -f0/(2*fm1)`` and
+    ``d2 = (f0^2 - 4*fm1*fp1)/(2*fm1)^2``, the zeros are the real pair
+    ``v +- sqrt(d2)`` when ``d2 >= 0``, the one of smaller modulus first
+    (``v + sign(fm1)*sqrt(d2)``), else the conjugate pair ``v +-
+    i*sqrt(-d2)``, positive imaginary part first, of modulus
+    ``sqrt(fp1/fm1)``; a linear factor (``fm1 = 0``) has the one zero
+    ``-fp1/f0``.  A value is right when its exact counterpart lies in the
+    reported float's :func:`float_interval`; a square root is placed there
+    by comparing squares.  A real zero's imaginary part must be 0 and its
+    modulus its absolute value.
+    """
+    fm1, f0, fp1 = (Fraction(t) for t in taps)
+    count = 1 if fm1 == 0 else 2
+    if len(zeros) != count or len(moduli) != count:
+        return [f"{len(zeros)} zeros and {len(moduli)} moduli, not {count}"]
+    wrong = []
+
+    def check(name, value, inside):
+        if not inside(*float_interval(value)):
+            wrong.append(f"{name} = {value!r}")
+
+    real = True
+    if fm1 == 0:
+        check("z1", zeros[0][0], lambda lo, hi: lo <= -fp1 / f0 <= hi)
+    else:
+        v, d2 = -f0 / (2 * fm1), (f0 * f0 - 4 * fm1 * fp1) / (2 * fm1) ** 2
+        real = d2 >= 0
+        first = 1 if fm1 > 0 else -1  # the sign of sqrt(d2) in the smaller zero
+        for i, (name, (re, im)) in enumerate(zip(("z1", "z2"), zeros)):
+            if real:  # v + s*sqrt(d2) in [lo, hi]
+                s = first if i == 0 else -first
+                check(name, re, lambda lo, hi: _signed_root_at_most(s, d2, hi - v)
+                      and _signed_root_at_most(-s, d2, v - lo))
+            else:
+                check(f"re({name})", re, lambda lo, hi: lo <= v <= hi)
+                check(f"|im({name})|", abs(im), lambda lo, hi: lo * lo <= -d2 <= hi * hi)
+                check(f"|{name}|", moduli[i], lambda lo, hi: lo * lo <= fp1 / fm1 <= hi * hi)
+        if not real and not (zeros[0][1] > 0 and zeros[1] == [zeros[0][0], -zeros[0][1]]):
+            wrong.append(f"not a conjugate pair, positive imaginary part first: {zeros}")
+    if real and (any(im != 0.0 for _, im in zeros) or moduli != [abs(re) for re, _ in zeros]):
+        wrong.append(f"real zeros {zeros} with moduli {moduli}")
+    return wrong

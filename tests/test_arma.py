@@ -330,6 +330,18 @@ def random_params(rng, in_channels, out_channels, depth):
 
 
 class TestArmaLayer:
+    @pytest.mark.parametrize("x, d_y", [(1.0, 1e306), (1e300, 1e6)],
+                             ids=["input-gradient", "kernel-gradient"])
+    def test_backward_beyond_float64_is_overflow_error(self, x, d_y):
+        # finite fields whose gradients overflow (dX, or only dW): the builtin
+        # OverflowError, as the forward pass raises, and no warning (the suite
+        # makes warnings errors)
+        ones = MaKernel(np.ones((3, 3, 1, 1)))
+        _, cache = layer_forward(FieldTensor(np.full((8, 8, 1), x)), ones,
+                                 SeparableArKernel.identity(1))
+        with pytest.raises(OverflowError, match="the layer gradients are beyond float64's range"):
+            layer_backward(FieldTensor(np.full((8, 8, 1), d_y)), cache)
+
     def test_reduces_to_ma_with_identity_ar(self):
         rng = np.random.default_rng(30)
         x = FieldTensor(rng.standard_normal((6, 6, 2)))

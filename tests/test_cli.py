@@ -9,6 +9,8 @@ import pytest
 from armakit import cli
 from conftest import identity_ma
 
+IDENTITY_TAPS = [0.0, 1.0, 0.0]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -517,6 +519,25 @@ class TestSolveCommand:
             f"with channels and depth >= 1, got shapes (1, 1, 3) and (1, 2, 3)\n"
         )
 
+    @pytest.mark.parametrize("mode", ["identity", "reparam", "raw"])
+    def test_depth_beyond_field_side_refused_before_a_kernel_is_built(
+            self, capsys, tmp_path, monkeypatch, mode):
+        # every factor costs work, so depth 5 on a 4x4 field is refused in every
+        # mode, and no kernel is built (a deep cascade takes time ~ depth^2)
+        field = tmp_path / "x.csv"
+        field.write_text("1,0,0,0\n0,0,0,0\n1,0,0,0\n0,0,0,0\n")
+        zeros = [[0.0] * 5]
+        spec = {"identity": {"mode": "identity", "depth": 5},
+                "reparam": {"mode": "reparam", "alpha_f": zeros, "beta_f": zeros,
+                            "alpha_g": zeros, "beta_g": zeros},
+                "raw": {"mode": "raw", "f": [[IDENTITY_TAPS] * 5], "g": [[IDENTITY_TAPS] * 5]}}
+        ar = tmp_path / "ar.json"
+        ar.write_text(json.dumps(spec[mode]))
+        monkeypatch.setattr(cli.filters, "SeparableArKernel", None)  # any use raises
+        code, out, err = run(capsys, "solve", "--input", str(field), "--ar-config", str(ar))
+        assert code == 1 and out == ""
+        assert err == f"error: invalid AR config {ar}: depth must be an integer in [1, 4], got 5\n"
+
     def test_identity_depth_up_to_field_side_echoes_input(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
         field.write_text("1,2,3\n4,5,6\n")
@@ -696,10 +717,15 @@ class TestExitCodes:
                               "--out", "{y}"), 2,
                              "spectrum magnitude 1.345e-16 below guard 1.000e-08 at frequency "
                              "index (0, 4, 0)", 0),
-        # stable taps [-0.2500000000000001, 1, 1.25], but |z1| rounds to 1
-        "stability-reparam-1.5,19": (("stability", "--reparam", "1.5,19"), 1,
-                                     "beyond float64's range for a verdict", 0),
+        # stable taps [-0.2500000000000001, 1, 1.25], |z1| = 0.9999999999999999
+        "stability-reparam-1.5,19": (("stability", "--reparam", "1.5,19"), 0, "", 1),
         "stability-reparam-0,20": (("stability", "--reparam", "0,20"), 0, "", 1),
+        # fm1 = f0 = 0 has no zeros; the center tap is refused first
+        "stability-filter-0,0,1": (("stability", "--filter", "0,0,1"), 1,
+                                   "error: center tap must be positive, got f0=0.0", 0),
+        # all-zero reparam factors widen nothing, but the depth is bounded by the field
+        "solve-reparam-too-deep": (("solve", "--input", "{x5}", "--ar-config", "{deep}"), 1,
+                                   "depth must be an integer in [1, 5], got 6", 0),
         # raw taps whose cascade overflows when composed
         "solve-raw-overflow": (("solve", "--input", "{x5}", "--ar-config", "{overflow}"), 2,
                                "numeric failure: spectrum magnitude nan is not finite at "
@@ -721,6 +747,9 @@ class TestExitCodes:
         np.savetxt(paths["huge"], np.full((8, 8), 1e306), delimiter=",")
         np.savetxt(paths["huge_kernel"], np.full((3, 3), 1e306), delimiter=",")
         paths["beta20"], paths["overflow"] = tmp_path / "beta20.json", tmp_path / "overflow.json"
+        paths["deep"] = tmp_path / "deep.json"
+        paths["deep"].write_text(json.dumps(
+            {"mode": "reparam", **{name: [[0] * 6] for name in cli._AR_NAMES}}))
         paths["beta20"].write_text(json.dumps(
             {"mode": "reparam", "alpha_f": [[0]], "beta_f": [[20]], "alpha_g": [[0]],
              "beta_g": [[0]]}))

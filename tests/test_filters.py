@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from armakit import cli
+from armakit.cli import _exact_zeros
 from armakit.filters import (
     SeparableArKernel,
     compose_1d,
@@ -11,17 +13,15 @@ from armakit.filters import (
     materialize_2d,
     reparam_gradient,
     stable_factors,
-    zeros_of,
 )
-from conftest import embed_taps, quadratic_root_moduli
+from conftest import embed_taps, misrounded_zeros, quadratic_root_moduli
 
 IDENTITY = (0.0, 1.0, 0.0)
 
 
-def zeros_straddle(taps):
-    # |z1| < 1 < |z2| per row, from the zeros as zeros_of rounds them
-    moduli = np.abs(zeros_of(taps))
-    return (moduli[..., 0] < 1.0) & (moduli[..., 1] > 1.0)
+def complex_zeros(taps):
+    # the stability report's zeros as complex numbers
+    return [complex(*z) for z in _exact_zeros(*taps)[0]]
 
 
 class TestMaterialize:
@@ -31,10 +31,10 @@ class TestMaterialize:
     def test_pure_alpha_straddles(self):
         f = materialize([2.0, 0.0])
         assert f.tolist() == [-1.0, 1.0, 1.0]
-        z1, z2 = zeros_of(f)
-        assert abs(z1) == pytest.approx(0.618034, abs=1e-6)
-        assert abs(z2) == pytest.approx(1.618034, abs=1e-6)
-        assert zeros_straddle(f)
+        lo, hi = quadratic_root_moduli(*f)
+        assert lo == pytest.approx(0.618034, abs=1e-6)
+        assert hi == pytest.approx(1.618034, abs=1e-6)
+        assert lo < 1.0 < hi
 
     def test_pure_beta_approaches_bound(self):
         fm1, _, fp1 = materialize([0.0, 3.0])
@@ -106,41 +106,47 @@ class TestIsStable:
 
 
 class TestZeros:
+    """The stability report's zeros and moduli, ``cli._exact_zeros``."""
+
     def test_real_pair(self):
-        z1, z2 = zeros_of((0.3, 1.0, 0.5))
-        assert z1 == pytest.approx(-0.612574, abs=1e-6)
-        assert z2 == pytest.approx(-2.720760, abs=1e-6)
-        assert z1.imag == z2.imag == 0.0 and not np.signbit([z1.imag, z2.imag]).any()
+        zeros, moduli = _exact_zeros(0.3, 1.0, 0.5)
+        # the nearest floats; a closed form rounded twice gave ...068 and ...127
+        assert zeros == [[-0.6125741132772069, 0.0], [-2.7207592200561264, 0.0]]
+        assert moduli == [0.6125741132772069, 2.7207592200561264]
+        assert not np.signbit([z[1] for z in zeros]).any()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_conjugate_pair_positive_imaginary_part_first(self, sign):
-        z1, z2 = zeros_of((0.75 * sign, 1.0, 0.75 * sign))
+        z1, z2 = complex_zeros((0.75 * sign, 1.0, 0.75 * sign))
         assert z1 == np.conj(z2) and z1.imag > 0.0
         assert abs(z1) == abs(z2) == 1.0
 
     def test_equal_real_moduli_are_ordered(self):
-        # f0 = 0 between outer taps of opposite signs: zeros +-sqrt(-fp1/fm1),
-        # whose computed moduli rounding orders either way
+        # the least positive f0 between outer taps of opposite signs: zeros
+        # +-sqrt(-fp1/fm1) to within 1e-300, whose moduli round to one float
         rng = np.random.default_rng(20)
-        rows = np.zeros((1000, 3))
-        rows[:, 0], rows[:, 2] = -rng.uniform(0.1, 3.0, 1000), rng.uniform(0.1, 3.0, 1000)
-        moduli = np.abs(zeros_of(rows))
-        assert np.all(moduli[:, 0] <= moduli[:, 1])
+        for fm1, fp1 in zip(-rng.uniform(0.1, 3.0, 1000), rng.uniform(0.1, 3.0, 1000)):
+            zeros, moduli = _exact_zeros(fm1, 5e-324, fp1)
+            assert moduli[0] <= moduli[1] and zeros[0][0] == -zeros[1][0]
 
     def test_complex_pair_on_unit_circle(self):
-        f = (0.75, 1.0, 0.75)
-        z1, z2 = zeros_of(f)
-        assert abs(z1.imag) > 0
-        assert abs(z1) == pytest.approx(1.0, abs=1e-12)
-        assert abs(z2) == pytest.approx(1.0, abs=1e-12)
-        assert not zeros_straddle(f)
+        zeros, moduli = _exact_zeros(0.75, 1.0, 0.75)
+        assert abs(zeros[0][1]) > 0
+        assert moduli == [1.0, 1.0]  # so they do not straddle it
 
     def test_degenerate_linear_case(self):
-        f = (0.0, 1.0, -0.5)
-        z1, z2 = zeros_of(f)
-        assert z1 == pytest.approx(0.5)
-        assert not np.isfinite(z2.real)
-        assert zeros_straddle(f)
+        # a linear factor lists its one zero, -fp1/f0
+        assert _exact_zeros(0.0, 1.0, -0.5) == ([[0.5, 0.0]], [0.5])
+        assert _exact_zeros(0.0, 4.0, 2.0) == ([[-0.5, 0.0]], [0.5])
+
+    @pytest.mark.parametrize("taps", [(0.0, 1.0, 0.0), (0.25, 1.0, 0.0), (2.0, 1.0, 0.0)])
+    def test_zero_zero_is_negative(self, taps):
+        # fp1 = 0 gives the zero fp1/-f0 (linear) or fp1/q with q < 0: -0.0,
+        # and a real pair's imaginary parts are +0.0
+        zeros, moduli = _exact_zeros(*taps)
+        assert math.copysign(1.0, zeros[0][0]) == -1.0 and zeros[0][0] == 0.0
+        assert not np.signbit([z[1] for z in zeros]).any()
+        assert moduli[0] == 0.0
 
     def test_vieta_relations(self):
         rng = np.random.default_rng(12)
@@ -149,91 +155,67 @@ class TestZeros:
             if abs(fm1) < 1e-3:
                 continue
             f0, fp1 = rng.uniform(0.1, 3), rng.uniform(-3, 3)
-            z1, z2 = zeros_of((fm1, f0, fp1))
+            z1, z2 = complex_zeros((fm1, f0, fp1))
             assert z1 * z2 == pytest.approx(fp1 / fm1, rel=1e-9, abs=1e-9)
             assert z1 + z2 == pytest.approx(-f0 / fm1, rel=1e-9, abs=1e-9)
 
 
-def long_double_zero_moduli(rows):
-    """Zero moduli ``(lo, hi)`` of ``fm1*z^2 + f0*z + fp1`` per row, in
-    ``np.longdouble`` and written apart from ``filters``, and their condition.
+class TestZerosCorrectlyRounded:
+    """Every zero and modulus the stability report prints is the float64
+    nearest its exact value, by the exact oracle ``conftest.misrounded_zeros``."""
 
-    The stable form in long double, with one Newton step on each real zero; a
-    conjugate pair's modulus is ``sqrt(fp1/fm1)``.  Long double's exponent
-    range holds every product of float64 taps, so nothing is scaled.  The
-    condition is Gautschi's: a zero's relative change per relative change of
-    the taps, ``(|fm1| |z|^2 + |f0| |z| + |fp1|) / (|z| |fm1| |z1 - z2|)``.
-    """
-    fm1, f0, fp1 = (column[:, None] for column in np.asarray(rows, dtype=np.longdouble).T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = f0 * f0 - 4 * fm1 * fp1
-        q = -(f0 + np.copysign(np.sqrt(np.maximum(disc, 0)), f0)) / 2
-        z = np.concatenate([fp1 / q, q / fm1], axis=1)
-        slope = 2 * fm1 * z + f0
-        step = ((fm1 * z + f0) * z + fp1) / slope
-        z -= np.where(np.isfinite(step), step, 0)
-        moduli = np.sort(np.where(disc < 0, np.sqrt(fp1 / fm1), np.abs(z)), axis=1)
-        condition = (np.abs(fm1) * moduli**2 + np.abs(f0) * moduli + np.abs(fp1)) / (
-            moduli * np.sqrt(np.abs(disc)))
-    return moduli, condition
+    @staticmethod
+    def misrounded(rows):
+        wrong, judged = {}, 0
+        for taps in rows.tolist():
+            zeros, moduli = _exact_zeros(*taps)
+            if all(math.isfinite(v) for v in [*moduli, *(part for z in zeros for part in z)]):
+                judged += 1
+                if names := misrounded_zeros(taps, zeros, moduli):
+                    wrong[tuple(taps)] = names
+        return wrong, judged
 
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
-                    reason="np.longdouble is no wider than float64 on this platform")
-class TestZerosAgainstLongDouble:
-    """``zeros_of``'s rounding, judged by long-double moduli; the float64
-    textbook oracle above judges the algorithm."""
-
-    EPS = np.finfo(np.float64).eps
-
-    def relative_errors(self, rows):
-        want, condition = long_double_zero_moduli(rows)
-        got = np.abs(zeros_of(rows))
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))  # a linear row's second zero
-        assert np.array_equal(got == 0.0, want == 0.0)  # fp1 = 0
-        judged = np.isfinite(want) & (want > 0.0)
-        err = np.zeros(want.shape)
-        err[judged] = np.abs(got[judged] - want[judged]) / want[judged]
-        return got, want, err, condition
-
-    def test_extreme_reparam_and_linear_rows_within_8_eps(self):
-        # the companion-matrix eigensolver erred by up to 22 eps on these rows
+    def test_extreme_reparam_and_linear_rows(self):
+        # the closed form rounded twice misplaced 0.3,1,0.5 and (1.5, 19)'s |z1|
         rng = np.random.default_rng(5)
-        n = 200_000
+        n = 1500
         alpha = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 7, n)
-        reparam = materialize(np.stack([alpha, rng.uniform(-4, 4, n)], axis=-1))
-        linear = rng.uniform(-3, 3, (20_000, 3))
+        pairs = np.concatenate([np.stack([alpha, rng.uniform(-4, 4, n)], axis=-1),
+                                [[1.5, 19.0], [-1.5, -19.0]]])
+        reparam = materialize(pairs)
+        linear = rng.uniform(-3, 3, (300, 3))
         linear[:, 0] = 0.0
         linear[:, 1] = np.abs(linear[:, 1]) + 1e-3
-        got, want, err, _ = self.relative_errors(np.concatenate([reparam, linear]))
-        assert err.max() <= 8 * self.EPS
-        # the float64 zeros straddle the unit circle exactly where the truth's do
-        straddles = (got[:, 0] < 1.0) & (got[:, 1] > 1.0)
-        assert np.array_equal(straddles, (want[:, 0] < 1.0) & (want[:, 1] > 1.0))
+        rows = np.concatenate([reparam, linear, [[0.3, 1.0, 0.5]]])
+        assert self.misrounded(rows) == ({}, len(rows))
+        # and the moduli straddle the unit circle exactly where the tap sum says
+        moduli = [_exact_zeros(*taps)[1] for taps in reparam.tolist()]
+        assert all(m[0] < 1.0 < m[1] for m in moduli)
 
-    def test_raw_rows_within_8_eps_of_their_condition(self):
-        # near a double zero the zeros themselves are ill-conditioned, so the
-        # bound scales with the condition (at least 1)
-        rows = np.random.default_rng(6).uniform(-3, 3, (50_000, 3))
+    def test_raw_rows_and_near_double_zeros(self):
+        # zeros near a double zero are ill-conditioned in the taps, not in the
+        # exact arithmetic: fp1 within 1e-16..1e-8 of f0^2 / (4*fm1)
+        rng = np.random.default_rng(6)
+        rows = rng.uniform(-3, 3, (1500, 3))
         rows[:, 1] = np.abs(rows[:, 1])
-        _, _, err, condition = self.relative_errors(rows)
-        assert condition.min() >= 1.0 and condition.max() > 100.0
-        assert np.all(err <= 8 * self.EPS * condition)
+        near = rng.uniform(-3, 3, (300, 3))
+        near[:, 1] = np.abs(near[:, 1]) + 1e-3
+        offset = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-16, -8, 300)
+        near[:, 2] = near[:, 1] ** 2 / (4 * near[:, 0]) * (1 + offset)
+        double = [[1.0, 2.0, 1.0], [0.25, 1.0, 1.0], [-1.0, 2.0, -1.0]]
+        rows = np.concatenate([rows, near, double])
+        assert self.misrounded(rows) == ({}, len(rows))
 
-    def test_taps_spanning_float64_range_within_8_eps(self):
+    def test_taps_spanning_float64_range(self):
         # taps of magnitudes 1e-300 to 1e300, a tenth with fm1 = 0 and a tenth
-        # with fp1 = 0, kept where no zero is a nonzero number outside
-        # float64's normal range: no square or product of taps may leave it
+        # with fp1 = 0; a report refuses a zero or modulus beyond float64's
+        # range, so rows with one are not printed and not judged
         rng = np.random.default_rng(7)
-        rows = rng.choice([-1.0, 1.0], (40_000, 3)) * 10.0 ** rng.uniform(-300, 300, (40_000, 3))
-        rows[:4000, 0] = rows[4000:8000, 2] = 0.0
-        want, _ = long_double_zero_moduli(rows)
-        info = np.finfo(np.float64)
-        normal = (want == 0.0) | (want == np.inf) | ((want > info.tiny) & (want < info.max))
-        rows = rows[normal.all(axis=1)]
-        assert len(rows) > 20_000 and (rows[:, 0] == 0.0).sum() > 1000
-        _, _, err, _ = self.relative_errors(rows)
-        assert err.max() <= 8 * self.EPS
+        rows = rng.choice([-1.0, 1.0], (1500, 3)) * 10.0 ** rng.uniform(-300, 300, (1500, 3))
+        rows[:, 1] = np.abs(rows[:, 1])
+        rows[:150, 0] = rows[150:300, 2] = 0.0
+        wrong, judged = self.misrounded(rows)
+        assert wrong == {} and judged > 1000
 
 
 class TestStabilityEquivalence:
@@ -253,44 +235,47 @@ class TestStabilityEquivalence:
 
 
 class TestStraddleArray:
-    """``zeros_of``'s moduli against the closed-form root moduli, row by row."""
+    """The report's moduli against the closed-form root moduli, row by row."""
 
-    def test_matches_zeros_of(self):
+    def test_matches_quadratic_root_moduli(self):
         rng = np.random.default_rng(16)
         rows = rng.uniform(-3, 3, (2000, 3))
+        rows[:, 1] = np.abs(rows[:, 1])  # the report refuses f0 <= 0 first
         rows[:200, 0] = 0.0  # linear case
         rows[200:400, 2] = 0.0  # a zero root
         rows[400:450, 0] = rows[400:450, 2] = 0.0
-        edge = [[1, 2, 1], [0.75, 1, 0.75], [1, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 1],
-                [0, 1, -1], [0, -1, 0.5], [1, -2, 1], [0.5, 1, 0]]
+        edge = [[1, 2, 1], [0.75, 1, 0.75], [0, 1, 1], [1, 1, 0], [0, 1, -1], [0.5, 1, 0]]
         rows = np.concatenate([rows, edge])
         fm1, f0, fp1 = rows.T
         quadratic = fm1 != 0.0
         lo, hi = quadratic_root_moduli(fm1[quadratic], f0[quadratic], fp1[quadratic])
-        # a linear row's one zero is -fp1/f0; the other is infinite
+        # a linear row's one zero is -fp1/f0
         want = np.abs(fp1) < np.abs(f0)
         want[quadratic] = (lo < 1.0) & (hi > 1.0)
-        got = zeros_straddle(rows)
-        assert got.dtype == bool and got.shape == (len(rows),)
+        moduli = [_exact_zeros(*taps)[1] for taps in rows.tolist()]
+        got = np.array([m[0] < 1.0 and all(rest > 1.0 for rest in m[1:]) for m in moduli])
         assert got.tolist() == want.tolist()
         assert 0 < got.sum() < len(rows)
-        moduli = np.abs(zeros_of(rows))
-        assert moduli.shape == (len(rows), 2) and np.all(moduli[:, 0] <= moduli[:, 1])
-        assert np.allclose(moduli[quadratic], np.stack([lo, hi], axis=-1), rtol=1e-9, atol=1e-12)
+        assert [len(m) for m in moduli] == np.where(quadratic, 2, 1).tolist()
+        pairs = np.array([m for m, q in zip(moduli, quadratic) if q])
+        assert np.all(pairs[:, 0] <= pairs[:, 1])
+        assert np.allclose(pairs, np.stack([lo, hi], axis=-1), rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row, entry", [([0.5, 1.0, 0.5], 0), ([0.0, 1.0, 0.5], 2)],
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row, entry", [(["0.5", "1", "0.5"], 0), (["0", "1", "0.5"], 2)],
                              ids=["quadratic", "linear"])
-    def test_rejects_non_finite_taps(self, bad, row, entry):
-        row = row[:entry] + [bad] + row[entry + 1:]
-        with pytest.raises(ValueError, match="taps must be finite"):
-            zeros_of([[0.3, 1.0, 0.5], row])
-        with pytest.raises(ValueError, match="taps must be finite"):
-            zeros_of(row)
+    def test_rejects_non_finite_taps(self, capsys, monkeypatch, bad, row, entry):
+        # the report's zeros are computed for finite taps only
+        monkeypatch.setattr(cli, "_exact_zeros", lambda *taps: pytest.fail("zeros computed"))
+        text = ",".join(row[:entry] + [bad] + row[entry + 1:])
+        assert cli.main(["stability", f"--filter={text}"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --filter takes finite numbers, got {text!r}\n"
 
-    def test_rejects_row_without_zeros(self):
-        with pytest.raises(ValueError, match="no zeros"):
-            zeros_of([[0.5, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    def test_rejects_row_without_zeros(self, capsys, monkeypatch):
+        # fm1 = f0 = 0 leaves no zeros; the report refuses it by its center tap first
+        monkeypatch.setattr(cli, "_exact_zeros", lambda *taps: pytest.fail("zeros computed"))
+        assert cli.main(["stability", "--filter", "0,0,1"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: center tap must be positive, got f0=0.0\n"
 
 
 class TestReparamTotality:
@@ -302,7 +287,8 @@ class TestReparamTotality:
         assert np.all(np.abs(sums) < 1.0)
         taps = materialize(np.stack([alpha[:300], beta[:300]], axis=-1))
         assert stable_factors(taps).all()
-        assert zeros_straddle(taps).all()
+        lo, hi = quadratic_root_moduli(*taps.T)
+        assert np.all((lo < 1.0) & (hi > 1.0))
 
 
 class TestSpectrumLowerBound:

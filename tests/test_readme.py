@@ -35,7 +35,7 @@ def cli_examples(*commands):
     return [shlex.split(line)[1:] for line in lines if line.startswith(prefixes)]
 
 
-@pytest.mark.parametrize("argv", cli_examples("erf", "stability"), ids=" ".join)
+@pytest.mark.parametrize("argv", cli_examples("erf", "stability", "gradcheck"), ids=" ".join)
 def test_cli_example_runs(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
