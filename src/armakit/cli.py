@@ -54,37 +54,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _emit(text, destination):
-    """Send primary data to the ``--out`` file, or to stdout without one."""
+def _write_csv_grid(rows, destination, header=None):
+    """Write rows of Python numbers as CSV to the ``--out`` file, or to stdout without one,
+    after ``header`` if given: ints exactly, floats as ``%.17g``, which parses back exactly."""
+    template = ",".join("%d" if type(v) is int else "%.17g" for v in rows[0])
+    lines = [template % tuple(row) for row in rows]
+    text = "\n".join([header, *lines] if header else lines) + "\n"
     if destination is None:
         sys.stdout.write(text)
     else:
         Path(destination).write_text(text)
 
 
-def _write_csv_grid(rows, destination):
-    rows = np.asarray(rows, dtype=np.float64)
-    # one %-format per row of Python floats gives the text of _fmt per entry
-    template = ",".join(["%.17g"] * rows.shape[1])
-    _emit("\n".join(template % tuple(row.tolist()) for row in rows) + "\n", destination)
-
-
 def _read_csv_grid(path) -> np.ndarray:
+    # numpy's C parser on the non-blank lines, once they are known to be rows
+    # of one length (loadtxt only warns on no lines)
     try:
-        rows = [
-            [float(cell) for cell in line.split(",")]
-            for line in Path(path).read_text().strip().splitlines()
-            if line.strip()
-        ]
+        lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+        if lines and len({line.count(",") for line in lines}) == 1:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read numeric CSV {path}: {exc}") from exc
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise UsageError(f"CSV {path} is empty or not rectangular")
-    return np.array(rows)
+    raise UsageError(f"CSV {path} is empty or not rectangular")
 
 
 def _parse_layers(text) -> erf.LinearNetSpec:
@@ -163,15 +154,11 @@ def cmd_erf(args) -> int:
     spec = _parse_layers(opts["layers"])
     mode = opts["mode"]
     if mode == "analytic":
-        lines = ["layer,taps,dilation,ar_coeff,variance_term,total_radius"]
         radius = erf.analytic_radius_arma(spec)
-        for i, layer in enumerate(spec.layers, start=1):
-            term = erf.layer_variance_term(layer)
-            lines.append(
-                f"{i},{layer.taps},{layer.dilation},{_fmt(layer.ar_coeff)},"
-                f"{_fmt(term)},{_fmt(radius)}"
-            )
-        _emit("\n".join(lines) + "\n", opts["out"])
+        rows = [(i, layer.taps, layer.dilation, layer.ar_coeff, erf.layer_variance_term(layer),
+                 radius) for i, layer in enumerate(spec.layers, start=1)]
+        header = "layer,taps,dilation,ar_coeff,variance_term,total_radius"
+        _write_csv_grid(rows, opts["out"], header)
         return EXIT_OK
     if mode == "empirical-1d":
         erf_map = erf.empirical_erf_1d(spec, epsilon=opts["truncation"])
@@ -180,7 +167,7 @@ def cmd_erf(args) -> int:
             "radial_radius": erf.erf_radius(erf_map),
         }
         if opts["out"] is not None:
-            rows = list(zip(erf_map.offsets(0), erf_map.weights))
+            rows = np.column_stack((erf_map.offsets(0), erf_map.weights)).tolist()
             _write_csv_grid(rows, opts["out"])
         print(json.dumps(summary))
         return EXIT_OK
@@ -194,7 +181,7 @@ def cmd_erf(args) -> int:
         kernel_mode=opts["kernels"],
         epsilon=opts["truncation"],
     )
-    _write_csv_grid(erf_map.weights, opts["out"])
+    _write_csv_grid(erf_map.weights.tolist(), opts["out"])
     sidecar = {
         "radial_radius": erf.erf_radius(erf_map),
         "axis_variance_x": erf.erf_axis_variance(erf_map, axis=0),
@@ -231,6 +218,14 @@ def cmd_gradcheck(args) -> int:
     s, t = _parse_list(opts["channels"], int, count=2)
     if min(s, t) < 1:
         raise UsageError(f"--channels counts must be at least 1, got {opts['channels']!r}")
+    # a layer pass peaks at about 1.6 complex (size, size//2+1, T, S) arrays,
+    # W_hat and its adjoint or dW's cross spectrum, and 4 field spectra (tracemalloc)
+    need = 16 * size * (size // 2 + 1) * (2 * s * t + 4 * (s + t))
+    if need > erf.MAX_WORKING_SET_BYTES:
+        raise UsageError(
+            f"the gradient check needs about {need / 2**30:.3g} GiB for --size {size} and "
+            f"--channels {s},{t}; the working-set limit is {erf.MAX_WORKING_SET_BYTES / 2**30:g} GiB"
+        )
     report, failures = gradcheck_report(
         size=size, in_channels=s, out_channels=t, depth=depth, seed=opts["seed"], tol=tol
     )
@@ -262,20 +257,19 @@ def gradcheck_report(size, in_channels, out_channels, depth, seed, tol):
 
     def forward(values):
         ar = filters.SeparableArKernel.from_arrays(*(values[name] for name in _AR_NAMES))
-        params = arma.ArmaLayerParams(ma=MaKernel(values["w"]), ar=ar)
-        field = FieldTensor(values["x"])
-        y, cache = arma.arma_forward(field, params)
-        return field, params, y, cache
+        return arma.layer_forward(FieldTensor(values["x"]), MaKernel(values["w"]), ar)
 
-    field, params, y, cache = forward(groups)
-    d_x, d_w, ar_grads = arma.arma_backward(y, field, params, cache)
+    y, cache = forward(groups)
+    d_x, d_w, d_fg = arma.layer_backward(y, cache)
+    # the center tap f0 is fixed, so only (fm1, fp1) chain to (alpha, beta)
+    d_ab = filters.reparam_gradient(cache.ar.params, d_fg[..., ::2])
     analytic = {"x": d_x.data, "w": d_w}
-    analytic.update((name, getattr(ar_grads, name)) for name in _AR_NAMES)
+    analytic.update(zip(_AR_NAMES, (d_ab[h, ..., k] for h in (0, 1) for k in (0, 1))))
 
     report, failures = {}, []
     for name, value in groups.items():
         def loss_fn(bumped):
-            y = forward({**groups, name: bumped})[2]
+            y = forward({**groups, name: bumped})[0]
             return 0.5 * float((y.data**2).sum())
 
         a = analytic[name].ravel()
@@ -446,7 +440,7 @@ def cmd_solve(args) -> int:
         summary["max_deviation"] = float(np.max(np.abs(dense.data - y.data)))
     if summary and opts["out"] is None:
         raise UsageError("--oracle/--timing print JSON to stdout; write the field with --out")
-    _write_csv_grid(y.plane(), opts["out"])
+    _write_csv_grid(y.plane().tolist(), opts["out"])
     if summary:
         print(json.dumps(summary))
     return EXIT_OK
@@ -476,7 +470,7 @@ def cmd_train(args) -> int:
         trace = training.train(make_task(), config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(trace.csv_text(), opts["out"])
+    _write_csv_grid(trace.rows, opts["out"], training.TrainTrace.HEADER)
     if trace.diverged:
         print(f"diverged at step {trace.divergence_step}", file=sys.stderr)
         return EXIT_DIVERGED

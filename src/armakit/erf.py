@@ -43,6 +43,10 @@ DEFAULT_TRUNCATION = 1e-12
 #: truncation a double can hold.
 MAX_FILTER_TAPS = 2**20
 
+#: Most multiply-adds, ``max(H, 1) * (d*(K-1)+1)``, of the direct convolution
+#: that :func:`effective_filter_1d` will run: about a second.
+MAX_FILTER_WORK = 2**30
+
 #: Largest working set, in bytes, :func:`empirical_erf_2d` will build; its
 #: estimate grows as ``grid^2`` and as ``channels^2`` times the composed
 #: footprint squared.
@@ -165,8 +169,9 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
     ``H = ceil(ln(epsilon)/ln(a))`` so the dropped tail has mass at most
     ``epsilon`` (``H = 0``, i.e. a bare delta, when ``a == 0``); it is then
     convolved with the uniform dilated moving-average taps ``(1-a)/K``.
-    ``epsilon`` must lie in ``(0, 1)``, and neither ``H`` nor the
-    moving-average support ``d*(K-1)+1`` may exceed ``MAX_FILTER_TAPS``.
+    ``epsilon`` must lie in ``(0, 1)``, neither ``H`` nor the moving-average
+    support ``d*(K-1)+1`` may exceed ``MAX_FILTER_TAPS``, nor ``max(H, 1)``
+    times the support ``MAX_FILTER_WORK``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"truncation epsilon must be in (0, 1), got {epsilon!r}")
@@ -177,16 +182,20 @@ def effective_filter_1d(layer: LayerSpec1D, epsilon: float = DEFAULT_TRUNCATION)
             f"{support} taps; the limit is {MAX_FILTER_TAPS}"
         )
     a = layer.ar_coeff
-    if a == 0.0:
-        inverse = np.array([1.0])
-    else:
-        horizon = int(math.ceil(math.log(epsilon) / math.log(a)))
-        if horizon > MAX_FILTER_TAPS:
-            raise ValueError(
-                f"autoregressive coefficient {a!r} needs {horizon} taps to reach "
-                f"truncation {epsilon!r}; the limit is {MAX_FILTER_TAPS}"
-            )
-        inverse = a ** np.arange(horizon, dtype=np.float64)
+    horizon = 0 if a == 0.0 else int(math.ceil(math.log(epsilon) / math.log(a)))
+    if horizon > MAX_FILTER_TAPS:
+        raise ValueError(
+            f"autoregressive coefficient {a!r} needs {horizon} taps to reach "
+            f"truncation {epsilon!r}; the limit is {MAX_FILTER_TAPS}"
+        )
+    length = max(horizon, 1)  # a bare delta when a == 0
+    if length * support > MAX_FILTER_WORK:  # refused before either array is built
+        raise ValueError(
+            f"--layers entry {layer.taps},{layer.dilation},{a!r} convolves {length} inverse "
+            f"taps with a {support}-tap support, about {length * support:.3g} multiply-adds; "
+            f"the limit is {MAX_FILTER_WORK:.3g}"
+        )
+    inverse = a ** np.arange(length, dtype=np.float64)
     ma = np.zeros(support)
     ma[:: layer.dilation] = (1.0 - a) / layer.taps
     return np.convolve(inverse, ma)

@@ -174,15 +174,8 @@ class TrainTrace:
     divergence_step: Optional[int] = None
     layers: List[LayerState] = field(default_factory=list)
 
+    #: the names of a row's fields, the header of the CLI's trace CSV
     HEADER = "step,loss,max_abs_output,mean_abs_ar_sum"
-
-    def csv_text(self) -> str:
-        """The header and one row per step, floats to 17 significant digits."""
-        lines = [self.HEADER] + [
-            f"{step},{loss:.17g},{max_out:.17g},{ar_sum:.17g}"
-            for step, loss, max_out, ar_sum in self.rows
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def initial_layers(config: TrainConfig, rng: np.random.Generator) -> List[LayerState]:

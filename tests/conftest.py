@@ -14,6 +14,7 @@ import numpy as np
 from armakit.arma import layer_forward
 from armakit.filters import SeparableArKernel
 from armakit.numerics import MaKernel
+from armakit.training import ToyTask, TrainTrace, train
 
 
 def identity_ma(channels=1):
@@ -216,3 +217,25 @@ def misrounded_zeros(taps, zeros, moduli):
     if real and (any(im != 0.0 for _, im in zeros) or moduli != [abs(re) for re, _ in zeros]):
         wrong.append(f"real zeros {zeros} with moduli {moduli}")
     return wrong
+
+
+def trace_ulp_spread(task, config, nudges=3):
+    """Each ``train`` trace column's spread under 1-ulp input nudges.
+
+    Trains on ``task`` as given, then ``nudges`` times with every input moved
+    one ulp by ``np.nextafter``, in a direction drawn per entry (seeds ``0 ..
+    nudges-1``); the targets stay.  A column's spread is its largest move
+    over the nudged runs and every step, relative to its largest magnitude in
+    the run as given.  A change that moves a trace quotes the move as a
+    multiple of this spread.  Meant for runs that do not diverge.  Returns
+    ``{column name: spread}`` in the trace's column order.
+    """
+    base = np.array(train(task, config).rows)
+    move = np.zeros(base.shape[1])
+    for seed in range(nudges):
+        direction = np.random.default_rng(seed).choice([-np.inf, np.inf], task.inputs.shape)
+        nudged = ToyTask(np.nextafter(task.inputs, direction), task.targets)
+        move = np.maximum(move, np.abs(np.array(train(nudged, config).rows) - base).max(axis=0))
+    scale = np.abs(base).max(axis=0)
+    spread = move / np.where(scale > 0, scale, 1.0)
+    return dict(zip(TrainTrace.HEADER.split(","), spread.tolist()))

@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_csv_refused(capsys, field, message):
+    """``solve`` refuses the CSV ``field`` with exit 1, ``error: message`` and
+    no warning, and writes no output."""
+    out_path = field.with_name("refused-out.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--input", str(field), "--out", str(out_path))
+    assert not caught
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def strict_json(text):
@@ -190,6 +203,23 @@ class TestErfCommand:
         code, out, _ = run(capsys, "erf", "--layers", layers, "--mode", "analytic")
         assert code == 0 and out.startswith("layer,")
 
+    @pytest.mark.parametrize("mode", ["empirical-1d", "empirical-2d"])
+    def test_filter_work_over_cap_refused_fast(self, capsys, tmp_path, mode):
+        # 276,297 inverse taps times a 1,000,001-tap support pass both 2^20
+        # checks; np.convolve would run for minutes, so the product is refused
+        begin = time.perf_counter()
+        code, out, err = run(
+            capsys, "erf", "--layers", "1000001,1,0.9999", "--mode", mode,
+            "--out", str(tmp_path / "h.csv"),
+        )
+        assert time.perf_counter() - begin < 0.5
+        assert code == 1 and out == ""
+        assert err == (
+            "error: --layers entry 1000001,1,0.9999 convolves 276297 inverse taps with a "
+            "1000001-tap support, about 2.76e+11 multiply-adds; the limit is 1.07e+09\n"
+        )
+        assert not (tmp_path / "h.csv").exists()
+
     def test_malformed_layers_exit_code(self, capsys):
         code, _, err = run(capsys, "erf", "--layers", "3;1;0")
         assert code == 1
@@ -271,6 +301,31 @@ class TestGradcheckCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: --q must be in [1, 2]")
 
+
+    def test_working_set_over_budget_refused_before_building(self, capsys, monkeypatch):
+        # (64, 33, 1000, 1000) complex W_hat alone is 34 GB
+        monkeypatch.setattr(cli, "gradcheck_report", lambda **kw: pytest.fail("built"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gradcheck", "--size", "64", "--channels", "1000,1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the gradient check needs about 63.2 GiB for --size 64 and "
+            "--channels 1000,1000; the working-set limit is 1 GiB\n"
+        )
+        assert peak < 2**20
+
+    def test_working_set_budget_boundary(self, capsys, monkeypatch):
+        # 16*64*33*(2*124*124 + 4*248) bytes fit 1 GiB; 125,125 do not
+        built = []
+        monkeypatch.setattr(cli, "gradcheck_report", lambda **kw: built.append(kw) or ({}, []))
+        assert run(capsys, "gradcheck", "--size", "64", "--channels", "124,124")[0] == 0
+        code, _, err = run(capsys, "gradcheck", "--size", "64", "--channels", "125,125")
+        assert code == 1 and "--channels 125,125" in err
+        assert [(kw["in_channels"], kw["out_channels"]) for kw in built] == [(124, 124)]
 
     @pytest.mark.parametrize("argv, flag", [
         (("--tol=nan",), "--tol"), (("--tol=inf",), "--tol"), (("--tol=-1",), "--tol"),
@@ -568,14 +623,23 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err == "error: tap counts must be odd, got 2x2\n"
 
-    @pytest.mark.parametrize("text", [None, "1,x\n"], ids=["missing", "not-numeric"])
-    def test_unreadable_csv_is_usage_error(self, capsys, tmp_path, text):
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read numeric CSV {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("1,x\n", "cannot read numeric CSV {path}: could not convert string 'x' to float64 "
+                   "at row 0, column 2."),
+        ("", "CSV {path} is empty or not rectangular"),
+        (" \n\t\n\n", "CSV {path} is empty or not rectangular"),
+        ("1,#2\n", "cannot read numeric CSV {path}: could not convert string '#2' to float64 "
+                   "at row 0, column 2."),
+        # Python's float accepted digit-group underscores; numpy's parser does not
+        ("1_0,2\n", "cannot read numeric CSV {path}: could not convert string '1_0' to "
+                    "float64 at row 0, column 1."),
+    ], ids=["missing", "not-numeric", "empty", "whitespace-only", "hash-cell", "underscore"])
+    def test_unreadable_csv_is_usage_error(self, capsys, tmp_path, text, message):
         field = tmp_path / "x.csv"
         if text is not None:
             field.write_text(text)
-        code, out, err = run(capsys, "solve", "--input", str(field))
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: cannot read numeric CSV {field}: ")
+        assert_csv_refused(capsys, field, message.format(path=field))
 
     @pytest.mark.parametrize("text", [None, "{mode: raw"], ids=["missing", "not-json"])
     def test_unreadable_ar_config_is_usage_error(self, capsys, tmp_path, text):
@@ -595,10 +659,17 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err == "error: unknown AR config mode 'magic'\n"
 
+    def test_blank_and_padded_lines_read(self, capsys, tmp_path):
+        # lines of whitespace are skipped, and cells may be padded, as before numpy parsed them
+        field = tmp_path / "x.csv"
+        field.write_text("\n 1 ,\t2\n   \n\f\n3,4\r\n\n")
+        code, out, _ = run(capsys, "solve", "--input", str(field))
+        assert code == 0 and out == "1,2\n3,4\n"
+
     def test_ragged_csv_rejected(self, capsys, tmp_path):
         field = tmp_path / "x.csv"
         field.write_text("1,2\n3\n")
-        assert run(capsys, "solve", "--input", str(field))[0] == 1
+        assert_csv_refused(capsys, field, f"CSV {field} is empty or not rectangular")
 
     def test_output_round_trips_losslessly(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
@@ -622,6 +693,56 @@ class TestSolveCommand:
         want, _ = layer_forward(x, identity_ma(), kernel)
         got = np.loadtxt(out_path, delimiter=",")
         assert np.array_equal(got, want.plane())  # 17 digits reproduce doubles
+
+
+class TestCsvWriter:
+    """Every table goes through ``cli._write_csv_grid``: ints exact, other
+    numbers under ``%.17g``."""
+
+    def test_analytic_table_bytes(self, capsys):
+        code, out, _ = run(capsys, "erf", "--layers", "3,1,0.5;5,2,0.25", "--mode", "analytic")
+        assert code == 0
+        assert out == (
+            "layer,taps,dilation,ar_coeff,variance_term,total_radius\n"
+            "1,3,1,0.5,2.6666666666666665,3.3333333333333335\n"
+            "2,5,2,0.25,8.4444444444444446,3.3333333333333335\n"
+        )
+        # a tap count past 2^53 is not rounded through a double
+        code, out, _ = run(capsys, "erf", "--layers", "9007199254740993,1,0", "--mode", "analytic")
+        assert code == 0
+        assert out.splitlines()[1] == "1,9007199254740993,1,0,6.7608032012172254e+30,2600154457184654.5"
+
+    def test_trace_bytes(self, capsys):
+        rows = [(0, 858.5, 2.5, 0.0), (1, math.inf, math.nan, 0.99552368972024541)]
+        cli._write_csv_grid(rows, None, "step,loss,max_abs_output,mean_abs_ar_sum")
+        assert capsys.readouterr().out == (
+            "step,loss,max_abs_output,mean_abs_ar_sum\n0,858.5,2.5,0\n1,inf,nan,0.99552368972024541\n"
+        )
+
+    def test_train_prints_trace_rows(self, capsys, tmp_path):
+        # a reparam step past tanh's edge meets the guard: an inf row, exit 3
+        from armakit import training
+
+        argv = ("--steps", "3", "--lr", "100", "--size", "16", "--sigma", "2", "--samples", "1")
+        code, out, err = run(capsys, "train", *argv)
+        assert code == 3 and err == "diverged at step 1\n"
+        task = training.ToyTask.wide_blur(samples=1, size=16, sigma=2.0, seed=0)
+        trace = training.train(task, training.TrainConfig(steps=3, learning_rate=100.0))
+        assert trace.rows[1][1] == math.inf and trace.rows[0][3] == 0
+        # the text the trace's own f-strings gave before the one writer
+        assert out == "".join(
+            [training.TrainTrace.HEADER + "\n"]
+            + [f"{s},{a:.17g},{b:.17g},{c:.17g}\n" for s, a, b, c in trace.rows]
+        )
+
+    def test_grid_bytes(self, capsys, tmp_path):
+        grid = np.array([[0.1, -0.0, 3.0], [5e-324, 2 / 3, -1e22]])
+        path = tmp_path / "g.csv"
+        cli._write_csv_grid(grid.tolist(), path)
+        cli._write_csv_grid(grid.tolist(), None)
+        text = "0.10000000000000001,-0,3\n4.9406564584124654e-324,0.66666666666666663,-1e+22\n"
+        assert path.read_text() == capsys.readouterr().out == text
+        assert np.array_equal(np.loadtxt(path, delimiter=","), grid)
 
 
 class TestTrainCommand:

@@ -179,6 +179,17 @@ class TestEffectiveFilter:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("layer, inverse, support", [(LayerSpec1D(5, 1, 0.5), 40, 5),
+                                                         (LayerSpec1D(5, 2, 0.0), 1, 9)])
+    def test_convolution_work_cap_boundary(self, monkeypatch, layer, inverse, support):
+        # H inverse taps (one, a bare delta, when a == 0) times the support
+        monkeypatch.setattr(erf, "MAX_FILTER_WORK", inverse * support)
+        assert effective_filter_1d(layer).size == inverse + support - 1
+        monkeypatch.setattr(erf, "MAX_FILTER_WORK", inverse * support - 1)
+        with pytest.raises(ValueError, match=f"^--layers entry .* {inverse} inverse taps with "
+                                             f"a {support}-tap support"):
+            effective_filter_1d(layer)
+
     def test_variance_matches_radius_term(self):
         taps = effective_filter_1d(LayerSpec1D(3, 1, 0.5))
         p = np.arange(taps.size)

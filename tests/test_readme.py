@@ -21,11 +21,10 @@ def test_library_example_runs():
     y, d_x, d_w = namespace["y"], namespace["d_x"], namespace["d_w"]
     assert y.data.shape == (32, 32, 8)
     assert d_x.data.shape == namespace["x"].data.shape
-    assert d_w.shape == namespace["params"].ma.data.shape
-    ar_grads = namespace["ar_grads"]
-    for name in ("alpha_f", "beta_f", "alpha_g", "beta_g"):
-        grad = getattr(ar_grads, name)
-        assert grad.shape == (8, 1) and np.isfinite(grad).all(), name
+    assert d_w.shape == namespace["ma"].data.shape
+    # (alpha, beta) gradients of the f factors, then of the g factors
+    d_ab = namespace["d_ab"]
+    assert d_ab.shape == (2, 8, 1, 2) and np.isfinite(d_ab).all()
 
 
 def cli_examples(*commands):

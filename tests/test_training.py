@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from armakit import arma, training
+from armakit import arma, cli, training
 from armakit.arma import layer_backward, layer_forward
 from armakit.filters import materialize, reparam_gradient, stable_factors
 from armakit.numerics import FieldTensor, MaKernel
@@ -16,7 +16,7 @@ from armakit.training import (
     initial_layers,
     train,
 )
-from conftest import naive_circular_conv2
+from conftest import naive_circular_conv2, trace_ulp_spread
 
 
 class TestFiniteDiff:
@@ -392,17 +392,32 @@ class TestTrain:
         with pytest.raises(ValueError, match="last channel size"):
             train(task, small_config(channel_sizes=(1, 2)))
 
-    def test_trace_csv_round_trip(self):
+    def test_trace_csv_round_trip(self, tmp_path):
+        # the CLI's one table writer prints the trace
         task = ToyTask.wide_blur(samples=1, size=24, sigma=2.0, seed=6)
         trace = train(task, small_config(steps=4))
-        lines = trace.csv_text().strip().splitlines()
+        path = tmp_path / "trace.csv"
+        cli._write_csv_grid(trace.rows, path, training.TrainTrace.HEADER)
+        lines = path.read_text().splitlines()
         assert lines[0] == "step,loss,max_abs_output,mean_abs_ar_sum"
+        assert len(lines) == 1 + len(trace.rows) == 5
         for row, line in zip(trace.rows, lines[1:]):
             cells = line.split(",")
             assert int(cells[0]) == row[0]
             assert float(cells[1]) == row[1]  # 17 significant digits: lossless
             assert float(cells[2]) == row[2]
             assert float(cells[3]) == row[3]
+
+
+class TestTraceUlpSpread:
+    def test_short_run(self):
+        task = ToyTask.wide_blur(samples=2, size=16, sigma=2.0, seed=0)
+        spread = trace_ulp_spread(task, small_config(steps=30))
+        assert list(spread) == training.TrainTrace.HEADER.split(",")
+        assert spread["step"] == 0.0
+        # 1-ulp input nudges move every float column, by rounding only
+        assert all(0.0 < spread[name] < 1e-12 for name in list(spread)[1:])
+        assert trace_ulp_spread(task, small_config(steps=30)) == spread
 
 
 def tanh_beta_histogram(layers):
