@@ -218,8 +218,8 @@ def cmd_gradcheck(args) -> int:
     s, t = _parse_list(opts["channels"], int, count=2)
     if min(s, t) < 1:
         raise UsageError(f"--channels counts must be at least 1, got {opts['channels']!r}")
-    # a layer pass peaks at about 1.6 complex (size, size//2+1, T, S) arrays,
-    # W_hat and its adjoint or dW's cross spectrum, and 4 field spectra (tracemalloc)
+    # two complex (size, size//2+1, T, S) kernel spectra (a pass peaks at 1.1-1.6 of them)
+    # and four field spectra of each of the S input and T output channels
     need = 16 * size * (size // 2 + 1) * (2 * s * t + 4 * (s + t))
     if need > erf.MAX_WORKING_SET_BYTES:
         raise UsageError(

@@ -219,12 +219,12 @@ def misrounded_zeros(taps, zeros, moduli):
     return wrong
 
 
-def trace_ulp_spread(task, config, nudges=3):
+def trace_ulp_spread(task, config):
     """Each ``train`` trace column's spread under 1-ulp input nudges.
 
-    Trains on ``task`` as given, then ``nudges`` times with every input moved
-    one ulp by ``np.nextafter``, in a direction drawn per entry (seeds ``0 ..
-    nudges-1``); the targets stay.  A column's spread is its largest move
+    Trains on ``task`` as given, then three times with every input moved one
+    ulp by ``np.nextafter``, in a direction drawn per entry (seeds 0, 1 and
+    2); the targets stay.  A column's spread is its largest move
     over the nudged runs and every step, relative to its largest magnitude in
     the run as given.  A change that moves a trace quotes the move as a
     multiple of this spread.  Meant for runs that do not diverge.  Returns
@@ -232,7 +232,7 @@ def trace_ulp_spread(task, config, nudges=3):
     """
     base = np.array(train(task, config).rows)
     move = np.zeros(base.shape[1])
-    for seed in range(nudges):
+    for seed in range(3):
         direction = np.random.default_rng(seed).choice([-np.inf, np.inf], task.inputs.shape)
         nudged = ToyTask(np.nextafter(task.inputs, direction), task.targets)
         move = np.maximum(move, np.abs(np.array(train(nudged, config).rows) - base).max(axis=0))
